@@ -48,6 +48,7 @@ from .multi_winner import (
     brute_best_committee,
     committee_score,
     empirical_fvr_committee,
+    empirical_fvr_committee_curve,
     expand_instance,
     expanded_rule,
     jr_check,

@@ -29,17 +29,18 @@ from .core import (
     WeightFn,
     as_frac,
     flexibility_grid,
+    is_numeral,
 )
 from .formats import ParseError, parse_instance, parse_ranked, serialize_instance
 from .multi_winner import (
     MultiParams,
     committee_score,
-    empirical_fvr_committee,
+    empirical_fvr_committee_curve,
     expanded_rule,
     sequential_rule,
 )
 from .oracles import GeneratorSpec, generator_names, run_generator, strong_pvc
-from .single_winner import closed_form_fvr, empirical_fvr_point, score_all, winner
+from .single_winner import argmax, closed_form_fvr, empirical_fvr_curve, score_all
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -69,7 +70,7 @@ def _parse_rule(text: str) -> tuple[str, object]:
         return "single", Threshold(as_frac(text.partition(":")[2]))
     if text.startswith("power:"):
         raw = text.partition(":")[2]
-        if not raw.isdigit():
+        if not is_numeral(raw):
             raise ValidationError(f"power rule needs an integer exponent, got {raw!r}")
         return "single", Power(int(raw))
     if text in ("seq", "expanded"):
@@ -91,16 +92,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     kind, payload = _parse_rule(args.rule)
     lines = [f"rule: {args.rule}", f"m: {inst.m}", f"n: {inst.n}"]
     if kind == "single":
-        family = payload
-        scores = score_all(inst, family)
-        chosen = winner(inst, family)
+        scores = score_all(inst, payload)
+        chosen = argmax(scores)
+        audit = empirical_fvr_curve(inst, chosen)
         lines.append(f"winner: {chosen}")
         lines.append("scores:")
         for a, sc in enumerate(scores):
             lines.append(f"  {a}: {_render(sc)}")
         lines.append("audit (share of s-flexible voters disapproving the winner):")
-        for s in flexibility_grid(inst.m):
-            lines.append(f"  s={frac_str(s)}: {_render(empirical_fvr_point(inst, chosen, s))}")
     else:
         k = args.k if args.k is not None else k_file
         t = args.t if args.t is not None else t_file
@@ -109,15 +108,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         params = MultiParams(k, t)
         rule = sequential_rule if payload == "seq" else expanded_rule
         committee = rule(inst, params)
+        audit = empirical_fvr_committee_curve(inst, committee, t)
         lines.append(f"k: {k}")
         lines.append(f"t: {t}")
         lines.append("committee: " + " ".join(str(a) for a in committee.members))
         lines.append(f"committee score: {_render(committee_score(inst, committee, t))}")
         lines.append(f"score cap (n): {inst.n}")
         lines.append("audit (share of s-flexible voters below the approval target):")
-        for s in flexibility_grid(inst.m):
-            audit = empirical_fvr_committee(inst, committee, s, t)
-            lines.append(f"  s={frac_str(s)}: {_render(audit)}")
+    for s, value in zip(flexibility_grid(inst.m), audit.values_on_grid(inst.m)):
+        lines.append(f"  s={frac_str(s)}: {_render(value)}")
     print("\n".join(lines))
     return 0
 
@@ -158,8 +157,7 @@ def _parse_param_value(key: str, raw: str) -> object:
                 raise ValidationError(f"table entries look like f:w, got {piece!r}")
             entries[as_frac(flex)] = as_frac(weight)
         return Table(entries)
-    stripped = raw.lstrip("-")
-    if stripped.isdigit():
+    if is_numeral(raw.lstrip("-")):
         return int(raw)
     return as_frac(raw)
 

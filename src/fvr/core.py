@@ -23,6 +23,7 @@ __all__ = [
     "ValidationError",
     "SizeLimitError",
     "as_frac",
+    "is_numeral",
     "Instance",
     "build_instance",
     "flexibility",
@@ -69,6 +70,14 @@ def as_frac(x: object) -> Frac:
             f"refusing float {x!r}: pass an exact value such as Fraction(1, 2) or '1/2'"
         )
     raise ValidationError(f"expected a rational number, got {x!r}")
+
+
+def is_numeral(text: str) -> bool:
+    """Whether ``text`` is a plain decimal numeral, ``[0-9]+``, that ``int`` accepts.
+
+    ``str.isdigit`` alone also passes digits such as '²', which ``int`` rejects.
+    """
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -301,3 +310,13 @@ class AuditCurve:
         if idx == len(keys):
             return Fraction(0)
         return self.breakpoints[idx][1]
+
+    def values_on_grid(self, m: int) -> tuple[Frac, ...]:
+        """The curve at every threshold of ``flexibility_grid(m)``, in one merge walk."""
+        values = []
+        j = 0
+        for s in flexibility_grid(m):
+            while j < len(self.breakpoints) and self.breakpoints[j][0] < s:
+                j += 1
+            values.append(self.breakpoints[j][1] if j < len(self.breakpoints) else Fraction(0))
+        return tuple(values)

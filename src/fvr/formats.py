@@ -31,7 +31,7 @@ where each voter line is a permutation of 0..m-1, most preferred first.
 
 from __future__ import annotations
 
-from .core import Instance, ValidationError, build_instance
+from .core import Instance, ValidationError, build_instance, is_numeral
 from .oracles import RankedProfile, build_ranked_profile
 
 __all__ = [
@@ -70,7 +70,7 @@ def _parse_count(lines: list[str], index: int, key: str) -> int:
     if index >= len(lines):
         raise ParseError(index + 1, f"missing '{key} <int>' line")
     parts = lines[index].split(" ")
-    if len(parts) != 2 or parts[0] != key or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != key or not is_numeral(parts[1]):
         raise ParseError(index + 1, f"expected '{key} <int>', got {lines[index]!r}")
     value = int(parts[1])
     if value < 1:
@@ -84,10 +84,13 @@ def _parse_index_line(line: str, line_no: int, m: int, *, strictly_increasing: b
     prev: int | None = None
     if line == "":
         return indices
+    # On an ASCII line str.isdigit is exactly is_numeral; testing the line once
+    # keeps the ASCII check out of the per-token loop.
+    numeral = str.isdigit if line.isascii() else is_numeral
     for token in line.split(" "):
         if token == "":
             raise ParseError(line_no, "empty token (stray space?)", column)
-        if not token.isdigit():
+        if not numeral(token):
             raise ParseError(line_no, f"not a candidate index: {token!r}", column)
         value = int(token)
         if value >= m:

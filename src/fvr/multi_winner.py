@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (
+    AuditCurve,
     Committee,
     Frac,
     Instance,
@@ -22,7 +23,7 @@ from .core import (
     as_frac,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf
-from .single_winner import ropt_winner
+from .single_winner import argmax, audit_curve, ropt_winner, weighted_counts
 
 __all__ = [
     "COMMITTEE_LIMIT",
@@ -35,6 +36,7 @@ __all__ = [
     "sequential_picks",
     "sequential_rule",
     "empirical_fvr_committee",
+    "empirical_fvr_committee_curve",
     "JrResult",
     "jr_check",
     "brute_best_committee",
@@ -140,17 +142,21 @@ def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
     most n meets the hypergeometric guarantee.  Voters certain to reach the
     target on every committee have reciprocal weight undefined (probability
     0) and are skipped; such voters can never be in the penalized group.
+    The probability depends only on the approval size, so it is computed
+    once per size of the voters left short.
     """
     members = _check_committee(inst, committee, t)
     k = len(members)
-    total = Fraction(0)
+    short: dict[int, int] = {}
     for approved in inst.approvals:
-        if len(approved & members) >= t:
-            continue
-        miss_prob = hyp_cdf(HypParams(inst.m, len(approved), k), t - 1)
-        if miss_prob == 0:
-            continue
-        total += 1 / miss_prob
+        if len(approved & members) < t:
+            size = len(approved)
+            short[size] = short.get(size, 0) + 1
+    total = Fraction(0)
+    for size, count in short.items():
+        miss_prob = hyp_cdf(HypParams(inst.m, size, k), t - 1)
+        if miss_prob:
+            total += count / miss_prob
     return total
 
 
@@ -164,45 +170,61 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     largest weighted approval joins (lowest index on ties).  The returned
     order is what the step-by-step averaging argument reasons about;
     :func:`sequential_rule` wraps it as a committee.
+
+    The weight depends only on a voter's class (approval size, overlap with
+    the picks so far), so it is evaluated once per class and each class's
+    approvals are counted as plain ints.
     """
     _check_k(inst, params.k)
-    m, k, t, n = inst.m, params.k, params.t, inst.n
-    miss_prob = [hyp_cdf(HypParams(m, len(A), k), t - 1) for A in inst.approvals]
+    m, k, t = inst.m, params.k, params.t
+    miss_prob = {
+        size: hyp_cdf(HypParams(m, size, k), t - 1) for size in {len(A) for A in inst.approvals}
+    }
+    # Only voters who approve someone and can miss the target ever carry weight.
+    classes: dict[tuple[int, int], list[frozenset[int]]] = {}
+    for approved in inst.approvals:
+        if approved and miss_prob[len(approved)]:
+            classes.setdefault((len(approved), 0), []).append(approved)
     chosen: list[int] = []
-    chosen_set: set[int] = set()
-    overlap = [0] * n
     for j in range(1, k + 1):
-        scores = [Fraction(0)] * m
-        for i, approved in enumerate(inst.approvals):
-            remaining = len(approved) - overlap[i]
-            if remaining == 0 or miss_prob[i] == 0:
-                continue
+        weighted = []
+        for (size, overlap), rows in classes.items():
+            remaining = size - overlap
             if remaining > m - j:
                 # She approves every candidate still available, so her weight
                 # would raise all of them equally; the argmax cannot move.
                 continue
             weight = (
-                hyp_pmf(HypParams(m - j - 1, remaining - 1, k - j), t - 1 - overlap[i])
-                / miss_prob[i]
+                hyp_pmf(HypParams(m - j - 1, remaining - 1, k - j), t - 1 - overlap)
+                / miss_prob[size]
             )
-            if weight == 0:
-                continue
-            for a in approved:
-                if a not in chosen_set:
-                    scores[a] += weight
-        best = None
-        for a in range(m):
-            if a in chosen_set:
-                continue
-            if best is None or scores[a] > scores[best]:
-                best = a
-        assert best is not None
+            weighted.append((weight, rows))
+        counts, _ = weighted_counts(m, weighted)
+        best = argmax(counts, skip=chosen)
         chosen.append(best)
-        chosen_set.add(best)
-        for i, approved in enumerate(inst.approvals):
-            if best in approved:
-                overlap[i] += 1
+        if j < k:
+            classes = _advance(classes, best, t)
     return tuple(chosen)
+
+
+def _advance(
+    classes: dict[tuple[int, int], list[frozenset[int]]], best: int, t: int
+) -> dict[tuple[int, int], list[frozenset[int]]]:
+    """Regroup voters after ``best`` is picked.
+
+    Voters approving ``best`` move up one overlap.  Those who then reach the
+    target, or have no approved candidate left, weigh 0 at every later pick
+    and are dropped.
+    """
+    regrouped: dict[tuple[int, int], list[frozenset[int]]] = {}
+    for (size, overlap), rows in classes.items():
+        stay = [A for A in rows if best not in A]
+        if stay:
+            regrouped.setdefault((size, overlap), []).extend(stay)
+        if len(stay) < len(rows) and overlap + 1 < min(t, size):
+            moved = [A for A in rows if best in A]
+            regrouped.setdefault((size, overlap + 1), []).extend(moved)
+    return regrouped
 
 
 def sequential_rule(inst: Instance, params: MultiParams) -> Committee:
@@ -223,6 +245,17 @@ def empirical_fvr_committee(inst: Instance, committee: Committee, s: object, t: 
         if len(approved) >= threshold_size and len(approved & members) < t
     )
     return Fraction(hits, inst.n)
+
+
+def empirical_fvr_committee_curve(inst: Instance, committee: Committee, t: int) -> AuditCurve:
+    """The committee audit as a step function of the threshold s.
+
+    Equals :func:`empirical_fvr_committee` at every s, from one pass over
+    the voters.
+    """
+    members = _check_committee(inst, committee, t)
+    sizes = (len(approved) for approved in inst.approvals if len(approved & members) < t)
+    return audit_curve(sizes, inst.m, inst.n)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,15 @@ from .core import (
     build_instance,
     eval_weight,
 )
-from .multi_winner import COMMITTEE_LIMIT, MultiParams, committee_score
-from .single_winner import Power, closed_form_fvr
+from .hypergeom import HypParams, hyp_cdf, hyp_pmf
+from .multi_winner import (
+    COMMITTEE_LIMIT,
+    MultiParams,
+    _check_committee,
+    _check_k,
+    committee_score,
+)
+from .single_winner import Power, ScoreVector, closed_form_fvr
 
 __all__ = [
     "DEFAULT_SEED",
@@ -48,6 +55,9 @@ __all__ = [
     "enumerate_instances",
     "enumerate_voter_multisets",
     "conditional_expected_score",
+    "reference_score_all",
+    "reference_committee_score",
+    "reference_sequential_picks",
     "strong_pvc",
 ]
 
@@ -90,6 +100,13 @@ def build_ranked_profile(m: int, rankings: object) -> RankedProfile:
 # ---------------------------------------------------------------------------
 
 
+def _require_ints(**values: object) -> None:
+    """Reject a non-integer count or seed, such as ``--param L=1/2`` on the command line."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value}")
+
+
 def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     """Voters take turns approving the ``per_voter`` least-approved candidates.
 
@@ -97,6 +114,7 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     approval counts within one of each other, so no candidate ends up with
     more than ceil(n*per_voter/m) approvals.
     """
+    _require_ints(n=n, m=m, per_voter=per_voter)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
     counts = [0] * m
@@ -122,6 +140,7 @@ def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, in
     wins on approvals while the whole bloc is s-flexible and disapproves
     it.  Returns the instance and the special candidate (index 0).
     """
+    _require_ints(n=n, m=m)
     sv, rv = as_frac(s), as_frac(r)
     if not Frac(0) < sv < 1:
         raise ValidationError(f"threshold {sv} lies outside (0,1)")
@@ -149,6 +168,7 @@ def gen_power_gap(n: int, m: int, s: object, r: object, p: int) -> tuple[Instanc
     spread evenly, putting their flexibility at the point maximizing
     f^p*(1-f).  Returns the instance and the special candidate (index 0).
     """
+    _require_ints(n=n, m=m)
     sv, rv = as_frac(s), as_frac(r)
     bound = closed_form_fvr(Power(p), sv).value
     if not Frac(0) < rv < bound:
@@ -181,6 +201,7 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     at threshold f' is the bloc share, which approaches g from below.
     Returns the instance and the special candidate (index 0).
     """
+    _require_ints(n=n)
     fv, fpv = as_frac(f), as_frac(fprime)
     wf = eval_weight(w, fv)
     if wf == 0:
@@ -207,6 +228,7 @@ def gen_symmetric(m: int, per_voter: int, limit: int = COMMITTEE_LIMIT) -> Insta
     Fully symmetric, so every committee of a given size is t-disapproved by
     exactly the same number of voters.
     """
+    _require_ints(m=m, per_voter=per_voter)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
     total = comb(m, per_voter)
@@ -257,6 +279,9 @@ def gen_jr_hard(m: int, k: int) -> Instance:
 
 def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     """Seeded uniform profile: each voter approves a uniformly random subset."""
+    _require_ints(n=n, m=m, seed=seed)
+    if m < 1:
+        raise ValidationError(f"need at least one candidate, got m={m}")
     rng = random.Random(seed)
     rows = []
     for _ in range(n):
@@ -409,6 +434,86 @@ def conditional_expected_score(
         total += committee_score(inst, Committee(base + extra), params.t)
         count += 1
     return total / count
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: one exact Fraction addition per approval.  The class-count
+# kernels in single_winner and multi_winner must agree with these exactly.
+# ---------------------------------------------------------------------------
+
+
+def reference_score_all(inst: Instance, w: WeightFn) -> ScoreVector:
+    """:func:`fvr.single_winner.score_all`, adding each voter's weight one approval at a time."""
+    scores = [Fraction(0)] * inst.m
+    weight_by_size: dict[int, Frac] = {}
+    for approved in inst.approvals:
+        size = len(approved)
+        if size == 0 or size == inst.m:
+            continue
+        wv = weight_by_size.get(size)
+        if wv is None:
+            wv = eval_weight(w, Fraction(size, inst.m))
+            weight_by_size[size] = wv
+        if wv == 0:
+            continue
+        for a in approved:
+            scores[a] += wv
+    return tuple(scores)
+
+
+def reference_committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
+    """:func:`fvr.multi_winner.committee_score`, one reciprocal per voter left short."""
+    members = _check_committee(inst, committee, t)
+    k = len(members)
+    total = Fraction(0)
+    for approved in inst.approvals:
+        if len(approved & members) >= t:
+            continue
+        miss_prob = hyp_cdf(HypParams(inst.m, len(approved), k), t - 1)
+        if miss_prob == 0:
+            continue
+        total += 1 / miss_prob
+    return total
+
+
+def reference_sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
+    """:func:`fvr.multi_winner.sequential_picks`, weighing every voter at every pick."""
+    _check_k(inst, params.k)
+    m, k, t, n = inst.m, params.k, params.t, inst.n
+    miss_prob = [hyp_cdf(HypParams(m, len(A), k), t - 1) for A in inst.approvals]
+    chosen: list[int] = []
+    chosen_set: set[int] = set()
+    overlap = [0] * n
+    for j in range(1, k + 1):
+        scores = [Fraction(0)] * m
+        for i, approved in enumerate(inst.approvals):
+            remaining = len(approved) - overlap[i]
+            if remaining == 0 or miss_prob[i] == 0:
+                continue
+            if remaining > m - j:
+                continue
+            weight = (
+                hyp_pmf(HypParams(m - j - 1, remaining - 1, k - j), t - 1 - overlap[i])
+                / miss_prob[i]
+            )
+            if weight == 0:
+                continue
+            for a in approved:
+                if a not in chosen_set:
+                    scores[a] += weight
+        best = None
+        for a in range(m):
+            if a in chosen_set:
+                continue
+            if best is None or scores[a] > scores[best]:
+                best = a
+        assert best is not None
+        chosen.append(best)
+        chosen_set.add(best)
+        for i, approved in enumerate(inst.approvals):
+            if best in approved:
+                overlap[i] += 1
+    return tuple(chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ instance can force on it; lower is stronger, and no rule can beat ``1 - s``.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     AuditCurve,
@@ -44,6 +47,50 @@ __all__ = [
 ScoreVector = tuple[Frac, ...]
 
 
+def weighted_counts(
+    m: int, classes: Iterable[tuple[Frac, Iterable[frozenset[int]]]]
+) -> tuple[list[int], int]:
+    """Exact weighted approval counts as integer numerators over one denominator.
+
+    ``classes`` yields ``(weight, rows)`` pairs in which every row carries the
+    same weight.  Each weight becomes an int numerator over ``scale``, the
+    lcm of all weight denominators, and each approval adds that int, so
+    candidate ``a`` scores exactly ``counts[a] / scale``.  Zero-weight
+    classes are never visited.
+    """
+    weighted = [(wv, rows) for wv, rows in classes if wv]
+    scale = lcm(*(wv.denominator for wv, _ in weighted))
+    counts = [0] * m
+    for wv, rows in weighted:
+        unit = wv.numerator * (scale // wv.denominator)
+        for approved in rows:
+            for a in approved:
+                counts[a] += unit
+    return counts, scale
+
+
+def _size_classes(inst: Instance, w: WeightFn) -> list[tuple[Frac, list[frozenset[int]]]]:
+    """Voters grouped by approval size, with the weight each size carries.
+
+    Sizes 0 and m are left out: those voters approve nobody or everybody, so
+    the weight function is never evaluated at flexibility 0 or 1.  Weights
+    are evaluated once per size, in order of first appearance.
+    """
+    by_size: dict[int, list[frozenset[int]]] = {}
+    for approved in inst.approvals:
+        by_size.setdefault(len(approved), []).append(approved)
+    return [
+        (eval_weight(w, Fraction(size, inst.m)), rows)
+        for size, rows in by_size.items()
+        if 0 < size < inst.m
+    ]
+
+
+def argmax(values: Sequence[object], skip: Container[int] = ()) -> int:
+    """The lowest index holding the largest value, ignoring indices in ``skip``."""
+    return max((a for a in range(len(values)) if a not in skip), key=values.__getitem__)
+
+
 def score_all(inst: Instance, w: WeightFn) -> ScoreVector:
     """Per-candidate scores: each voter adds her weight to every candidate she approves.
 
@@ -51,31 +98,13 @@ def score_all(inst: Instance, w: WeightFn) -> ScoreVector:
     everything would raise all scores equally, so they are skipped and the
     weight function is never evaluated at flexibility 0 or 1.
     """
-    scores = [Fraction(0)] * inst.m
-    weight_by_size: dict[int, Frac] = {}
-    for approved in inst.approvals:
-        size = len(approved)
-        if size == 0 or size == inst.m:
-            continue
-        wv = weight_by_size.get(size)
-        if wv is None:
-            wv = eval_weight(w, Fraction(size, inst.m))
-            weight_by_size[size] = wv
-        if wv == 0:
-            continue
-        for a in approved:
-            scores[a] += wv
-    return tuple(scores)
+    counts, scale = weighted_counts(inst.m, _size_classes(inst, w))
+    return tuple(Fraction(c, scale) for c in counts)
 
 
 def winner(inst: Instance, w: WeightFn) -> int:
     """The lowest-index candidate with maximal score (deterministic tie-break)."""
-    scores = score_all(inst, w)
-    best = 0
-    for a in range(1, inst.m):
-        if scores[a] > scores[best]:
-            best = a
-    return best
+    return argmax(score_all(inst, w))
 
 
 def ropt_winner(inst: Instance) -> int:
@@ -101,6 +130,23 @@ def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
     return Fraction(hits, inst.n)
 
 
+def audit_curve(sizes: Iterable[int], m: int, n: int) -> AuditCurve:
+    """The audit step function of a group of voters, from their approval sizes.
+
+    The curve at s is the share of all n voters that lie in the group and
+    are s-flexible.  One histogram pass and suffix sums: O(len(sizes) + m).
+    """
+    histogram = Counter(sizes)
+    breakpoints = []
+    count = 0
+    for size in range(m, 0, -1):
+        if histogram[size]:
+            count += histogram[size]
+            breakpoints.append((Fraction(size, m), Fraction(count, n)))
+    breakpoints.reverse()
+    return AuditCurve(tuple(breakpoints))
+
+
 def empirical_fvr_curve(inst: Instance, a: int) -> AuditCurve:
     """The audit of candidate ``a`` as a step function of the threshold s.
 
@@ -110,16 +156,8 @@ def empirical_fvr_curve(inst: Instance, a: int) -> AuditCurve:
     """
     if not 0 <= a < inst.m:
         raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    sizes = sorted(
-        {len(approved) for approved in inst.approvals if a not in approved and approved}
-    )
-    breakpoints = []
-    for size in sizes:
-        count = sum(
-            1 for approved in inst.approvals if a not in approved and len(approved) >= size
-        )
-        breakpoints.append((Fraction(size, inst.m), Fraction(count, inst.n)))
-    return AuditCurve(tuple(breakpoints))
+    sizes = (len(approved) for approved in inst.approvals if a not in approved)
+    return audit_curve(sizes, inst.m, inst.n)
 
 
 @dataclass(frozen=True)

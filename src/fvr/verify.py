@@ -19,6 +19,7 @@ Suite parameter conventions (all optional, suite-specific defaults):
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .core import (
     Optimal,
     Power,
     Threshold,
+    ValidationError,
     build_instance,
     flexibility_grid,
 )
@@ -413,6 +415,11 @@ _SUITES = {
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
+def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes to start: no more than requested, tasks to run, or CPUs."""
+    return max(1, min(jobs, tasks, cpus or 1))
+
+
 def run_suite(
     name: str,
     jobs: int = 1,
@@ -427,11 +434,14 @@ def run_suite(
     except KeyError:
         known = ", ".join(SUITE_NAMES)
         raise ValueError(f"unknown suite {name!r}; known: {known}") from None
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
     tasks = builder(n_max, m_max, budget, seed)
-    if jobs > 1:
+    workers = _pool_size(jobs, len(tasks), os.cpu_count())
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             outcomes = pool.map(_dispatch, tasks)
     else:
         outcomes = [_dispatch(task) for task in tasks]

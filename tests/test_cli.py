@@ -83,6 +83,12 @@ def test_solve_rejects_unknown_rule(capsys, intro_file):
     assert "unknown rule" in err
 
 
+def test_solve_rejects_non_ascii_power_exponent(capsys, intro_file):
+    code, _, err = run(capsys, "solve", intro_file, "--rule", "power:\u00b2")
+    assert code == 2
+    assert "integer exponent" in err
+
+
 def test_solve_reports_parse_error_position(capsys, tmp_path):
     path = tmp_path / "bad.fvr"
     path.write_text("fvr 1\nm 2\nn 1\n0 0\n", encoding="utf-8")
@@ -176,6 +182,19 @@ def test_gen_missing_param_exits_2(capsys):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("param", ["L=1/2", "n=3/2", "m=\u00b2"])
+def test_gen_rejects_non_integer_counts(capsys, param):
+    params = {"n": "3", "m": "4", "L": "2"}
+    key, _, value = param.partition("=")
+    params[key] = value
+    argv = ["gen", "spread"]
+    for item in params.items():
+        argv += ["--param", "=".join(item)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_gen_random_respects_seed_flag(capsys):
     code_a, out_a, _ = run(capsys, "gen", "random", "--param", "n=4", "--param", "m=5", "--seed", "3")
     code_b, out_b, _ = run(capsys, "gen", "random", "--param", "n=4", "--param", "m=5", "--seed", "3")
@@ -196,6 +215,13 @@ def test_verify_reports_checked_pairs(capsys):
     assert code == 0
     checked = int(out.split()[2])
     assert checked > 100
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_nonpositive_jobs(capsys, jobs):
+    code, _, err = run(capsys, "verify", "opt", "--n-max", "1", "--m-max", "2", "--jobs", jobs)
+    assert code == 2
+    assert "jobs" in err
 
 
 def test_verify_unknown_suite_exits_2(capsys):

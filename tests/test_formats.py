@@ -72,6 +72,8 @@ def test_parse_accepts_missing_final_newline():
         ("fvr 1\nm 2\nn 1\n0\nt 1\n", 5, "without a preceding 'k'"),
         ("fvr 1\nm 2\nn 1\n0\nk 1\nt 1\nx\n", 7, "unexpected extra line"),
         ("fvr 1\nm 2\nn 1\nhello\n", 4, "not a candidate index"),
+        ("fvr 1\nm \u00b2\nn 1\n\n", 2, "m"),
+        ("fvr 1\nm 2\nn 1\n0 \u00b2\n", 4, "not a candidate index"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):

@@ -181,6 +181,12 @@ def test_gen_random_instance_is_seed_deterministic():
     assert a != c
 
 
+def test_gen_random_instance_rejects_bad_counts_and_seeds():
+    for n, m, seed in ((2, -1, 1), (2, 0, 1), (Fraction(3, 2), 4, 1), (2, 4, Fraction(1, 2))):
+        with pytest.raises(ValidationError):
+            gen_random_instance(n, m, seed=seed)
+
+
 def test_enumerate_instances_counts():
     assert len(list(enumerate_instances(1, 1))) == 2
     assert len(list(enumerate_instances(2, 2))) == 16

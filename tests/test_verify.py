@@ -2,7 +2,7 @@
 
 import pytest
 
-from fvr.verify import SUITE_NAMES, run_suite
+from fvr.verify import SUITE_NAMES, _pool_size, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -30,3 +30,11 @@ def test_worker_pool_is_semantically_transparent():
     pooled = run_suite("multiwinner", jobs=2, n_max=2, m_max=3)
     assert sequential.checked == pooled.checked
     assert sequential.violations == pooled.violations
+
+
+def test_pool_size_is_clamped_by_jobs_tasks_and_cpus():
+    assert _pool_size(1, 10, 8) == 1
+    assert _pool_size(64, 10, 8) == 8
+    assert _pool_size(64, 3, 8) == 3
+    assert _pool_size(4, 10, None) == 1
+    assert _pool_size(4, 0, 8) == 1
