@@ -8,6 +8,7 @@ one seat at a time in polynomial time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,7 +24,7 @@ from .core import (
     as_frac,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf
-from .single_winner import argmax, audit_curve, ropt_winner, weighted_counts
+from .single_winner import argmax, audit_curve, common_units, weighted_counts
 
 __all__ = [
     "COMMITTEE_LIMIT",
@@ -101,10 +102,8 @@ class ExpandedInstance:
     expanded: Instance
 
 
-def expand_instance(
-    inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT
-) -> ExpandedInstance:
-    """Build the committee-as-candidate instance for (k, t)."""
+def _check_expansion(inst: Instance, params: MultiParams, limit: int) -> int:
+    """The number of k-committees, once it is known to be within ``limit``."""
     _check_k(inst, params.k)
     total = comb(inst.m, params.k)
     if total > limit:
@@ -112,6 +111,20 @@ def expand_instance(
             f"expansion needs {total} committee-candidates (limit {limit}); "
             "use sequential_rule instead"
         )
+    return total
+
+
+def expand_instance(
+    inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT
+) -> ExpandedInstance:
+    """Build the committee-as-candidate instance for (k, t).
+
+    This is the explicit construction: one row entry per (voter, committee
+    she t-approves).  :func:`expanded_rule` picks the same committee without
+    building it, and ``fvr.oracles.reference_expanded_rule`` runs the
+    optimal single-winner rule on it as the reference.
+    """
+    total = _check_expansion(inst, params, limit)
     committees = tuple(combinations(range(inst.m), params.k))
     rows = []
     for approved in inst.approvals:
@@ -127,10 +140,66 @@ def expand_instance(
     return ExpandedInstance(base=inst, params=params, committees=committees, expanded=expanded)
 
 
+def _bitset(voters: Iterable[int], n: int) -> int:
+    """The int whose bit i is set for each listed voter i, built in O(n)."""
+    digits = bytearray(b"0") * n
+    for i in voters:
+        digits[n - 1 - i] = ord("1")
+    return int(digits, 2)
+
+
 def expanded_rule(inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT) -> Committee:
-    """Run the optimal single-winner rule over all k-committees and pick its winner."""
-    exp = expand_instance(inst, params, limit)
-    return Committee(exp.committees[ropt_winner(exp.expanded)])
+    """The optimal single-winner rule's winner over all k-committees.
+
+    In the expanded instance (:func:`expand_instance`) a voter's flexibility
+    is the share of committees she t-approves, so her 1/(1-f) weight is
+    1/miss_prob, the reciprocal of the probability that a uniformly random
+    k-committee leaves her below t.  That is the weight
+    :func:`committee_score` charges when she is left short, so the winner is
+    the lowest-index (lexicographic) committee minimising
+    :func:`committee_score`.
+
+    The expansion is never built.  Each candidate's approvers and each
+    approval size's voters are int bitsets; per committee, a bit-sliced
+    counter finds the voters approving at least t members, and each size
+    class adds its int weight (over one common denominator) per such voter.
+    Sizes whose miss probability is 0 or 1 raise every committee equally
+    and are skipped, as the single-winner rule skips voters approving all
+    or no committees.  Cost: O(C(m,k) * (k*t + sizes)) big-int operations
+    on n-bit ints; memory O(m*n) bits.
+    """
+    _check_expansion(inst, params, limit)
+    m, n, k, t = inst.m, inst.n, params.k, params.t
+    voters_of: list[list[int]] = [[] for _ in range(m)]
+    by_size: dict[int, list[int]] = {}
+    for i, approved in enumerate(inst.approvals):
+        for a in approved:
+            voters_of[a].append(i)
+        by_size.setdefault(len(approved), []).append(i)
+    approvers = [_bitset(voters, n) for voters in voters_of]
+    weights, masks = [], []
+    for size, voters in by_size.items():
+        miss_prob = hyp_cdf(HypParams(m, size, k), t - 1)
+        if 0 < miss_prob < 1:
+            weights.append(1 / miss_prob)
+            masks.append(_bitset(voters, n))
+    units, _ = common_units(weights)
+    classes = list(zip(units, masks))
+    everyone = (1 << n) - 1
+    best: tuple[int, ...] = ()
+    best_score = -1
+    for members in combinations(range(m), k):
+        # at_least[c]: voters approving at least c of the members seen so far.
+        at_least = [everyone] + [0] * t
+        for a in members:
+            approved_a = approvers[a]
+            for c in range(t, 0, -1):
+                at_least[c] |= at_least[c - 1] & approved_a
+        reached = at_least[t]
+        score = sum(unit * (reached & mask).bit_count() for unit, mask in classes)
+        if score > best_score:
+            best, best_score = members, score
+    return Committee(best)
 
 
 def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
@@ -278,12 +347,7 @@ def jr_check(inst: Instance, committee: Committee) -> JrResult:
 
     The n/k comparison is exact (no integer division).
     """
-    members = frozenset(committee.members)
-    if not members:
-        raise ValidationError("committee is empty")
-    for a in members:
-        if a >= inst.m:
-            raise ValidationError(f"committee member {a} outside 0..{inst.m - 1}")
+    members = _check_committee(inst, committee, 1)
     k = len(members)
     unrepresented = [i for i in range(inst.n) if not inst.approvals[i] & members]
     for c in range(inst.m):

@@ -33,8 +33,9 @@ from .multi_winner import (
     _check_committee,
     _check_k,
     committee_score,
+    expand_instance,
 )
-from .single_winner import Power, ScoreVector, closed_form_fvr
+from .single_winner import Power, ScoreVector, closed_form_fvr, ropt_winner
 
 __all__ = [
     "DEFAULT_SEED",
@@ -58,6 +59,7 @@ __all__ = [
     "reference_score_all",
     "reference_committee_score",
     "reference_sequential_picks",
+    "reference_expanded_rule",
     "strong_pvc",
 ]
 
@@ -231,23 +233,28 @@ def gen_symmetric(m: int, per_voter: int, limit: int = COMMITTEE_LIMIT) -> Insta
     _require_ints(m=m, per_voter=per_voter)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
-    total = comb(m, per_voter)
-    if total > limit:
-        raise SizeLimitError(f"{total} voters exceed the limit {limit}")
+    _check_voter_budget(comb(m, per_voter), limit)
     return build_instance(m, combinations(range(m), per_voter))
+
+
+def _check_voter_budget(n: int, limit: int = COMMITTEE_LIMIT) -> None:
+    if n > limit:
+        raise SizeLimitError(f"{n} voters exceed the limit {limit}")
 
 
 def gen_party_split(k: int, reps: int = 1) -> Instance:
     """Two disjoint slates of k candidates, each backed by half the voters.
 
-    The minimal two-voter version, optionally replicated ``reps`` times.
-    Every voter is 1/2-flexible; the instance separates optimality targets
-    at different per-committee approval counts.
+    The minimal two-voter version, optionally replicated ``reps`` times, up
+    to ``COMMITTEE_LIMIT`` voters in all.  Every voter is 1/2-flexible; the
+    instance separates optimality targets at different per-committee
+    approval counts.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 2:
         raise ValidationError(f"need slate size k >= 2, got {k!r}")
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
         raise ValidationError(f"replication factor must be a positive integer, got {reps!r}")
+    _check_voter_budget(2 * reps)
     first = set(range(k))
     second = set(range(k, 2 * k))
     return build_instance(2 * k, [first, second] * reps)
@@ -278,10 +285,12 @@ def gen_jr_hard(m: int, k: int) -> Instance:
 
 
 def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
-    """Seeded uniform profile: each voter approves a uniformly random subset."""
+    """Seeded uniform profile: each of n <= ``COMMITTEE_LIMIT`` voters
+    approves a uniformly random subset."""
     _require_ints(n=n, m=m, seed=seed)
     if m < 1:
         raise ValidationError(f"need at least one candidate, got m={m}")
+    _check_voter_budget(n)
     rng = random.Random(seed)
     rows = []
     for _ in range(n):
@@ -514,6 +523,15 @@ def reference_sequential_picks(inst: Instance, params: MultiParams) -> tuple[int
             if best in approved:
                 overlap[i] += 1
     return tuple(chosen)
+
+
+def reference_expanded_rule(
+    inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT
+) -> Committee:
+    """:func:`fvr.multi_winner.expanded_rule`, running the optimal single-winner
+    rule on the explicitly built committee-as-candidate instance."""
+    exp = expand_instance(inst, params, limit)
+    return Committee(exp.committees[ropt_winner(exp.expanded)])
 
 
 # ---------------------------------------------------------------------------

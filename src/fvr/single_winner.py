@@ -47,22 +47,31 @@ __all__ = [
 ScoreVector = tuple[Frac, ...]
 
 
+def common_units(weights: Sequence[Frac]) -> tuple[list[int], int]:
+    """Exact weights as integer numerators over one denominator.
+
+    ``scale`` is the lcm of all weight denominators, and weight ``i`` equals
+    exactly ``units[i] / scale``, so sums of weights become sums of ints.
+    """
+    scale = lcm(*(wv.denominator for wv in weights))
+    return [wv.numerator * (scale // wv.denominator) for wv in weights], scale
+
+
 def weighted_counts(
     m: int, classes: Iterable[tuple[Frac, Iterable[frozenset[int]]]]
 ) -> tuple[list[int], int]:
     """Exact weighted approval counts as integer numerators over one denominator.
 
     ``classes`` yields ``(weight, rows)`` pairs in which every row carries the
-    same weight.  Each weight becomes an int numerator over ``scale``, the
-    lcm of all weight denominators, and each approval adds that int, so
-    candidate ``a`` scores exactly ``counts[a] / scale``.  Zero-weight
-    classes are never visited.
+    same weight.  Each weight becomes an int numerator over ``scale``
+    (:func:`common_units`), and each approval adds that int, so candidate
+    ``a`` scores exactly ``counts[a] / scale``.  Zero-weight classes are
+    never visited.
     """
     weighted = [(wv, rows) for wv, rows in classes if wv]
-    scale = lcm(*(wv.denominator for wv, _ in weighted))
+    units, scale = common_units([wv for wv, _ in weighted])
     counts = [0] * m
-    for wv, rows in weighted:
-        unit = wv.numerator * (scale // wv.denominator)
+    for unit, (_, rows) in zip(units, weighted):
         for approved in rows:
             for a in approved:
                 counts[a] += unit

@@ -118,42 +118,30 @@ def _single_winner_block(task: tuple) -> tuple[int, list[str]]:
     grid = flexibility_grid(m)
     if not grid:
         return 0, []
-    static_rules = {
-        "opt": [("opt", Optimal(Fraction(1)))],
-        "approval": [("approval", Constant())],
-        "power": [(f"power:{p}", Power(p)) for p in (1, 2, 3)],
-    }.get(suite, [])
-
-    def bound_for(label: str, s: Frac) -> Frac:
-        if label == "opt" or label == "threshold":
-            return 1 - s
-        if label == "approval":
-            return 1 / (1 + s)
-        p = int(label.split(":")[1])
-        return closed_form_fvr(Power(p), s).value
-
+    # (label, weight family, thresholds to audit its winner at); a threshold
+    # rule is tailored to one s, so each s gets its own rule.
+    rules = {
+        "opt": [("opt", Optimal(Fraction(1)), grid)],
+        "approval": [("approval", Constant(), grid)],
+        "power": [(f"power:{p}", Power(p), grid) for p in (1, 2, 3)],
+        "threshold": [("threshold", Threshold(s), (s,)) for s in grid],
+    }[suite]
+    bounded = [
+        (label, family, [(s, closed_form_fvr(family, s).value) for s in thresholds])
+        for label, family, thresholds in rules
+    ]
     checked = 0
     bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
-        for label, family in static_rules:
+        for label, family, bounds in bounded:
             chosen = winner(inst, family)
-            for s in grid:
+            for s, bound in bounds:
                 audit = empirical_fvr_point(inst, chosen, s)
                 checked += 1
-                if audit > bound_for(label, s):
+                if audit > bound:
                     bad.append(
                         f"{label} n={n} m={m} approvals={[sorted(A) for A in inst.approvals]} "
-                        f"s={s}: audit {audit} exceeds {bound_for(label, s)}"
-                    )
-        if suite == "threshold":
-            for s in grid:
-                chosen = winner(inst, Threshold(s))
-                audit = empirical_fvr_point(inst, chosen, s)
-                checked += 1
-                if audit > 1 - s:
-                    bad.append(
-                        f"threshold n={n} m={m} approvals={[sorted(A) for A in inst.approvals]} "
-                        f"s={s}: audit {audit} exceeds {1 - s}"
+                        f"s={s}: audit {audit} exceeds {bound}"
                     )
     return checked, bad
 

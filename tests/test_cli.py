@@ -7,7 +7,9 @@ import pytest
 
 from fvr.cli import dec_str, main
 from fvr.core import build_instance
-from fvr.formats import serialize_instance
+from fvr.formats import parse_instance, serialize_instance
+from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams
+from fvr.oracles import reference_expanded_rule
 
 INTRO_TEXT = "fvr 1\nm 4\nn 3\n1 2\n1 3\n2 3\n"
 PARTY_TEXT = "fvr 1\nm 4\nn 2\n0 1\n2 3\nk 2\nt 1\n"
@@ -195,6 +197,21 @@ def test_gen_rejects_non_integer_counts(capsys, param):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("party_split", "k=2", f"reps={COMMITTEE_LIMIT // 2 + 1}"),
+        ("random", f"n={COMMITTEE_LIMIT + 1}", "m=1"),
+    ],
+)
+def test_gen_over_voter_budget_exits_2(capsys, argv):
+    name, *params = argv
+    code, out, err = run(capsys, "gen", name, *(f"--param={p}" for p in params))
+    assert code == 2
+    assert out == ""
+    assert "voters exceed the limit" in err
+
+
 def test_gen_random_respects_seed_flag(capsys):
     code_a, out_a, _ = run(capsys, "gen", "random", "--param", "n=4", "--param", "m=5", "--seed", "3")
     code_b, out_b, _ = run(capsys, "gen", "random", "--param", "n=4", "--param", "m=5", "--seed", "3")
@@ -266,3 +283,21 @@ def test_solve_output_is_deterministic(capsys, intro_file):
     _, second, _ = run(capsys, "solve", intro_file, "--rule", "expanded", "--k", "2", "--t", "1")
     assert first == second
     assert "committee: 1 2" in first or "committee:" in first
+
+
+def test_solve_expanded_matches_reference_and_is_deterministic(capsys, tmp_path):
+    path = tmp_path / "random.fvr"
+    code, _, _ = run(
+        capsys, "gen", "random", "--param", "n=200", "--param", "m=14", "--seed", "5",
+        "--out", str(path),
+    )
+    assert code == 0
+    argv = ("solve", str(path), "--rule", "expanded", "--k", "5", "--t", "2")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    inst, _, _ = parse_instance(path.read_text(encoding="utf-8"))
+    expected = reference_expanded_rule(inst, MultiParams(5, 2))
+    committee = "committee: " + " ".join(str(a) for a in expected.members)
+    assert committee in first.splitlines()

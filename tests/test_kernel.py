@@ -5,6 +5,7 @@ the same Fractions, the same winner, the same picks.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -24,10 +25,12 @@ from fvr.multi_winner import (
     committee_score,
     empirical_fvr_committee,
     empirical_fvr_committee_curve,
+    expanded_rule,
     sequential_picks,
 )
 from fvr.oracles import (
     reference_committee_score,
+    reference_expanded_rule,
     reference_score_all,
     reference_sequential_picks,
 )
@@ -110,15 +113,15 @@ def test_committee_audit_curve_and_score_match_reference(data):
 
 
 @st.composite
-def sequential_cases(draw):
-    inst = draw(instances().filter(lambda inst: inst.m >= 2))
+def committee_cases(draw, n_max=8):
+    inst = draw(instances(n_max=n_max).filter(lambda inst: inst.m >= 2))
     k = draw(st.integers(1, inst.m - 1))
     return inst, MultiParams(k, draw(st.integers(1, k)))
 
 
 # After candidate 2 is picked, voter {0, 1} approves every candidate left.
 @example((build_instance(3, [{0, 1}, {0, 2}, {1, 2}, {0, 2}, {1, 2}]), MultiParams(2, 2)))
-@given(sequential_cases())
+@given(committee_cases())
 def test_sequential_picks_match_reference_loop(case):
     inst, params = case
     t = params.t
@@ -126,3 +129,26 @@ def test_sequential_picks_match_reference_loop(case):
     assert picks == reference_sequential_picks(inst, params)
     committee = Committee(picks)
     assert committee_score(inst, committee, t) == reference_committee_score(inst, committee, t)
+
+
+# Duplicate voters, and an exact tie between {0, 1} and {2, 3}.
+@example((build_instance(4, [{0, 1}, {2, 3}, {0, 1}, {2, 3}]), MultiParams(2, 2)))
+# An empty voter, a full voter, and voters with fewer than t approvals.
+@example((build_instance(5, [set(), set(range(5)), {3}, {1, 4}, {1, 4}]), MultiParams(3, 2)))
+# Nobody carries weight: every committee scores 0.
+@example((build_instance(3, [set(), {0, 1, 2}]), MultiParams(1, 1)))
+@given(committee_cases(n_max=12))
+def test_expanded_rule_matches_explicit_expansion(case):
+    inst, params = case
+    assert expanded_rule(inst, params) == reference_expanded_rule(inst, params)
+
+
+@given(committee_cases(n_max=12))
+def test_expanded_rule_is_lowest_lex_argmin_of_committee_score(case):
+    inst, params = case
+    # Equal scores fall back to comparing the member tuples lexicographically.
+    _, first = min(
+        (committee_score(inst, Committee(members), params.t), members)
+        for members in combinations(range(inst.m), params.k)
+    )
+    assert expanded_rule(inst, params).members == first

@@ -20,9 +20,10 @@ from fvr.core import (
     flexibility_grid,
 )
 from fvr.hypergeom import multiwinner_bound
-from fvr.multi_winner import MultiParams, empirical_fvr_committee
+from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committee
 from fvr.oracles import (
     GeneratorSpec,
+    _check_voter_budget,
     build_ranked_profile,
     enumerate_instances,
     enumerate_voter_multisets,
@@ -158,6 +159,17 @@ def test_gen_party_split():
     bound = multiwinner_bound(4, HALF, 2, 1)
     audit = empirical_fvr_committee(inst, Committee((0, 1)), HALF, 1)
     assert bound == Fraction(1, 6) < HALF == audit
+
+
+def test_generators_reject_voter_counts_over_the_limit():
+    # Exactly at the limit passes the check; actually building that many
+    # rows is too slow and too large for a unit test.
+    _check_voter_budget(COMMITTEE_LIMIT)
+    over = f"{COMMITTEE_LIMIT + 2} voters exceed the limit {COMMITTEE_LIMIT}"
+    with pytest.raises(SizeLimitError, match=over):
+        gen_party_split(2, reps=COMMITTEE_LIMIT // 2 + 1)
+    with pytest.raises(SizeLimitError, match=over):
+        gen_random_instance(COMMITTEE_LIMIT + 2, 3)
 
 
 def test_gen_jr_hard_structure():
