@@ -16,6 +16,7 @@ from .core import (
     Instance,
     Optimal,
     Power,
+    RankedProfile,
     SizeLimitError,
     Table,
     Threshold,
@@ -23,6 +24,7 @@ from .core import (
     WeightFn,
     as_frac,
     build_instance,
+    build_ranked_profile,
     eval_weight,
     flexibility,
     flexibility_grid,
@@ -58,9 +60,6 @@ from .multi_winner import (
 )
 from .oracles import (
     DEFAULT_SEED,
-    GeneratorSpec,
-    RankedProfile,
-    build_ranked_profile,
     conditional_expected_score,
     enumerate_instances,
     enumerate_voter_multisets,

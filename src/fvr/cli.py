@@ -39,7 +39,7 @@ from .multi_winner import (
     expanded_rule,
     sequential_rule,
 )
-from .oracles import GeneratorSpec, generator_names, run_generator, strong_pvc
+from .oracles import generator_names, run_generator, strong_pvc
 from .single_winner import argmax, closed_form_fvr, empirical_fvr_curve, score_all
 from .verify import SUITE_NAMES, run_suite
 
@@ -150,14 +150,14 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 def _parse_param_value(key: str, raw: str) -> object:
     if key == "w":
-        entries = {}
+        entries = []
         for piece in raw.split(","):
             flex, sep, weight = piece.partition(":")
             if not sep:
                 raise ValidationError(f"table entries look like f:w, got {piece!r}")
-            entries[as_frac(flex)] = as_frac(weight)
+            entries.append((flex, weight))
         return Table(entries)
-    if is_numeral(raw.lstrip("-")):
+    if is_numeral(raw.removeprefix("-")):
         return int(raw)
     return as_frac(raw)
 
@@ -171,7 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         params[key] = _parse_param_value(key, raw)
     if args.seed is not None:
         params["seed"] = args.seed
-    inst, _special = run_generator(GeneratorSpec.from_mapping(args.name, params))
+    inst, _special = run_generator(args.name, params)
     _write_out(args.out, serialize_instance(inst))
     return 0
 

@@ -23,9 +23,12 @@ __all__ = [
     "ValidationError",
     "SizeLimitError",
     "as_frac",
+    "open_unit",
     "is_numeral",
     "Instance",
     "build_instance",
+    "RankedProfile",
+    "build_ranked_profile",
     "flexibility",
     "flexibility_grid",
     "Constant",
@@ -70,6 +73,14 @@ def as_frac(x: object) -> Frac:
             f"refusing float {x!r}: pass an exact value such as Fraction(1, 2) or '1/2'"
         )
     raise ValidationError(f"expected a rational number, got {x!r}")
+
+
+def open_unit(x: object, what: str = "threshold") -> Frac:
+    """``as_frac(x)``, checked to lie strictly inside (0, 1); ``what`` names it in the error."""
+    value = as_frac(x)
+    if not 0 < value < 1:
+        raise ValidationError(f"{what} {value} lies outside (0,1)")
+    return value
 
 
 def is_numeral(text: str) -> bool:
@@ -119,6 +130,33 @@ def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
     return Instance(m, tuple(rows))
 
 
+@dataclass(frozen=True)
+class RankedProfile:
+    """Strict rankings: one permutation of 0..m-1 per voter, best first."""
+
+    m: int
+    rankings: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rankings)
+
+
+def build_ranked_profile(m: int, rankings: object) -> RankedProfile:
+    """Validate and freeze a ranked profile."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise ValidationError(f"need at least one candidate, got m={m!r}")
+    rows = []
+    for i, ranking in enumerate(rankings):
+        row = tuple(ranking)
+        if sorted(row) != list(range(m)):
+            raise ValidationError(f"voter {i}: ranking {row!r} is not a permutation of 0..{m - 1}")
+        rows.append(row)
+    if not rows:
+        raise ValidationError("need at least one voter")
+    return RankedProfile(m, tuple(rows))
+
+
 def flexibility(inst: Instance, i: int) -> Frac:
     """The share of all candidates voter ``i`` approves, in lowest terms."""
     if not 0 <= i < inst.n:
@@ -154,9 +192,7 @@ class Threshold:
     s0: Frac
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s0", as_frac(self.s0))
-        if not Frac(0) < self.s0 < 1:
-            raise ValidationError(f"threshold cutoff must be in (0,1), got {self.s0}")
+        object.__setattr__(self, "s0", open_unit(self.s0, "threshold cutoff"))
 
 
 @dataclass(frozen=True)
@@ -203,10 +239,8 @@ class Table:
         pairs: list[tuple[Frac, Frac]] = []
         seen: set[Frac] = set()
         for key, value in items:
-            f = as_frac(key)
+            f = open_unit(key, "table flexibility")
             wv = as_frac(value)
-            if not Frac(0) < f < 1:
-                raise ValidationError(f"table flexibility {f} lies outside (0,1)")
             if wv < 0:
                 raise ValidationError(f"table weight for flexibility {f} is negative: {wv}")
             if f in seen:
@@ -236,9 +270,7 @@ WeightFn = Union[Constant, Threshold, Power, Optimal, Table]
 
 def eval_weight(w: WeightFn, f: object) -> Frac:
     """Evaluate a weight function at a flexibility in (0, 1)."""
-    flex = as_frac(f)
-    if not Frac(0) < flex < 1:
-        raise ValidationError(f"flexibility {flex} lies outside (0,1)")
+    flex = open_unit(f, "flexibility")
     if isinstance(w, Constant):
         return Fraction(1)
     if isinstance(w, Threshold):
@@ -302,9 +334,7 @@ class AuditCurve:
 
     def value_at(self, s: object) -> Frac:
         """Evaluate the step function at any s in (0, 1)."""
-        sv = as_frac(s)
-        if not Frac(0) < sv < 1:
-            raise ValidationError(f"threshold {sv} lies outside (0,1)")
+        sv = open_unit(s)
         keys = [bp_s for bp_s, _ in self.breakpoints]
         idx = bisect_left(keys, sv)
         if idx == len(keys):

@@ -31,8 +31,14 @@ where each voter line is a permutation of 0..m-1, most preferred first.
 
 from __future__ import annotations
 
-from .core import Instance, ValidationError, build_instance, is_numeral
-from .oracles import RankedProfile, build_ranked_profile
+from .core import (
+    Instance,
+    RankedProfile,
+    ValidationError,
+    build_instance,
+    build_ranked_profile,
+    is_numeral,
+)
 
 __all__ = [
     "ParseError",

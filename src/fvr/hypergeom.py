@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
 
-from .core import Frac, ValidationError, as_frac
+from .core import Frac, ValidationError, open_unit
 
-__all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "multiwinner_bound"]
+__all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,12 @@ def hyp_cdf(params: HypParams, t: int) -> Frac:
     return _cdf(params.population, params.successes, params.draws, upper)
 
 
+def miss_prob(m: int, size: int, k: int, t: int) -> Frac:
+    """Probability that a uniformly random k-committee out of m candidates
+    contains fewer than ``t`` members of a voter's ``size``-candidate approval set."""
+    return hyp_cdf(HypParams(m, size, k), t - 1)
+
+
 def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
     """Best achievable worst-case share of s-flexible voters left t-unserved.
 
@@ -82,11 +88,9 @@ def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
     approval set.  No committee rule can beat it, and both committee rules
     in this package meet it.
     """
-    sv = as_frac(s)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
+    sv = open_unit(s)
     if not 1 <= k < m:
         raise ValidationError(f"need 1 <= k < m, got k={k}, m={m}")
     if not 1 <= t <= k:
         raise ValidationError(f"need 1 <= t <= k, got t={t}, k={k}")
-    return hyp_cdf(HypParams(m, ceil(sv * m), k), t - 1)
+    return miss_prob(m, ceil(sv * m), k, t)

@@ -21,9 +21,9 @@ from .core import (
     Instance,
     SizeLimitError,
     ValidationError,
-    as_frac,
+    open_unit,
 )
-from .hypergeom import HypParams, hyp_cdf, hyp_pmf
+from .hypergeom import HypParams, hyp_pmf, miss_prob
 from .single_winner import argmax, audit_curve, common_units, weighted_counts
 
 __all__ = [
@@ -103,7 +103,7 @@ class ExpandedInstance:
 
 
 def _check_expansion(inst: Instance, params: MultiParams, limit: int) -> int:
-    """The number of k-committees, once it is known to be within ``limit``."""
+    """The number of k-committees, once k < m and the count is within ``limit``."""
     _check_k(inst, params.k)
     total = comb(inst.m, params.k)
     if total > limit:
@@ -179,9 +179,9 @@ def expanded_rule(inst: Instance, params: MultiParams, limit: int = COMMITTEE_LI
     approvers = [_bitset(voters, n) for voters in voters_of]
     weights, masks = [], []
     for size, voters in by_size.items():
-        miss_prob = hyp_cdf(HypParams(m, size, k), t - 1)
-        if 0 < miss_prob < 1:
-            weights.append(1 / miss_prob)
+        miss = miss_prob(m, size, k, t)
+        if 0 < miss < 1:
+            weights.append(1 / miss)
             masks.append(_bitset(voters, n))
     units, _ = common_units(weights)
     classes = list(zip(units, masks))
@@ -223,9 +223,9 @@ def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
             short[size] = short.get(size, 0) + 1
     total = Fraction(0)
     for size, count in short.items():
-        miss_prob = hyp_cdf(HypParams(inst.m, size, k), t - 1)
-        if miss_prob:
-            total += count / miss_prob
+        miss = miss_prob(inst.m, size, k, t)
+        if miss:
+            total += count / miss
     return total
 
 
@@ -246,13 +246,11 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     """
     _check_k(inst, params.k)
     m, k, t = inst.m, params.k, params.t
-    miss_prob = {
-        size: hyp_cdf(HypParams(m, size, k), t - 1) for size in {len(A) for A in inst.approvals}
-    }
+    miss = {size: miss_prob(m, size, k, t) for size in {len(A) for A in inst.approvals}}
     # Only voters who approve someone and can miss the target ever carry weight.
     classes: dict[tuple[int, int], list[frozenset[int]]] = {}
     for approved in inst.approvals:
-        if approved and miss_prob[len(approved)]:
+        if approved and miss[len(approved)]:
             classes.setdefault((len(approved), 0), []).append(approved)
     chosen: list[int] = []
     for j in range(1, k + 1):
@@ -265,7 +263,7 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
                 continue
             weight = (
                 hyp_pmf(HypParams(m - j - 1, remaining - 1, k - j), t - 1 - overlap)
-                / miss_prob[size]
+                / miss[size]
             )
             weighted.append((weight, rows))
         counts, _ = weighted_counts(m, weighted)
@@ -303,9 +301,7 @@ def sequential_rule(inst: Instance, params: MultiParams) -> Committee:
 
 def empirical_fvr_committee(inst: Instance, committee: Committee, s: object, t: int) -> Frac:
     """Share of voters that are s-flexible yet approve fewer than ``t`` members."""
-    sv = as_frac(s)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
+    sv = open_unit(s)
     members = _check_committee(inst, committee, t)
     threshold_size = sv * inst.m
     hits = sum(
@@ -365,13 +361,8 @@ def brute_best_committee(
     Lexicographic tie-break.  This is the threshold-tailored rule whose
     audit meets the hypergeometric bound exactly.
     """
-    sv = as_frac(s)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
-    _check_k(inst, params.k)
-    total = comb(inst.m, params.k)
-    if total > limit:
-        raise SizeLimitError(f"{total} committees exceed the limit {limit}")
+    sv = open_unit(s)
+    _check_expansion(inst, params, limit)
     threshold_size = sv * inst.m
     flexible = [A for A in inst.approvals if len(A) >= threshold_size]
     best: tuple[int, ...] | None = None

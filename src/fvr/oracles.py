@@ -9,28 +9,30 @@ construction is engineered around.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import ceil, comb, floor, lcm
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     Committee,
     Frac,
     Instance,
+    RankedProfile,
     SizeLimitError,
     ValidationError,
     WeightFn,
     as_frac,
     build_instance,
     eval_weight,
+    open_unit,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf
 from .multi_winner import (
     COMMITTEE_LIMIT,
     MultiParams,
     _check_committee,
+    _check_expansion,
     _check_k,
     committee_score,
     expand_instance,
@@ -40,9 +42,6 @@ from .single_winner import Power, ScoreVector, closed_form_fvr, ropt_winner
 __all__ = [
     "DEFAULT_SEED",
     "ENUMERATION_BUDGET",
-    "RankedProfile",
-    "build_ranked_profile",
-    "GeneratorSpec",
     "run_generator",
     "generator_names",
     "gen_spread",
@@ -68,33 +67,6 @@ __all__ = [
 DEFAULT_SEED = 2718
 
 ENUMERATION_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class RankedProfile:
-    """Strict rankings: one permutation of 0..m-1 per voter, best first."""
-
-    m: int
-    rankings: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rankings)
-
-
-def build_ranked_profile(m: int, rankings: object) -> RankedProfile:
-    """Validate and freeze a ranked profile."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"need at least one candidate, got m={m!r}")
-    rows = []
-    for i, ranking in enumerate(rankings):
-        row = tuple(ranking)
-        if sorted(row) != list(range(m)):
-            raise ValidationError(f"voter {i}: ranking {row!r} is not a permutation of 0..{m - 1}")
-        rows.append(row)
-    if not rows:
-        raise ValidationError("need at least one voter")
-    return RankedProfile(m, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +115,7 @@ def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, in
     it.  Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n, m=m)
-    sv, rv = as_frac(s), as_frac(r)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
+    sv, rv = open_unit(s), as_frac(r)
     if not Frac(0) < rv < 1 / (1 + sv):
         raise ValidationError(f"need 0 < r < 1/(1+s) = {1 / (1 + sv)}, got r={rv}")
     bloc = ceil(rv * n)
@@ -304,71 +274,47 @@ def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A generator call by name, with parameters validated per generator."""
+def _generators() -> dict[str, tuple[Callable, tuple[str, ...], dict[str, object]]]:
+    """Generator by name: (function, required parameters, optional parameters
+    with defaults), each passed positionally in that order.
 
-    name: str
-    params: tuple[tuple[str, object], ...]
-
-    @classmethod
-    def from_mapping(cls, name: str, params: Mapping[str, object]) -> "GeneratorSpec":
-        return cls(name, tuple(sorted(params.items())))
-
-
-_GENERATORS = {
-    "spread": (("n", "m", "L"), {}, lambda p: (gen_spread(p["n"], p["m"], p["L"]), None)),
-    "approval_gap": (
-        ("n", "m", "s", "r"),
-        {},
-        lambda p: gen_approval_gap(p["n"], p["m"], p["s"], p["r"]),
-    ),
-    "power_gap": (
-        ("n", "m", "s", "r", "p"),
-        {},
-        lambda p: gen_power_gap(p["n"], p["m"], p["s"], p["r"], p["p"]),
-    ),
-    "weight_gap": (
-        ("w", "f", "fprime", "n"),
-        {},
-        lambda p: gen_weight_gap(p["w"], p["f"], p["fprime"], p["n"]),
-    ),
-    "symmetric": (("m", "L"), {}, lambda p: (gen_symmetric(p["m"], p["L"]), None)),
-    "party_split": (
-        ("k",),
-        {"reps": 1},
-        lambda p: (gen_party_split(p["k"], p["reps"]), None),
-    ),
-    "jr_hard": (("m", "k"), {}, lambda p: (gen_jr_hard(p["m"], p["k"]), None)),
-    "random": (
-        ("n", "m"),
-        {"seed": DEFAULT_SEED},
-        lambda p: (gen_random_instance(p["n"], p["m"], p["seed"]), None),
-    ),
-}
+    Built per call, so a call reaches whatever the module attribute names at
+    that time, such as a wrapper that a tracer or a test put in its place.
+    """
+    return {
+        "spread": (gen_spread, ("n", "m", "L"), {}),
+        "approval_gap": (gen_approval_gap, ("n", "m", "s", "r"), {}),
+        "power_gap": (gen_power_gap, ("n", "m", "s", "r", "p"), {}),
+        "weight_gap": (gen_weight_gap, ("w", "f", "fprime", "n"), {}),
+        "symmetric": (gen_symmetric, ("m", "L"), {}),
+        "party_split": (gen_party_split, ("k",), {"reps": 1}),
+        "jr_hard": (gen_jr_hard, ("m", "k"), {}),
+        "random": (gen_random_instance, ("n", "m"), {"seed": DEFAULT_SEED}),
+    }
 
 
 def generator_names() -> tuple[str, ...]:
-    return tuple(sorted(_GENERATORS))
+    return tuple(sorted(_generators()))
 
 
-def run_generator(spec: GeneratorSpec) -> tuple[Instance, int | None]:
+def run_generator(name: str, params: Mapping[str, object]) -> tuple[Instance, int | None]:
     """Build the named instance; returns (instance, special candidate or None)."""
     try:
-        required, optional, builder = _GENERATORS[spec.name]
+        generator, required, optional = _generators()[name]
     except KeyError:
         known = ", ".join(generator_names())
-        raise ValidationError(f"unknown generator {spec.name!r}; known: {known}") from None
-    params = dict(spec.params)
+        raise ValidationError(f"unknown generator {name!r}; known: {known}") from None
     unknown = set(params) - set(required) - set(optional)
     if unknown:
-        raise ValidationError(f"unknown parameter(s) for {spec.name}: {sorted(unknown)}")
+        raise ValidationError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
     missing = [key for key in required if key not in params]
     if missing:
-        raise ValidationError(f"missing parameter(s) for {spec.name}: {missing}")
-    for key, default in optional.items():
-        params.setdefault(key, default)
-    return builder(params)
+        raise ValidationError(f"missing parameter(s) for {name}: {missing}")
+    result = generator(
+        *(params[key] for key in required),
+        *(params.get(key, default) for key, default in optional.items()),
+    )
+    return result if isinstance(result, tuple) else (result, None)
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +371,13 @@ def conditional_expected_score(
     exact penalty.  The sequential rule's picks drive this quantity
     monotonically downward.
     """
-    if params.k >= inst.m:
-        raise ValidationError(f"committee size k={params.k} must be below m={inst.m}")
+    _check_expansion(inst, params, limit)
     base = tuple(sorted(set(partial)))
     for a in base:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < inst.m:
             raise ValidationError(f"partial committee member {a!r} outside 0..{inst.m - 1}")
     if len(base) > params.k:
         raise ValidationError(f"partial committee has {len(base)} members, more than k={params.k}")
-    if comb(inst.m, params.k) > limit:
-        raise SizeLimitError(f"{comb(inst.m, params.k)} committees exceed the limit {limit}")
     rest = [a for a in range(inst.m) if a not in base]
     need = params.k - len(base)
     total = Fraction(0)

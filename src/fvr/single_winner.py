@@ -26,9 +26,9 @@ from .core import (
     Threshold,
     ValidationError,
     WeightFn,
-    as_frac,
     eval_weight,
     flexibility_grid,
+    open_unit,
 )
 
 __all__ = [
@@ -127,9 +127,7 @@ def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
     The representation condition at level r holds for this outcome and
     threshold exactly when the returned share is at most r.
     """
-    sv = as_frac(s)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
+    sv = open_unit(s)
     if not 0 <= a < inst.m:
         raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
     threshold_size = sv * inst.m
@@ -192,9 +190,7 @@ def closed_form_fvr(family: WeightFn, s: object) -> FvrBound:
     1/(1 + (s(1+p))^(1+p) / p^p); the 1/(1-f) family gives 1-s; a hard
     cutoff at s0 gives 1-s0 once s reaches s0 and nothing (1) below it.
     """
-    sv = as_frac(s)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
+    sv = open_unit(s)
     if isinstance(family, Constant):
         value = 1 / (1 + sv)
     elif isinstance(family, Power):
@@ -224,9 +220,7 @@ def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
     converges to the closed forms as the grid refines through denominators
     of s.
     """
-    sv = as_frac(s)
-    if not Frac(0) < sv < 1:
-        raise ValidationError(f"threshold {sv} lies outside (0,1)")
+    sv = open_unit(s)
     if not isinstance(grid_m, int) or isinstance(grid_m, bool) or grid_m < 2:
         raise ValidationError(f"grid resolution must be an integer >= 2, got {grid_m!r}")
     grid = flexibility_grid(grid_m)

@@ -15,15 +15,18 @@ Suite parameter conventions (all optional, suite-specific defaults):
   random instances for the committee-counting identity, for ``pvc`` the
   number of sampled profiles per shape.
 - ``seed``: seed for sampled checks.
+
+``n_max``, ``m_max`` and ``budget`` must be positive integers when given.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import ceil, comb
 
 from .core import (
@@ -32,12 +35,13 @@ from .core import (
     Frac,
     Optimal,
     Power,
+    RankedProfile,
     Threshold,
     ValidationError,
     build_instance,
     flexibility_grid,
 )
-from .hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
+from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
     MultiParams,
     committee_score,
@@ -45,12 +49,7 @@ from .multi_winner import (
     expanded_rule,
     sequential_picks,
 )
-from .oracles import (
-    RankedProfile,
-    conditional_expected_score,
-    enumerate_voter_multisets,
-    strong_pvc,
-)
+from .oracles import conditional_expected_score, enumerate_voter_multisets, strong_pvc
 from .single_winner import closed_form_fvr, empirical_fvr_point, ropt_winner, winner
 
 __all__ = [
@@ -109,12 +108,11 @@ def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Block runners (top-level so a process pool can pickle the task dispatch)
+# Block runners (top-level, so a task naming one pickles by reference)
 # ---------------------------------------------------------------------------
 
 
-def _single_winner_block(task: tuple) -> tuple[int, list[str]]:
-    suite, n, m, budget = task
+def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, list[str]]:
     grid = flexibility_grid(m)
     if not grid:
         return 0, []
@@ -146,8 +144,7 @@ def _single_winner_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _multiwinner_block(task: tuple) -> tuple[int, list[str]]:
-    n, m, budget = task
+def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
     if m < 2:
         return 0, []
     grid = flexibility_grid(m)
@@ -168,9 +165,7 @@ def _multiwinner_block(task: tuple) -> tuple[int, list[str]]:
                         f"sequential committee {picks} scores {score} > n"
                     )
                 previous = conditional_expected_score(inst, params, ())
-                includable = sum(
-                    1 for A in inst.approvals if hyp_cdf(HypParams(m, len(A), k), t - 1) > 0
-                )
+                includable = sum(1 for A in inst.approvals if miss_prob(m, len(A), k, t) > 0)
                 checked += 1
                 if previous != includable:
                     bad.append(
@@ -200,8 +195,7 @@ def _multiwinner_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _reduction_block(task: tuple) -> tuple[int, list[str]]:
-    n, m, budget = task
+def _reduction_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
     if m < 2:
         return 0, []
     checked = 0
@@ -221,8 +215,7 @@ def _reduction_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _hyp_enum_block(task: tuple) -> tuple[int, list[str]]:
-    (population,) = task
+def _hyp_enum_block(population: int) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
     for successes in range(population + 1):
@@ -241,8 +234,7 @@ def _hyp_enum_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _hyp_sum_block(task: tuple) -> tuple[int, list[str]]:
-    (population,) = task
+def _hyp_sum_block(population: int) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
     for successes in range(population + 1):
@@ -262,8 +254,7 @@ def _hyp_sum_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _hyp_counting_block(task: tuple) -> tuple[int, list[str]]:
-    seed, count, m_max = task
+def _hyp_counting_block(seed: int, count: int, m_max: int) -> tuple[int, list[str]]:
     rng = random.Random(seed)
     checked = 0
     bad: list[str] = []
@@ -292,11 +283,10 @@ def _hyp_counting_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _pvc_block(task: tuple) -> tuple[int, list[str]]:
-    n, m, sample, seed = task
+def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
-    all_perms = _permutations(m)
+    all_perms = list(permutations(range(m)))
     total = len(all_perms) ** n
     profiles: list[tuple[tuple[int, ...], ...]]
     if total <= sample:
@@ -314,26 +304,9 @@ def _pvc_block(task: tuple) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _permutations(m: int) -> list[tuple[int, ...]]:
-    from itertools import permutations
-
-    return list(permutations(range(m)))
-
-
-_RUNNERS = {
-    "single": _single_winner_block,
-    "multi": _multiwinner_block,
-    "reduction": _reduction_block,
-    "hyp_enum": _hyp_enum_block,
-    "hyp_sum": _hyp_sum_block,
-    "hyp_counting": _hyp_counting_block,
-    "pvc": _pvc_block,
-}
-
-
-def _dispatch(arg: tuple[str, tuple]) -> tuple[int, list[str]]:
-    runner, task = arg
-    return _RUNNERS[runner](task)
+def _dispatch(task: tuple) -> tuple[int, list[str]]:
+    block, args = task
+    return block(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -341,40 +314,31 @@ def _dispatch(arg: tuple[str, tuple]) -> tuple[int, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_pairs(n_max: int, m_max: int) -> list[tuple[int, int]]:
-    return [(n, m) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+def _sweep(block: Callable[..., tuple[int, list[str]]], n_default: int, m_default: int, *lead):
+    """Suite builder: one ``block(*lead, n, m, budget)`` task per (n, m) of the sweep."""
 
+    def build(n_max, m_max, budget, seed):
+        n_max = n_max or n_default
+        m_max = m_max or m_default
+        budget = budget or 10**6
+        return [
+            (block, (*lead, n, m, budget))
+            for m in range(1, m_max + 1)
+            for n in range(1, n_max + 1)
+        ]
 
-def _build_single(suite: str, n_max, m_max, budget, seed) -> list[tuple[str, tuple]]:
-    n_max = n_max or 3
-    m_max = m_max or 3
-    budget = budget or 10**6
-    return [("single", (suite, n, m, budget)) for n, m in _sweep_pairs(n_max, m_max)]
-
-
-def _build_multi(n_max, m_max, budget, seed):
-    n_max = n_max or 2
-    m_max = m_max or 4
-    budget = budget or 10**6
-    return [("multi", (n, m, budget)) for n, m in _sweep_pairs(n_max, m_max)]
-
-
-def _build_reduction(n_max, m_max, budget, seed):
-    n_max = n_max or 3
-    m_max = m_max or 3
-    budget = budget or 10**6
-    return [("reduction", (n, m, budget)) for n, m in _sweep_pairs(n_max, m_max)]
+    return build
 
 
 def _build_hypergeom(n_max, m_max, budget, seed):
     enum_max = m_max or 6
     counting_samples = budget or 50
     seed = seed if seed is not None else 0
-    tasks: list[tuple[str, tuple]] = []
-    tasks.extend(("hyp_enum", (p,)) for p in range(enum_max + 1))
-    tasks.extend(("hyp_sum", (p,)) for p in range(enum_max + 5))
-    tasks.append(("hyp_counting", (seed, counting_samples, min(enum_max + 2, 8))))
-    return tasks
+    return [
+        *((_hyp_enum_block, (p,)) for p in range(enum_max + 1)),
+        *((_hyp_sum_block, (p,)) for p in range(enum_max + 5)),
+        (_hyp_counting_block, (seed, counting_samples, min(enum_max + 2, 8))),
+    ]
 
 
 def _build_pvc(n_max, m_max, budget, seed):
@@ -383,19 +347,19 @@ def _build_pvc(n_max, m_max, budget, seed):
     sample = budget or 300
     seed = seed if seed is not None else 0
     return [
-        ("pvc", (n, m, sample, seed + 31 * (n * 17 + m)))
+        (_pvc_block, (n, m, sample, seed + 31 * (n * 17 + m)))
         for m in range(1, m_max + 1)
         for n in range(1, n_max + 1)
     ]
 
 
 _SUITES = {
-    "opt": lambda *a: _build_single("opt", *a),
-    "threshold": lambda *a: _build_single("threshold", *a),
-    "approval": lambda *a: _build_single("approval", *a),
-    "power": lambda *a: _build_single("power", *a),
-    "multiwinner": _build_multi,
-    "reduction": _build_reduction,
+    "opt": _sweep(_single_winner_block, 3, 3, "opt"),
+    "threshold": _sweep(_single_winner_block, 3, 3, "threshold"),
+    "approval": _sweep(_single_winner_block, 3, 3, "approval"),
+    "power": _sweep(_single_winner_block, 3, 3, "power"),
+    "multiwinner": _sweep(_multiwinner_block, 2, 4),
+    "reduction": _sweep(_reduction_block, 3, 3),
     "hypergeom": _build_hypergeom,
     "pvc": _build_pvc,
 }
@@ -406,6 +370,11 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
     """Worker processes to start: no more than requested, tasks to run, or CPUs."""
     return max(1, min(jobs, tasks, cpus or 1))
+
+
+def _check_positive(key: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValidationError(f"{key} must be a positive integer, got {value!r}")
 
 
 def run_suite(
@@ -421,9 +390,13 @@ def run_suite(
         builder = _SUITES[name]
     except KeyError:
         known = ", ".join(SUITE_NAMES)
-        raise ValueError(f"unknown suite {name!r}; known: {known}") from None
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
+        raise ValidationError(f"unknown suite {name!r}; known: {known}") from None
+    _check_positive("jobs", jobs)
+    # None selects the suite's default; any other value must be a usable size,
+    # so the builders' ``or`` defaults never see a 0.
+    for key, value in (("n_max", n_max), ("m_max", m_max), ("budget", budget)):
+        if value is not None:
+            _check_positive(key, value)
     tasks = builder(n_max, m_max, budget, seed)
     workers = _pool_size(jobs, len(tasks), os.cpu_count())
     if workers > 1:

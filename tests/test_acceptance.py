@@ -11,11 +11,18 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import comb
 
-from fvr.core import Committee, Constant, Optimal, Power, Table, Threshold
+from fvr.core import (
+    Committee,
+    Constant,
+    Optimal,
+    Power,
+    Table,
+    Threshold,
+    build_ranked_profile,
+)
 from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import empirical_fvr_committee, jr_check
 from fvr.oracles import (
-    build_ranked_profile,
     gen_approval_gap,
     gen_jr_hard,
     gen_party_split,

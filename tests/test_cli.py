@@ -184,7 +184,7 @@ def test_gen_missing_param_exits_2(capsys):
     assert "missing" in err
 
 
-@pytest.mark.parametrize("param", ["L=1/2", "n=3/2", "m=\u00b2"])
+@pytest.mark.parametrize("param", ["L=1/2", "n=3/2", "m=\u00b2", "n=--5"])
 def test_gen_rejects_non_integer_counts(capsys, param):
     params = {"n": "3", "m": "4", "L": "2"}
     key, _, value = param.partition("=")
@@ -195,6 +195,17 @@ def test_gen_rejects_non_integer_counts(capsys, param):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_gen_rejects_duplicate_table_flexibility(capsys):
+    code, out, err = run(
+        capsys, "gen", "weight_gap",
+        "--param", "w=1/4:1,1/4:3,1/2:1", "--param", "f=1/4", "--param", "fprime=1/2",
+        "--param", "n=200",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: duplicate table flexibility 1/4\n"
 
 
 @pytest.mark.parametrize(
@@ -239,6 +250,23 @@ def test_verify_rejects_nonpositive_jobs(capsys, jobs):
     code, _, err = run(capsys, "verify", "opt", "--n-max", "1", "--m-max", "2", "--jobs", jobs)
     assert code == 2
     assert "jobs" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("opt", "--n-max", "-1"),
+        ("opt", "--n-max", "0"),
+        ("hypergeom", "--m-max", "-2"),
+        ("pvc", "--budget", "0"),
+    ],
+)
+def test_verify_rejects_nonpositive_sweep_sizes(capsys, argv):
+    suite, flag, value = argv
+    code, out, err = run(capsys, "verify", suite, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag[2:].replace('-', '_')} must be a positive integer, got {value}\n"
 
 
 def test_verify_unknown_suite_exits_2(capsys):

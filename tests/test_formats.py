@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fvr.core import ValidationError, build_instance
+from fvr.core import ValidationError, build_instance, build_ranked_profile
 from fvr.formats import (
     ParseError,
     parse_instance,
@@ -12,7 +12,6 @@ from fvr.formats import (
     serialize_instance,
     serialize_ranked,
 )
-from fvr.oracles import build_ranked_profile
 
 INTRO = build_instance(4, [{1, 2}, {1, 3}, {2, 3}])
 INTRO_TEXT = "fvr 1\nm 4\nn 3\n1 2\n1 3\n2 3\n"

@@ -16,15 +16,14 @@ from fvr.core import (
     Table,
     ValidationError,
     build_instance,
+    build_ranked_profile,
     flexibility,
     flexibility_grid,
 )
 from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committee
 from fvr.oracles import (
-    GeneratorSpec,
     _check_voter_budget,
-    build_ranked_profile,
     enumerate_instances,
     enumerate_voter_multisets,
     gen_approval_gap,
@@ -225,14 +224,14 @@ def test_enumerate_voter_multisets_covers_unordered_profiles():
 
 def test_generator_registry():
     assert "party_split" in generator_names()
-    inst, special = run_generator(GeneratorSpec.from_mapping("party_split", {"k": 2}))
+    inst, special = run_generator("party_split", {"k": 2})
     assert inst.n == 2 and special is None
     with pytest.raises(ValidationError, match="unknown generator"):
-        run_generator(GeneratorSpec.from_mapping("nope", {}))
+        run_generator("nope", {})
     with pytest.raises(ValidationError, match="missing"):
-        run_generator(GeneratorSpec.from_mapping("spread", {"n": 2}))
+        run_generator("spread", {"n": 2})
     with pytest.raises(ValidationError, match="unknown parameter"):
-        run_generator(GeneratorSpec.from_mapping("party_split", {"k": 2, "zz": 1}))
+        run_generator("party_split", {"k": 2, "zz": 1})
 
 
 def test_build_ranked_profile_validation():
