@@ -128,7 +128,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     families: list[tuple[str, WeightFn]] = []
     for name in names:
         kind, payload = _parse_rule(name)
-        if kind != "single" or isinstance(payload, Table):
+        if kind != "single":
             raise ValidationError(f"rule {name!r} has no closed-form guarantee curve")
         families.append((name, payload))
     if args.s_grid < 1:

@@ -24,6 +24,7 @@ __all__ = [
     "SizeLimitError",
     "as_frac",
     "open_unit",
+    "int_at_least",
     "is_numeral",
     "Instance",
     "build_instance",
@@ -83,6 +84,15 @@ def open_unit(x: object, what: str = "threshold") -> Frac:
     return value
 
 
+def int_at_least(x: object, what: str, low: int = 0) -> int:
+    """``x``, checked to be an int (not a bool) of at least ``low``; ``what`` names it."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < low:
+        kinds = {0: "a nonnegative integer", 1: "a positive integer"}
+        kind = kinds.get(low, f"an integer >= {low}")
+        raise ValidationError(f"{what} must be {kind}, got {x!r}")
+    return x
+
+
 def is_numeral(text: str) -> bool:
     """Whether ``text`` is a plain decimal numeral, ``[0-9]+``, that ``int`` accepts.
 
@@ -95,7 +105,8 @@ def is_numeral(text: str) -> bool:
 class Instance:
     """An approval election: candidates 0..m-1 and one approval set per voter.
 
-    Construct through :func:`build_instance`, which validates the indices.
+    Construct through :func:`build_instance` or ``fvr.formats.parse_instance``,
+    which validate the indices.
     """
 
     m: int
@@ -112,15 +123,13 @@ def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
     Voter order is preserved.  Each approval set is deduplicated; indices
     must lie in ``0..m-1``.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"need at least one candidate, got m={m!r}")
+    int_at_least(m, "m", 1)
     rows: list[frozenset[int]] = []
     for i, approved in enumerate(approvals):
         row = frozenset(approved)
+        what = f"voter {i}: candidate index"
         for a in row:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise ValidationError(f"voter {i}: candidate index {a!r} is not an integer")
-            if not 0 <= a < m:
+            if int_at_least(a, what) >= m:
                 raise ValidationError(
                     f"voter {i} approves candidate {a}, outside the range 0..{m - 1}"
                 )
@@ -144,8 +153,7 @@ class RankedProfile:
 
 def build_ranked_profile(m: int, rankings: object) -> RankedProfile:
     """Validate and freeze a ranked profile."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValidationError(f"need at least one candidate, got m={m!r}")
+    int_at_least(m, "m", 1)
     rows = []
     for i, ranking in enumerate(rankings):
         row = tuple(ranking)
@@ -202,8 +210,7 @@ class Power:
     p: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
-            raise ValidationError(f"power exponent must be an integer >= 1, got {self.p!r}")
+        int_at_least(self.p, "power exponent", 1)
 
 
 @dataclass(frozen=True)
@@ -296,8 +303,7 @@ class Committee:
     def __post_init__(self) -> None:
         ms = tuple(sorted(set(self.members)))
         for a in ms:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-                raise ValidationError(f"candidate index {a!r} is not a nonnegative integer")
+            int_at_least(a, "candidate index")
         object.__setattr__(self, "members", ms)
 
     @property

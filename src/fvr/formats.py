@@ -31,14 +31,7 @@ where each voter line is a permutation of 0..m-1, most preferred first.
 
 from __future__ import annotations
 
-from .core import (
-    Instance,
-    RankedProfile,
-    ValidationError,
-    build_instance,
-    build_ranked_profile,
-    is_numeral,
-)
+from .core import Instance, RankedProfile, ValidationError, is_numeral
 
 __all__ = [
     "ParseError",
@@ -140,11 +133,8 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
         extra += 1
     if extra < len(lines):
         raise ParseError(extra + 1, f"unexpected extra line {lines[extra]!r}")
-    try:
-        inst = build_instance(m, rows)
-    except ValidationError as exc:  # pragma: no cover - per-line checks catch these first
-        raise ParseError(1, str(exc)) from None
-    return inst, k, t
+    # Every index was checked above, token by token; build_instance would check them again.
+    return Instance(m, tuple(map(frozenset, rows))), k, t
 
 
 def serialize_instance(inst: Instance, k: int | None = None, t: int | None = None) -> str:
@@ -179,8 +169,8 @@ def parse_ranked(text: str) -> RankedProfile:
         row = _parse_index_line(lines[3 + i], 4 + i, m, strictly_increasing=False)
         if sorted(row) != list(range(m)):
             raise ParseError(4 + i, f"not a permutation of 0..{m - 1}: {lines[3 + i]!r}")
-        rankings.append(row)
-    return build_ranked_profile(m, rankings)
+        rankings.append(tuple(row))
+    return RankedProfile(m, tuple(rankings))
 
 
 def serialize_ranked(profile: RankedProfile) -> str:

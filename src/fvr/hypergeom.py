@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
 
-from .core import Frac, ValidationError, open_unit
+from .core import Frac, ValidationError, int_at_least, open_unit
 
 __all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
@@ -29,8 +29,7 @@ class HypParams:
     def __post_init__(self) -> None:
         p, k, d = self.population, self.successes, self.draws
         for name, v in (("population", p), ("successes", k), ("draws", d)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+            int_at_least(v, name)
         if k > p:
             raise ValidationError(f"successes {k} cannot exceed population {p}")
         if d > p:

@@ -21,6 +21,7 @@ from .core import (
     Instance,
     SizeLimitError,
     ValidationError,
+    int_at_least,
     open_unit,
 )
 from .hypergeom import HypParams, hyp_pmf, miss_prob
@@ -43,7 +44,8 @@ __all__ = [
     "brute_best_committee",
 ]
 
-# Default cap on how many committees an exhaustive construction may touch.
+# Cap on how many committees an exhaustive construction may touch, and on
+# how many voters a generator may build.
 COMMITTEE_LIMIT = 200_000
 
 
@@ -56,8 +58,7 @@ class MultiParams:
 
     def __post_init__(self) -> None:
         for name, v in (("k", self.k), ("t", self.t)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+            int_at_least(v, name, 1)
         if self.t > self.k:
             raise ValidationError(f"approval target t={self.t} exceeds committee size k={self.k}")
 
@@ -102,21 +103,19 @@ class ExpandedInstance:
     expanded: Instance
 
 
-def _check_expansion(inst: Instance, params: MultiParams, limit: int) -> int:
-    """The number of k-committees, once k < m and the count is within ``limit``."""
+def _check_expansion(inst: Instance, params: MultiParams) -> int:
+    """The number of k-committees, once k < m and the count is within ``COMMITTEE_LIMIT``."""
     _check_k(inst, params.k)
     total = comb(inst.m, params.k)
-    if total > limit:
+    if total > COMMITTEE_LIMIT:
         raise SizeLimitError(
-            f"expansion needs {total} committee-candidates (limit {limit}); "
+            f"expansion needs {total} committee-candidates (limit {COMMITTEE_LIMIT}); "
             "use sequential_rule instead"
         )
     return total
 
 
-def expand_instance(
-    inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT
-) -> ExpandedInstance:
+def expand_instance(inst: Instance, params: MultiParams) -> ExpandedInstance:
     """Build the committee-as-candidate instance for (k, t).
 
     This is the explicit construction: one row entry per (voter, committee
@@ -124,7 +123,7 @@ def expand_instance(
     building it, and ``fvr.oracles.reference_expanded_rule`` runs the
     optimal single-winner rule on it as the reference.
     """
-    total = _check_expansion(inst, params, limit)
+    total = _check_expansion(inst, params)
     committees = tuple(combinations(range(inst.m), params.k))
     rows = []
     for approved in inst.approvals:
@@ -148,7 +147,7 @@ def _bitset(voters: Iterable[int], n: int) -> int:
     return int(digits, 2)
 
 
-def expanded_rule(inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT) -> Committee:
+def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
     """The optimal single-winner rule's winner over all k-committees.
 
     In the expanded instance (:func:`expand_instance`) a voter's flexibility
@@ -168,7 +167,7 @@ def expanded_rule(inst: Instance, params: MultiParams, limit: int = COMMITTEE_LI
     or no committees.  Cost: O(C(m,k) * (k*t + sizes)) big-int operations
     on n-bit ints; memory O(m*n) bits.
     """
-    _check_expansion(inst, params, limit)
+    _check_expansion(inst, params)
     m, n, k, t = inst.m, inst.n, params.k, params.t
     voters_of: list[list[int]] = [[] for _ in range(m)]
     by_size: dict[int, list[int]] = {}
@@ -353,16 +352,14 @@ def jr_check(inst: Instance, committee: Committee) -> JrResult:
     return JrResult(satisfied=True)
 
 
-def brute_best_committee(
-    inst: Instance, params: MultiParams, s: object, limit: int = COMMITTEE_LIMIT
-) -> Committee:
+def brute_best_committee(inst: Instance, params: MultiParams, s: object) -> Committee:
     """Exhaustively pick the committee t-approved by the most s-flexible voters.
 
     Lexicographic tie-break.  This is the threshold-tailored rule whose
     audit meets the hypergeometric bound exactly.
     """
     sv = open_unit(s)
-    _check_expansion(inst, params, limit)
+    _check_expansion(inst, params)
     threshold_size = sv * inst.m
     flexible = [A for A in inst.approvals if len(A) >= threshold_size]
     best: tuple[int, ...] | None = None

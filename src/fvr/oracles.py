@@ -18,6 +18,7 @@ from .core import (
     Committee,
     Frac,
     Instance,
+    Power,
     RankedProfile,
     SizeLimitError,
     ValidationError,
@@ -25,6 +26,7 @@ from .core import (
     as_frac,
     build_instance,
     eval_weight,
+    int_at_least,
     open_unit,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf
@@ -37,7 +39,7 @@ from .multi_winner import (
     committee_score,
     expand_instance,
 )
-from .single_winner import Power, ScoreVector, closed_form_fvr, ropt_winner
+from .single_winner import ScoreVector, closed_form_fvr, ropt_winner
 
 __all__ = [
     "DEFAULT_SEED",
@@ -194,7 +196,7 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     return build_instance(m, rows), 0
 
 
-def gen_symmetric(m: int, per_voter: int, limit: int = COMMITTEE_LIMIT) -> Instance:
+def gen_symmetric(m: int, per_voter: int) -> Instance:
     """One voter per ``per_voter``-subset of the candidates, in lexicographic order.
 
     Fully symmetric, so every committee of a given size is t-disapproved by
@@ -203,13 +205,13 @@ def gen_symmetric(m: int, per_voter: int, limit: int = COMMITTEE_LIMIT) -> Insta
     _require_ints(m=m, per_voter=per_voter)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
-    _check_voter_budget(comb(m, per_voter), limit)
+    _check_voter_budget(comb(m, per_voter))
     return build_instance(m, combinations(range(m), per_voter))
 
 
-def _check_voter_budget(n: int, limit: int = COMMITTEE_LIMIT) -> None:
-    if n > limit:
-        raise SizeLimitError(f"{n} voters exceed the limit {limit}")
+def _check_voter_budget(n: int) -> None:
+    if n > COMMITTEE_LIMIT:
+        raise SizeLimitError(f"{n} voters exceed the limit {COMMITTEE_LIMIT}")
 
 
 def gen_party_split(k: int, reps: int = 1) -> Instance:
@@ -220,10 +222,8 @@ def gen_party_split(k: int, reps: int = 1) -> Instance:
     instance separates optimality targets at different per-committee
     approval counts.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValidationError(f"need slate size k >= 2, got {k!r}")
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise ValidationError(f"replication factor must be a positive integer, got {reps!r}")
+    int_at_least(k, "slate size k", 2)
+    int_at_least(reps, "replication factor", 1)
     _check_voter_budget(2 * reps)
     first = set(range(k))
     second = set(range(k, 2 * k))
@@ -240,9 +240,8 @@ def gen_jr_hard(m: int, k: int) -> Instance:
     justified representation must seat every party candidate, leaving one
     pool seat that some highly flexible pool voter disapproves.
     """
-    if not (isinstance(k, int) and not isinstance(k, bool) and k >= 2):
-        raise ValidationError(f"need k >= 2, got {k!r}")
-    if not (isinstance(m, int) and not isinstance(m, bool) and m > k):
+    int_at_least(k, "k", 2)
+    if int_at_least(m, "m") <= k:
         raise ValidationError(f"need m > k, got m={m!r}, k={k!r}")
     group = m - k + 1
     rows: list[set[int]] = []
@@ -358,12 +357,7 @@ def enumerate_voter_multisets(
         yield Instance(m, rows)
 
 
-def conditional_expected_score(
-    inst: Instance,
-    params: MultiParams,
-    partial: object = (),
-    limit: int = COMMITTEE_LIMIT,
-) -> Frac:
+def conditional_expected_score(inst: Instance, params: MultiParams, partial: object = ()) -> Frac:
     """Average committee penalty over all k-committees containing ``partial``.
 
     With an empty prefix this equals the number of voters that can miss
@@ -371,10 +365,10 @@ def conditional_expected_score(
     exact penalty.  The sequential rule's picks drive this quantity
     monotonically downward.
     """
-    _check_expansion(inst, params, limit)
+    _check_expansion(inst, params)
     base = tuple(sorted(set(partial)))
     for a in base:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < inst.m:
+        if int_at_least(a, "partial committee member") >= inst.m:
             raise ValidationError(f"partial committee member {a!r} outside 0..{inst.m - 1}")
     if len(base) > params.k:
         raise ValidationError(f"partial committee has {len(base)} members, more than k={params.k}")
@@ -468,12 +462,10 @@ def reference_sequential_picks(inst: Instance, params: MultiParams) -> tuple[int
     return tuple(chosen)
 
 
-def reference_expanded_rule(
-    inst: Instance, params: MultiParams, limit: int = COMMITTEE_LIMIT
-) -> Committee:
+def reference_expanded_rule(inst: Instance, params: MultiParams) -> Committee:
     """:func:`fvr.multi_winner.expanded_rule`, running the optimal single-winner
     rule on the explicitly built committee-as-candidate instance."""
-    exp = expand_instance(inst, params, limit)
+    exp = expand_instance(inst, params)
     return Committee(exp.committees[ropt_winner(exp.expanded)])
 
 

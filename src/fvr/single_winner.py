@@ -28,6 +28,7 @@ from .core import (
     WeightFn,
     eval_weight,
     flexibility_grid,
+    int_at_least,
     open_unit,
 )
 
@@ -221,8 +222,7 @@ def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
     of s.
     """
     sv = open_unit(s)
-    if not isinstance(grid_m, int) or isinstance(grid_m, bool) or grid_m < 2:
-        raise ValidationError(f"grid resolution must be an integer >= 2, got {grid_m!r}")
+    int_at_least(grid_m, "grid resolution", 2)
     grid = flexibility_grid(grid_m)
     values = {f: eval_weight(w, f) for f in grid}
     rho = max((1 - f) * values[f] for f in grid)

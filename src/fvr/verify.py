@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, comb
+from math import ceil, comb, factorial
 
 from .core import (
     Committee,
@@ -40,6 +40,7 @@ from .core import (
     ValidationError,
     build_instance,
     flexibility_grid,
+    int_at_least,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
@@ -286,11 +287,8 @@ def _hyp_counting_block(seed: int, count: int, m_max: int) -> tuple[int, list[st
 def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
-    all_perms = list(permutations(range(m)))
-    total = len(all_perms) ** n
-    profiles: list[tuple[tuple[int, ...], ...]]
-    if total <= sample:
-        profiles = list(product(all_perms, repeat=n))
+    if factorial(m) ** n <= sample:
+        profiles = product(permutations(range(m)), repeat=n)
     else:
         rng = random.Random(seed)
         profiles = [
@@ -372,11 +370,6 @@ def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
     return max(1, min(jobs, tasks, cpus or 1))
 
 
-def _check_positive(key: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValidationError(f"{key} must be a positive integer, got {value!r}")
-
-
 def run_suite(
     name: str,
     jobs: int = 1,
@@ -391,12 +384,12 @@ def run_suite(
     except KeyError:
         known = ", ".join(SUITE_NAMES)
         raise ValidationError(f"unknown suite {name!r}; known: {known}") from None
-    _check_positive("jobs", jobs)
+    int_at_least(jobs, "jobs", 1)
     # None selects the suite's default; any other value must be a usable size,
     # so the builders' ``or`` defaults never see a 0.
     for key, value in (("n_max", n_max), ("m_max", m_max), ("budget", budget)):
         if value is not None:
-            _check_positive(key, value)
+            int_at_least(value, key, 1)
     tasks = builder(n_max, m_max, budget, seed)
     workers = _pool_size(jobs, len(tasks), os.cpu_count())
     if workers > 1:

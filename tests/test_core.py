@@ -18,10 +18,16 @@ from fvr.core import (
     ValidationError,
     as_frac,
     build_instance,
+    build_ranked_profile,
     eval_weight,
     flexibility,
     flexibility_grid,
 )
+from fvr.hypergeom import HypParams
+from fvr.multi_winner import MultiParams
+from fvr.oracles import conditional_expected_score, gen_jr_hard, gen_party_split
+from fvr.single_winner import grid_theoretical_fvr
+from fvr.verify import run_suite
 
 INTRO = build_instance(4, [{1, 2}, {1, 3}, {2, 3}])
 
@@ -192,3 +198,47 @@ def test_audit_curve_evaluation_and_validation():
         AuditCurve(((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 2))))
     with pytest.raises(ValidationError):
         AuditCurve(((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2))))
+
+
+# Every integer input, with a value just below its bound; each goes through
+# core.int_at_least, so each raises its "must be ... integer" message.
+INTEGER_SITES = {
+    "build_instance m": (lambda x: build_instance(x, [set()]), 0),
+    "build_instance index": (lambda x: build_instance(3, [{x}]), -1),
+    "build_ranked_profile m": (lambda x: build_ranked_profile(x, [[0]]), 0),
+    "Power": (Power, 0),
+    "Committee": (lambda x: Committee((x,)), -1),
+    "MultiParams k": (lambda x: MultiParams(x, 1), 0),
+    "MultiParams t": (lambda x: MultiParams(2, x), 0),
+    "HypParams population": (lambda x: HypParams(x, 0, 0), -1),
+    "HypParams successes": (lambda x: HypParams(3, x, 0), -1),
+    "HypParams draws": (lambda x: HypParams(3, 0, x), -1),
+    "grid_theoretical_fvr": (lambda x: grid_theoretical_fvr(Constant(), Fraction(1, 2), x), 1),
+    "gen_party_split k": (gen_party_split, 1),
+    "gen_party_split reps": (lambda x: gen_party_split(2, x), 0),
+    "gen_jr_hard k": (lambda x: gen_jr_hard(6, x), 1),
+    "gen_jr_hard m": (lambda x: gen_jr_hard(x, 2), -1),
+    "conditional_expected_score": (
+        lambda x: conditional_expected_score(INTRO, MultiParams(1, 1), (x,)),
+        -1,
+    ),
+    "run_suite jobs": (lambda x: run_suite("opt", jobs=x), 0),
+    "run_suite n_max": (lambda x: run_suite("opt", n_max=x), 0),
+    "run_suite m_max": (lambda x: run_suite("opt", m_max=x), 0),
+    "run_suite budget": (lambda x: run_suite("opt", budget=x), 0),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+@pytest.mark.parametrize("bad", ["bool", "below"])
+def test_integer_inputs_reject_bools_and_values_below_their_bound(site, bad):
+    call, below = INTEGER_SITES[site]
+    value = True if bad == "bool" else below
+    message = rf"must be (a nonnegative|a positive|an) integer.*, got {value!r}$"
+    with pytest.raises(ValidationError, match=message):
+        call(value)
+
+
+def test_gen_jr_hard_keeps_its_relational_check():
+    with pytest.raises(ValidationError, match="need m > k"):
+        gen_jr_hard(2, 2)

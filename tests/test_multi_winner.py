@@ -54,10 +54,20 @@ def test_expand_instance_rows():
     assert exp3.expanded.approvals[0] == frozenset(range(comb(4, 3)))
 
 
-def test_expand_instance_size_limit():
-    inst = build_instance(10, [{0}])
+@pytest.mark.parametrize(
+    "rule",
+    [
+        expand_instance,
+        expanded_rule,
+        lambda inst, params: brute_best_committee(inst, params, HALF),
+        conditional_expected_score,
+    ],
+    ids=["expand_instance", "expanded_rule", "brute_best_committee", "conditional_expected_score"],
+)
+def test_expand_instance_size_limit(rule):
+    inst = build_instance(32, [{0}])  # C(32, 5) = 201,376 committees
     with pytest.raises(SizeLimitError, match="sequential_rule"):
-        expand_instance(inst, MultiParams(5, 1), limit=100)
+        rule(inst, MultiParams(5, 1))
 
 
 def test_expanded_rule_examples():

@@ -145,7 +145,7 @@ def test_gen_symmetric():
     lone = gen_symmetric(3, 0)
     assert lone.n == 1 and not lone.approvals[0]
     with pytest.raises(SizeLimitError):
-        gen_symmetric(30, 15, limit=1000)
+        gen_symmetric(30, 15)
 
 
 def test_gen_party_split():

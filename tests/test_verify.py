@@ -1,8 +1,10 @@
 """Verification suites: every suite runs clean, and the pool mode is transparent."""
 
+import tracemalloc
+
 import pytest
 
-from fvr.verify import SUITE_NAMES, _pool_size, run_suite
+from fvr.verify import SUITE_NAMES, _pool_size, _pvc_block, run_suite
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -18,6 +20,18 @@ def test_sweep_budget_caps_enumeration():
 
     with pytest.raises(SizeLimitError):
         run_suite("opt", n_max=2, m_max=3, budget=30)
+
+
+def test_pvc_block_over_budget_lists_no_rankings():
+    # 8! rankings would take about 4.5 MB as a list; one sampled profile needs almost none.
+    tracemalloc.start()
+    try:
+        checked, bad = _pvc_block(1, 8, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (checked, bad) == (1, [])
+    assert peak < 1_000_000
 
 
 def test_unknown_suite_rejected():
