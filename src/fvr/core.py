@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -22,6 +21,9 @@ __all__ = [
     "Frac",
     "ValidationError",
     "SizeLimitError",
+    "FrozenRecordError",
+    "record",
+    "CANDIDATE_LIMIT",
     "as_frac",
     "open_unit",
     "int_at_least",
@@ -50,6 +52,75 @@ class ValidationError(ValueError):
 
 class SizeLimitError(ValidationError):
     """Raised when an enumeration would exceed its configured size budget."""
+
+
+# Cap on the candidate count of a parsed file or a generated random instance:
+# output and per-candidate state grow with m (the largest m in use is 400).
+CANDIDATE_LIMIT = 10_000
+
+
+class FrozenRecordError(AttributeError):
+    """Raised on assignment to (or deletion of) a field of a frozen record."""
+
+
+def _frozen_setattr(self, name: str, value: object) -> None:
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen: bool = True):
+    """Class decorator: a plain record over the class's annotated fields, in order.
+
+    Adds what ``@dataclass(frozen=...)`` would: ``__init__`` (positional or
+    keyword arguments, class-level defaults, then ``__post_init__`` if
+    defined), ``__eq__`` (same class, equal field tuples), ``__repr__`` as
+    ``Name(field=value, ...)``, and, when frozen, ``__hash__`` of the field
+    tuple and read-only fields.  Instances keep a ``__dict__``, so they
+    pickle.  ``dataclasses`` is not used because importing it pulls in
+    ``inspect`` and half a dozen more modules, which cost more start-up time
+    than the rest of this package when no bytecode is cached.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    fields = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {f"_default_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
+    params = "".join(f", {f}=_default_{f}" if f in cls.__dict__ else f", {f}" for f in fields)
+    body = [f"    _set(self, {f!r}, {f})" for f in fields]
+    if "__post_init__" in cls.__dict__:
+        body.append("    self.__post_init__()")
+
+    def as_tuple(obj: str) -> str:
+        return "(" + "".join(f"{obj}.{f}," for f in fields) + ")"
+
+    mine, theirs = as_tuple("self"), as_tuple("other")
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    source = "\n".join([
+        f"def __init__(self{params}):",
+        *(body or ["    pass"]),
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {mine} == {theirs}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash({mine})",
+        "def __repr__(self):",
+        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+    ])
+    namespace = {"_set": object.__setattr__, **defaults}
+    exec(source, namespace)
+    methods = {name: namespace[name] for name in ("__init__", "__eq__", "__hash__", "__repr__")}
+    if frozen:
+        methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    if not frozen:
+        cls.__hash__ = None  # equal mutable records must not share a hash
+    cls.__match_args__ = fields
+    return cls
 
 
 def as_frac(x: object) -> Frac:
@@ -101,7 +172,7 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     """An approval election: candidates 0..m-1 and one approval set per voter.
 
@@ -139,7 +210,7 @@ def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
     return Instance(m, tuple(rows))
 
 
-@dataclass(frozen=True)
+@record
 class RankedProfile:
     """Strict rankings: one permutation of 0..m-1 per voter, best first."""
 
@@ -188,12 +259,12 @@ def flexibility_grid(m: int) -> tuple[Frac, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Constant:
     """w(f) = 1: plain approval counting."""
 
 
-@dataclass(frozen=True)
+@record
 class Threshold:
     """w(f) = 1 if f >= s0 else 0: counts only voters at least s0-flexible."""
 
@@ -203,7 +274,7 @@ class Threshold:
         object.__setattr__(self, "s0", open_unit(self.s0, "threshold cutoff"))
 
 
-@dataclass(frozen=True)
+@record
 class Power:
     """w(f) = f**p for an integer exponent p >= 1 (kept integral for exactness)."""
 
@@ -213,7 +284,7 @@ class Power:
         int_at_least(self.p, "power exponent", 1)
 
 
-@dataclass(frozen=True)
+@record
 class Optimal:
     """w(f) = c / (1 - f).
 
@@ -294,7 +365,7 @@ def eval_weight(w: WeightFn, f: object) -> Frac:
     raise ValidationError(f"not a weight function: {w!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Committee:
     """A set of distinct candidate indices, stored sorted."""
 
@@ -317,7 +388,7 @@ class Committee:
         return a in self.members
 
 
-@dataclass(frozen=True)
+@record
 class AuditCurve:
     """A non-increasing step function of the flexibility threshold s.
 

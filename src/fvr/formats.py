@@ -27,11 +27,16 @@ Ranked profile (version 1)::
     2 1 0
 
 where each voter line is a permutation of 0..m-1, most preferred first.
+
+In both formats ``m`` is at most ``fvr.core.CANDIDATE_LIMIT``; a larger
+value is rejected before anything is built for it.
 """
 
 from __future__ import annotations
 
-from .core import Instance, RankedProfile, ValidationError, is_numeral
+import re
+
+from .core import CANDIDATE_LIMIT, Instance, RankedProfile, ValidationError, is_numeral
 
 __all__ = [
     "ParseError",
@@ -43,6 +48,8 @@ __all__ = [
 
 INSTANCE_HEADER = "fvr 1"
 RANKED_HEADER = "fvr-ranked 1"
+# A voter line that is nothing but ASCII numerals separated by single spaces.
+PLAIN_LINE = re.compile("[0-9]+( [0-9]+)*")
 
 
 class ParseError(ValueError):
@@ -65,7 +72,7 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _parse_count(lines: list[str], index: int, key: str) -> int:
+def _parse_count(lines: list[str], index: int, key: str, limit: int | None = None) -> int:
     if index >= len(lines):
         raise ParseError(index + 1, f"missing '{key} <int>' line")
     parts = lines[index].split(" ")
@@ -74,6 +81,8 @@ def _parse_count(lines: list[str], index: int, key: str) -> int:
     value = int(parts[1])
     if value < 1:
         raise ParseError(index + 1, f"{key} must be at least 1, got {value}")
+    if limit is not None and value > limit:
+        raise ParseError(index + 1, f"{key} must be at most {limit}, got {value}")
     return value
 
 
@@ -113,13 +122,23 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     if not lines or lines[0] != INSTANCE_HEADER:
         got = lines[0] if lines else ""
         raise ParseError(1, f"expected header {INSTANCE_HEADER!r}, got {got!r}")
-    m = _parse_count(lines, 1, "m")
+    m = _parse_count(lines, 1, "m", CANDIDATE_LIMIT)
     n = _parse_count(lines, 2, "n")
     if len(lines) < 3 + n:
         raise ParseError(len(lines) + 1, f"expected {n} voter lines, found {len(lines) - 3}")
     rows = []
     for i in range(n):
-        rows.append(_parse_index_line(lines[3 + i], 4 + i, m, strictly_increasing=True))
+        line = lines[3 + i]
+        # Fast path: a plain line whose indices increase and stay below m is
+        # valid as it stands.  Any other line, empty or not, gets the
+        # per-token check, which also words any error.
+        if PLAIN_LINE.fullmatch(line):
+            values = list(map(int, line.split(" ")))
+            row = frozenset(values)
+            if values[-1] < m and sorted(row) == values:
+                rows.append(row)
+                continue
+        rows.append(frozenset(_parse_index_line(line, 4 + i, m, strictly_increasing=True)))
     k: int | None = None
     t: int | None = None
     extra = 3 + n
@@ -133,8 +152,8 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
         extra += 1
     if extra < len(lines):
         raise ParseError(extra + 1, f"unexpected extra line {lines[extra]!r}")
-    # Every index was checked above, token by token; build_instance would check them again.
-    return Instance(m, tuple(map(frozenset, rows))), k, t
+    # Every index was checked above; build_instance would check them again.
+    return Instance(m, tuple(rows)), k, t
 
 
 def serialize_instance(inst: Instance, k: int | None = None, t: int | None = None) -> str:
@@ -157,7 +176,7 @@ def parse_ranked(text: str) -> RankedProfile:
     if not lines or lines[0] != RANKED_HEADER:
         got = lines[0] if lines else ""
         raise ParseError(1, f"expected header {RANKED_HEADER!r}, got {got!r}")
-    m = _parse_count(lines, 1, "m")
+    m = _parse_count(lines, 1, "m", CANDIDATE_LIMIT)
     n = _parse_count(lines, 2, "n")
     if len(lines) != 3 + n:
         raise ParseError(

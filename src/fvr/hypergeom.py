@@ -8,17 +8,16 @@ are exact rationals computed with arbitrary-precision binomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
 
-from .core import Frac, ValidationError, int_at_least, open_unit
+from .core import Frac, ValidationError, int_at_least, open_unit, record
 
 __all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
 
-@dataclass(frozen=True)
+@record
 class HypParams:
     """Population size, number of successes in it, and draw size."""
 
@@ -75,8 +74,17 @@ def hyp_cdf(params: HypParams, t: int) -> Frac:
 
 def miss_prob(m: int, size: int, k: int, t: int) -> Frac:
     """Probability that a uniformly random k-committee out of m candidates
-    contains fewer than ``t`` members of a voter's ``size``-candidate approval set."""
-    return hyp_cdf(HypParams(m, size, k), t - 1)
+    contains fewer than ``t`` members of a voter's ``size``-candidate approval set.
+
+    Equals ``hyp_cdf(HypParams(m, size, k), t - 1)``.  The committee kernels
+    call it in their loops, so valid arguments pass one chain of plain
+    checks; a ``HypParams`` is built only to report invalid ones.
+    """
+    if not (type(m) is type(size) is type(k) is int and 0 <= size <= m and 0 <= k <= m):
+        HypParams(m, size, k)
+    if t < 1:
+        return Fraction(0)
+    return _cdf(m, size, k, min(t - 1, size, k))
 
 
 def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:

@@ -9,7 +9,6 @@ one seat at a time in polynomial time.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -23,8 +22,9 @@ from .core import (
     ValidationError,
     int_at_least,
     open_unit,
+    record,
 )
-from .hypergeom import HypParams, hyp_pmf, miss_prob
+from .hypergeom import _pmf, miss_prob
 from .single_winner import argmax, audit_curve, common_units, weighted_counts
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 COMMITTEE_LIMIT = 200_000
 
 
-@dataclass(frozen=True)
+@record
 class MultiParams:
     """Committee size k and per-voter approval target t (1 <= t <= k)."""
 
@@ -88,7 +88,7 @@ def t_approves(inst: Instance, i: int, committee: Committee, t: int) -> bool:
     return len(inst.approvals[i] & members) >= t
 
 
-@dataclass(frozen=True)
+@record
 class ExpandedInstance:
     """A single-winner instance whose candidates are all k-committees.
 
@@ -260,10 +260,8 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
                 # She approves every candidate still available, so her weight
                 # would raise all of them equally; the argmax cannot move.
                 continue
-            weight = (
-                hyp_pmf(HypParams(m - j - 1, remaining - 1, k - j), t - 1 - overlap)
-                / miss[size]
-            )
+            # Valid by construction: 1 <= remaining <= m - j and k < m.
+            weight = _pmf(m - j - 1, remaining - 1, k - j, t - 1 - overlap) / miss[size]
             weighted.append((weight, rows))
         counts, _ = weighted_counts(m, weighted)
         best = argmax(counts, skip=chosen)
@@ -322,7 +320,7 @@ def empirical_fvr_committee_curve(inst: Instance, committee: Committee, t: int) 
     return audit_curve(sizes, inst.m, inst.n)
 
 
-@dataclass(frozen=True)
+@record
 class JrResult:
     """Outcome of a justified-representation check, with a witness on failure.
 

@@ -15,6 +15,7 @@ from math import ceil, comb, floor, lcm
 from typing import Callable, Iterator, Mapping
 
 from .core import (
+    CANDIDATE_LIMIT,
     Committee,
     Frac,
     Instance,
@@ -255,10 +256,10 @@ def gen_jr_hard(m: int, k: int) -> Instance:
 
 def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     """Seeded uniform profile: each of n <= ``COMMITTEE_LIMIT`` voters
-    approves a uniformly random subset."""
+    approves a uniformly random subset of m <= ``CANDIDATE_LIMIT`` candidates."""
     _require_ints(n=n, m=m, seed=seed)
-    if m < 1:
-        raise ValidationError(f"need at least one candidate, got m={m}")
+    if int_at_least(m, "m", 1) > CANDIDATE_LIMIT:
+        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {m}")
     _check_voter_budget(n)
     rng = random.Random(seed)
     rows = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Container, Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +29,7 @@ from .core import (
     flexibility_grid,
     int_at_least,
     open_unit,
+    record,
 )
 
 __all__ = [
@@ -168,7 +168,7 @@ def empirical_fvr_curve(inst: Instance, a: int) -> AuditCurve:
     return audit_curve(sizes, inst.m, inst.n)
 
 
-@dataclass(frozen=True)
+@record
 class FvrBound:
     """A guarantee value at threshold ``s``.
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, comb, factorial
@@ -36,11 +35,13 @@ from .core import (
     Optimal,
     Power,
     RankedProfile,
+    SizeLimitError,
     Threshold,
     ValidationError,
     build_instance,
     flexibility_grid,
     int_at_least,
+    record,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
@@ -50,7 +51,12 @@ from .multi_winner import (
     expanded_rule,
     sequential_picks,
 )
-from .oracles import conditional_expected_score, enumerate_voter_multisets, strong_pvc
+from .oracles import (
+    ENUMERATION_BUDGET,
+    conditional_expected_score,
+    enumerate_voter_multisets,
+    strong_pvc,
+)
 from .single_winner import closed_form_fvr, empirical_fvr_point, ropt_winner, winner
 
 __all__ = [
@@ -64,7 +70,7 @@ __all__ = [
 MAX_VIOLATIONS_KEPT = 50
 
 
-@dataclass
+@record(frozen=False)
 class VerifyResult:
     suite: str
     checked: int
@@ -332,6 +338,15 @@ def _build_hypergeom(n_max, m_max, budget, seed):
     enum_max = m_max or 6
     counting_samples = budget or 50
     seed = seed if seed is not None else 0
+    # _hyp_enum_block(p) enumerates the C(p, d) draws once per probe t >= 0:
+    # (p + 1) * sum over d of (d + 2) * C(p, d) subsets.
+    subsets = 0
+    for p in range(enum_max + 1):
+        subsets += (p + 1) * sum((d + 2) * comb(p, d) for d in range(p + 1))
+        if subsets > ENUMERATION_BUDGET:
+            raise SizeLimitError(
+                f"m_max={enum_max} would enumerate more than {ENUMERATION_BUDGET} subsets"
+            )
     return [
         *((_hyp_enum_block, (p,)) for p in range(enum_max + 1)),
         *((_hyp_sum_block, (p,)) for p in range(enum_max + 5)),

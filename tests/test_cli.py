@@ -1,12 +1,13 @@
 """CLI behaviour: output contracts, determinism, exit codes."""
 
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from fvr.cli import dec_str, main
-from fvr.core import build_instance
+from fvr.core import CANDIDATE_LIMIT, build_instance
 from fvr.formats import parse_instance, serialize_instance
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams
 from fvr.oracles import reference_expanded_rule
@@ -223,6 +224,33 @@ def test_gen_over_voter_budget_exits_2(capsys, argv):
     assert "voters exceed the limit" in err
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [("random", ("n=5", "m=0")), ("spread", ("n=3", "m=0", "L=0"))],
+)
+def test_gen_zero_candidates_exits_2_with_one_wording(capsys, name, params):
+    code, out, err = run(capsys, "gen", name, *(f"--param={p}" for p in params))
+    assert (code, out) == (2, "")
+    assert err == "error: m must be a positive integer, got 0\n"
+
+
+def test_gen_random_over_candidate_budget_exits_2(capsys):
+    m = CANDIDATE_LIMIT + 1
+    code, out, err = run(capsys, "gen", "random", "--param=n=1", f"--param=m={m}")
+    assert (code, out) == (2, "")
+    assert err == f"error: m must be at most {CANDIDATE_LIMIT}, got {m}\n"
+
+
+def test_solve_with_huge_m_exits_2_before_allocating(capsys, tmp_path):
+    path = tmp_path / "huge.fvr"
+    path.write_text("fvr 1\nm 5000000\nn 1\n0\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", str(path), "--rule", "opt")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: m must be at most {CANDIDATE_LIMIT}, got 5000000\n"
+
+
 def test_gen_random_respects_seed_flag(capsys):
     code_a, out_a, _ = run(capsys, "gen", "random", "--param", "n=4", "--param", "m=5", "--seed", "3")
     code_b, out_b, _ = run(capsys, "gen", "random", "--param", "n=4", "--param", "m=5", "--seed", "3")
@@ -267,6 +295,14 @@ def test_verify_rejects_nonpositive_sweep_sizes(capsys, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: {flag[2:].replace('-', '_')} must be a positive integer, got {value}\n"
+
+
+def test_verify_hypergeom_over_enumeration_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "hypergeom", "--m-max", "40")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: m_max=40 would enumerate more than 1000000 subsets\n"
 
 
 def test_verify_unknown_suite_exits_2(capsys):

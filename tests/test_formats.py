@@ -1,12 +1,13 @@
 """Instance and ranked-profile file formats: round trips and diagnostics."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fvr.core import ValidationError, build_instance, build_ranked_profile
+from fvr.core import CANDIDATE_LIMIT, ValidationError, build_instance, build_ranked_profile
 from fvr.formats import (
     ParseError,
+    _parse_index_line,
     parse_instance,
     parse_ranked,
     serialize_instance,
@@ -87,6 +88,64 @@ def test_parse_error_reports_column():
         parse_instance("fvr 1\nm 9\nn 1\n0 3 9\n")
     assert excinfo.value.line == 4
     assert excinfo.value.column == 5
+
+
+def error_position(exc):
+    return exc.line, exc.column, exc.reason
+
+
+VOTER_LINES = st.one_of(
+    st.text(alphabet="0123456789 \u00b2x", max_size=12),
+    st.lists(st.integers(0, 40), max_size=6).map(lambda xs: " ".join(map(str, xs))),
+)
+
+
+@given(VOTER_LINES, st.integers(1, 30))
+@example("", 3)
+@example("0 1 2", 3)
+@example("0 1 3", 3)
+@example("007 8", 9)
+@example("1 1", 3)
+@example("2 1", 3)
+@example("0  1", 3)
+@example(" 0", 3)
+@example("0 ", 3)
+@example("1 \u00b2", 3)
+@example("\u0663", 5)
+def test_voter_line_fast_path_matches_per_token_parse(line, m):
+    """Every voter line parses to the same row, or fails at the same place
+    with the same text, as the per-token check alone gives."""
+    text = f"fvr 1\nm {m}\nn 1\n{line}\n"
+    try:
+        expected = frozenset(_parse_index_line(line, 4, m, strictly_increasing=True))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as excinfo:
+            parse_instance(text)
+        assert error_position(excinfo.value) == error_position(exc)
+    else:
+        inst, _, _ = parse_instance(text)
+        assert inst.approvals == (expected,)
+
+
+@pytest.mark.parametrize(
+    "parse, header, row",
+    [(parse_instance, "fvr 1", "0"), (parse_ranked, "fvr-ranked 1", "0")],
+)
+def test_candidate_count_over_the_limit_is_a_parse_error_on_line_2(parse, header, row):
+    with pytest.raises(ParseError) as excinfo:
+        parse(f"{header}\nm {CANDIDATE_LIMIT + 1}\nn 1\n{row}\n")
+    assert error_position(excinfo.value) == (
+        2,
+        None,
+        f"m must be at most {CANDIDATE_LIMIT}, got {CANDIDATE_LIMIT + 1}",
+    )
+
+
+def test_candidate_count_at_the_limit_parses():
+    inst, _, _ = parse_instance(f"fvr 1\nm {CANDIDATE_LIMIT}\nn 1\n{CANDIDATE_LIMIT - 1}\n")
+    assert inst.m == CANDIDATE_LIMIT
+    ranking = " ".join(map(str, range(CANDIDATE_LIMIT)))
+    assert parse_ranked(f"fvr-ranked 1\nm {CANDIDATE_LIMIT}\nn 1\n{ranking}\n").m == CANDIDATE_LIMIT
 
 
 @given(st.data())

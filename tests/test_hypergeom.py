@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from fvr.core import ValidationError
-from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
+from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from fvr.oracles import gen_random_instance
 
 
@@ -97,6 +97,26 @@ def test_multiwinner_bound_validation():
         multiwinner_bound(4, Fraction(1, 2), 2, 0)
     with pytest.raises(ValidationError):
         multiwinner_bound(4, Fraction(3, 2), 2, 1)
+
+
+def test_miss_prob_is_the_cdf_below_the_target():
+    for m in range(7):
+        for size in range(m + 1):
+            for k in range(m + 1):
+                for t in range(-1, k + 3):
+                    assert miss_prob(m, size, k, t) == hyp_cdf(HypParams(m, size, k), t - 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(4, 5, 2), (4, 2, 5), (4, -1, 2), (4, 2, -1), (-1, 0, 0), (4, True, 2), (4.0, 2, 2), (4, 2, "2")],
+)
+def test_miss_prob_rejects_what_hyp_params_rejects(args):
+    with pytest.raises(ValidationError) as expected:
+        HypParams(*args)
+    with pytest.raises(ValidationError) as actual:
+        miss_prob(*args, 1)
+    assert str(actual.value) == str(expected.value)
 
 
 def committee_reach_counts(inst, i, k):

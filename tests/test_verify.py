@@ -34,6 +34,16 @@ def test_pvc_block_over_budget_lists_no_rankings():
     assert peak < 1_000_000
 
 
+def test_hypergeom_enumeration_budget():
+    # m_max=12 enumerates 745,472 subsets and m_max=13 1,720,320; the budget is 10**6.
+    from fvr.core import SizeLimitError
+    from fvr.verify import _build_hypergeom
+
+    assert len(_build_hypergeom(None, 12, None, None)) == 13 + 17 + 1
+    with pytest.raises(SizeLimitError, match="m_max=13 would enumerate more than 1000000 subsets"):
+        _build_hypergeom(None, 13, None, None)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
