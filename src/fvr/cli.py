@@ -11,12 +11,13 @@ parse errors.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 from .core import (
     Constant,
@@ -87,7 +88,7 @@ def _write_out(path: str | None, payload: str) -> None:
         Path(path).write_text(payload, encoding="utf-8")
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     inst, k_file, t_file = parse_instance(Path(args.file).read_text(encoding="utf-8"))
     kind, payload = _parse_rule(args.rule)
     lines = [f"rule: {args.rule}", f"m: {inst.m}", f"n: {inst.n}"]
@@ -121,7 +122,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: SimpleNamespace) -> int:
     names = [token.strip() for token in args.rules.split(",") if token.strip()]
     if not names:
         raise ValidationError("no rules given")
@@ -162,7 +163,7 @@ def _parse_param_value(key: str, raw: str) -> object:
     return as_frac(raw)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     params: dict[str, object] = {}
     for item in args.param or []:
         key, sep, raw = item.partition("=")
@@ -176,7 +177,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     result = run_suite(
         args.suite,
         jobs=args.jobs,
@@ -192,72 +193,182 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
-def _cmd_pvc(args: argparse.Namespace) -> int:
+def _cmd_pvc(args: SimpleNamespace) -> int:
     profile = parse_ranked(Path(args.file).read_text(encoding="utf-8"))
     core = strong_pvc(profile)
     print("EMPTY" if not core else " ".join(str(a) for a in sorted(core)))
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fvr",
-        description="Exact-arithmetic tools for flexibility-weighted approval voting.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
 
-    solve = sub.add_parser("solve", help="pick a winner or committee and audit it")
-    solve.add_argument("file", help="instance file (version-1 text format)")
-    solve.add_argument(
-        "--rule",
-        required=True,
-        help="approval | threshold:<s> | power:<p> | opt | seq | expanded",
-    )
-    solve.add_argument("--k", type=int, help="committee size (multi-winner rules)")
-    solve.add_argument("--t", type=int, help="per-voter approval target (multi-winner rules)")
-    solve.set_defaults(func=_cmd_solve)
+# One entry per subcommand: (handler, summary, positionals, flags).  A
+# positional is (name, help, choices or None).  A flag is (name, kind,
+# default, metavar, help), where kind is int, str or list (a str that may
+# repeat, kept in order) and a default of REQUIRED makes the flag mandatory.
+# _parse_args and the help text read this table and nothing else.
+COMMANDS = {
+    "solve": (
+        _cmd_solve,
+        "pick a winner or committee and audit it",
+        (("file", "instance file (version-1 text format)", None),),
+        (
+            ("--rule", str, REQUIRED, "RULE", "approval|threshold:<s>|power:<p>|opt|seq|expanded"),
+            ("--k", int, None, "K", "committee size (multi-winner rules)"),
+            ("--t", int, None, "T", "per-voter approval target (multi-winner rules)"),
+        ),
+    ),
+    "curve": (
+        _cmd_curve,
+        "emit guarantee curves as CSV",
+        (),
+        (
+            ("--rules", str, REQUIRED, "RULES", "comma-separated closed-form rules"),
+            ("--s-grid", int, 50, "G", "grid density g: thresholds i/(2g) for i in 1..2g-1"),
+            ("--out", str, None, "PATH", "output path (default: stdout)"),
+        ),
+    ),
+    "gen": (
+        _cmd_gen,
+        "write a generated instance file",
+        (("name", "generator name", generator_names()),),
+        (
+            ("--param", list, None, "KEY=VALUE", "generator parameter: r=7/12, w=1/4:1,1/2:1"),
+            ("--seed", int, None, "SEED", "seed for the random generator"),
+            ("--out", str, None, "PATH", "output path (default: stdout)"),
+        ),
+    ),
+    "verify": (
+        _cmd_verify,
+        "run a named invariant suite",
+        (("suite", "suite name", SUITE_NAMES),),
+        (
+            ("--n-max", int, None, "N", "sweep ceiling on voters"),
+            ("--m-max", int, None, "M", "sweep ceiling on candidates / population"),
+            ("--budget", int, None, "B", "enumeration or sampling budget"),
+            ("--seed", int, None, "SEED", "seed for sampled checks"),
+            ("--jobs", int, 1, "J", "worker processes"),
+        ),
+    ),
+    "pvc": (
+        _cmd_pvc,
+        "strong proportional veto core of a ranked profile",
+        (("file", "ranked-profile file (version-1 text format)", None),),
+        (),
+    ),
+}
+HELP = ("-h", "--help")
 
-    curve = sub.add_parser("curve", help="emit guarantee curves as CSV")
-    curve.add_argument("--rules", required=True, help="comma-separated closed-form rules")
-    curve.add_argument(
-        "--s-grid",
-        type=int,
-        default=50,
-        help="grid density g: thresholds i/(2g) for i in 1..2g-1 (default 50)",
-    )
-    curve.add_argument("--out", help="output path (default: stdout)")
-    curve.set_defaults(func=_cmd_curve)
 
-    gen = sub.add_parser("gen", help="write a generated instance file")
-    gen.add_argument("name", choices=generator_names(), help="generator name")
-    gen.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="generator parameter; fractions like r=7/12, tables like w=1/4:1,1/2:1",
-    )
-    gen.add_argument("--seed", type=int, help="seed for the random generator")
-    gen.add_argument("--out", help="output path (default: stdout)")
-    gen.set_defaults(func=_cmd_gen)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    verify = sub.add_parser("verify", help="run a named invariant suite")
-    verify.add_argument("suite", choices=SUITE_NAMES, help="suite name")
-    verify.add_argument("--n-max", type=int, help="sweep ceiling on voters")
-    verify.add_argument("--m-max", type=int, help="sweep ceiling on candidates / population")
-    verify.add_argument("--budget", type=int, help="enumeration or sampling budget")
-    verify.add_argument("--seed", type=int, help="seed for sampled checks")
-    verify.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    verify.set_defaults(func=_cmd_verify)
 
-    pvc = sub.add_parser("pvc", help="strong proportional veto core of a ranked profile")
-    pvc.add_argument("file", help="ranked-profile file (version-1 text format)")
-    pvc.set_defaults(func=_cmd_pvc)
+def _help(command: str | None) -> str:
+    """Help text for ``fvr --help`` or ``fvr COMMAND --help``; its first line is the usage."""
+    if command is None:
+        usage = ["COMMAND", "[ARGS...]"]
+        summary = "Exact-arithmetic tools for flexibility-weighted approval voting."
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+        footer = (
+            "Run 'fvr COMMAND --help' for its arguments.  Exit codes: 0 success,\n"
+            "1 a suite found violations, 2 usage or parse errors."
+        )
+    else:
+        _, summary, positionals, flags = COMMANDS[command]
+        usage = [command]
+        rows = []
+        for name, text, choices in positionals:
+            usage.append(name.upper())
+            rows.append((name.upper(), f"{text}: {', '.join(choices)}" if choices else text))
+        for flag, kind, default, metavar, text in flags:
+            word = f"{flag} {metavar}"
+            usage.append(word if default is REQUIRED else f"[{word}]" + "..." * (kind is list))
+            if default is not None:
+                text += " (required)" if default is REQUIRED else f" (default {default})"
+            rows.append((word, text))
+        footer = "Flags take --flag value or --flag=value; integers are ASCII digits."
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    body = [f"  {left.ljust(width)}  {right}" for left, right in rows]
+    return "\n".join([" ".join(["usage: fvr", *usage]), "", summary, "", *body, "", footer, ""])
 
-    return parser
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    usage = _help(command).partition("\n")[0]
+    sys.stderr.write(f"error: {message}\n{usage}\n")
+    raise SystemExit(2)
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether ``arg`` is a flag: it starts with '-' and is neither '-' nor a negative number."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdecimal()
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` against :data:`COMMANDS`.
+
+    The command comes first; its positionals and flags follow in any order,
+    each flag as ``--flag value`` or ``--flag=value``; a repeated flag keeps
+    the last value unless its kind is list.  ``--`` makes every later
+    argument a positional.  An integer flag takes an optional '-' and ASCII
+    digits.  ``-h``/``--help`` prints help and exits 0; a usage error prints
+    an ``error:`` line and the usage and exits 2.
+    """
+    if argv[:1] and argv[0] in HELP:
+        sys.stdout.write(_help(None))
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "missing command"
+        _usage_error(None, f"{got}; choose from " + ", ".join(COMMANDS))
+    command, *rest = argv
+    handler, _, positionals, flags = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _, _ in flags}
+    values: dict[str, object] = {"command": command, "func": handler}
+    for flag, _, default, _, _ in flags:
+        values[_dest(flag)] = None if default is REQUIRED else default
+    given: list[str] = []
+    args = iter(rest)
+    for arg in args:
+        if arg == "--":
+            given.extend(args)
+        elif arg in HELP:
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        elif not _is_flag(arg):
+            given.append(arg)
+        else:
+            flag, eq, value = arg.partition("=")
+            if flag not in kinds:
+                _usage_error(command, f"unknown flag {flag}")
+            if not eq:
+                value = next(args, None)
+                if value is None or _is_flag(value):
+                    _usage_error(command, f"{flag} needs a value")
+            dest, kind = _dest(flag), kinds[flag]
+            if kind is int:
+                if not is_numeral(value.removeprefix("-")):
+                    _usage_error(command, f"{flag} must be an integer, got {value!r}")
+                value = int(value)
+            elif kind is list:
+                value = [*(values[dest] or ()), value]
+            values[dest] = value
+    if len(given) > len(positionals):
+        _usage_error(command, f"unexpected argument {given[len(positionals)]!r}")
+    if len(given) < len(positionals):
+        _usage_error(command, f"missing {positionals[len(given)][0].upper()}")
+    for (name, text, choices), value in zip(positionals, given):
+        if choices is not None and value not in choices:
+            _usage_error(command, f"unknown {text} {value!r}; choose from " + ", ".join(choices))
+        values[name] = value
+    for flag, _, default, _, _ in flags:
+        if default is REQUIRED and values[_dest(flag)] is None:
+            _usage_error(command, f"missing {flag}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError) as exc:

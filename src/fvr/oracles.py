@@ -92,6 +92,7 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     more than ceil(n*per_voter/m) approvals.
     """
     _require_ints(n=n, m=m, per_voter=per_voter)
+    _check_voter_budget(n)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
     counts = [0] * m
@@ -118,6 +119,7 @@ def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, in
     it.  Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n, m=m)
+    _check_voter_budget(n)
     sv, rv = open_unit(s), as_frac(r)
     if not Frac(0) < rv < 1 / (1 + sv):
         raise ValidationError(f"need 0 < r < 1/(1+s) = {1 / (1 + sv)}, got r={rv}")
@@ -144,6 +146,7 @@ def gen_power_gap(n: int, m: int, s: object, r: object, p: int) -> tuple[Instanc
     f^p*(1-f).  Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n, m=m)
+    _check_voter_budget(n)
     sv, rv = as_frac(s), as_frac(r)
     bound = closed_form_fvr(Power(p), sv).value
     if not Frac(0) < rv < bound:
@@ -177,6 +180,7 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n)
+    _check_voter_budget(n)
     fv, fpv = as_frac(f), as_frac(fprime)
     wf = eval_weight(w, fv)
     if wf == 0:
@@ -245,6 +249,7 @@ def gen_jr_hard(m: int, k: int) -> Instance:
     if int_at_least(m, "m") <= k:
         raise ValidationError(f"need m > k, got m={m!r}, k={k!r}")
     group = m - k + 1
+    _check_voter_budget(k * group)
     rows: list[set[int]] = []
     for j in range(k - 1):
         rows.extend({j} for _ in range(group))
@@ -261,12 +266,15 @@ def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     if int_at_least(m, "m", 1) > CANDIDATE_LIMIT:
         raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {m}")
     _check_voter_budget(n)
+    if n < 1:
+        raise ValidationError("need at least one voter")
     rng = random.Random(seed)
     rows = []
     for _ in range(n):
         mask = rng.getrandbits(m)
-        rows.append({c for c in range(m) if mask >> c & 1})
-    return build_instance(m, rows)
+        rows.append(frozenset(c for c in range(m) if mask >> c & 1))
+    # Every index is in 0..m-1 by construction, so build_instance's checks are skipped.
+    return Instance(m, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -365,3 +365,52 @@ def test_solve_expanded_matches_reference_and_is_deterministic(capsys, tmp_path)
     expected = reference_expanded_rule(inst, MultiParams(5, 2))
     committee = "committee: " + " ".join(str(a) for a in expected.members)
     assert committee in first.splitlines()
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", " 3"])
+def test_integer_flags_take_ascii_digits_only(capsys, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "opt", "--n-max", value, "--m-max", "2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --n-max must be an integer, got {value!r}\n")
+
+
+OVER = COMMITTEE_LIMIT + 1
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("spread", (f"n={OVER}", "m=3", "L=1")),
+        ("approval_gap", (f"n={OVER}", "m=10", "s=1/2", "r=1/2")),
+        ("power_gap", (f"n={OVER}", "m=10", "s=1/2", "r=1/10", "p=2")),
+        ("weight_gap", ("w=1/4:1,1/2:1", "f=1/4", "fprime=1/2", f"n={OVER}")),
+        # k * (m - k + 1) voters: 100001 * 2
+        ("jr_hard", ("m=100002", "k=100001")),
+    ],
+)
+def test_gen_over_voter_budget_exits_2_at_once(capsys, name, params):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", name, *(f"--param={p}" for p in params))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "voters exceed the limit" in err
+
+
+def test_gen_voter_budget_admits_the_limit(capsys):
+    code, out, _ = run(capsys, "gen", "spread", f"--param=n={COMMITTEE_LIMIT}", "--param=m=1", "--param=L=0")
+    assert code == 0 and out.startswith(f"fvr 1\nm 1\nn {COMMITTEE_LIMIT}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", "--help"], ["gen", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    command = argv[0] if argv[0] in ("solve", "gen") else "COMMAND"
+    assert out.startswith(f"usage: fvr {command}")
+    if command == "gen":
+        assert "party_split" in out

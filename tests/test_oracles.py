@@ -1,5 +1,6 @@
 """Generators, exhaustive enumeration, and the ranked-ballot veto core."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import ceil
@@ -190,6 +191,21 @@ def test_gen_random_instance_is_seed_deterministic():
     c = gen_random_instance(5, 6, seed=12)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (7, 5, 3), (40, 40, 1), (3, 130, 9)])
+def test_gen_random_instance_equals_checked_build(n, m, seed):
+    """The rows, built without build_instance's per-index checks, are the ones it accepts."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(m) for _ in range(n)]
+    rows = [{c for c in range(m) if mask >> c & 1} for mask in masks]
+    assert gen_random_instance(n, m, seed=seed) == build_instance(m, rows)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_gen_random_instance_needs_a_voter(n):
+    with pytest.raises(ValidationError, match="^need at least one voter$"):
+        gen_random_instance(n, 3)
 
 
 def test_gen_random_instance_rejects_bad_counts_and_seeds():

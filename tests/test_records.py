@@ -134,14 +134,24 @@ def imported_modules(stderr):
     return {line.rpartition("|")[2].strip() for line in stderr.splitlines() if "|" in line}
 
 
-@pytest.mark.parametrize("rule", ["opt", "seq"])
-def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path, rule):
+# Stdlib modules that start-up once paid for on every call: dataclasses and
+# inspect (the records), argparse, and gettext and locale, which argparse loads.
+HEAVY_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("invocation", ["import", "opt", "seq", "verify", "help"])
+def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path, invocation):
     path = tmp_path / "party.fvr"
     path.write_text("fvr 1\nm 4\nn 2\n0 1\n2 3\nk 2\nt 1\n", encoding="utf-8")
-    importing = run_python("-c", "import fvr.cli")
-    solving = run_python("-m", "fvr.cli", "solve", str(path), "--rule", rule)
-    for result in (importing, solving):
-        assert result.returncode == 0, result.stderr
-        modules = imported_modules(result.stderr)
-        assert "fvr.core" in modules
-        assert not {"dataclasses", "inspect"} & modules
+    args = {
+        "import": ("-c", "import fvr.cli"),
+        "opt": ("-m", "fvr.cli", "solve", str(path), "--rule", "opt"),
+        "seq": ("-m", "fvr.cli", "solve", str(path), "--rule", "seq"),
+        "verify": ("-m", "fvr.cli", "verify", "opt", "--n-max", "1", "--m-max", "2"),
+        "help": ("-m", "fvr.cli", "--help"),
+    }[invocation]
+    result = run_python(*args)
+    assert result.returncode == 0, result.stderr
+    modules = imported_modules(result.stderr)
+    assert "fvr.core" in modules
+    assert not HEAVY_MODULES & modules
