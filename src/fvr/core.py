@@ -33,6 +33,7 @@ __all__ = [
     "RankedProfile",
     "build_ranked_profile",
     "flexibility",
+    "flexible_size",
     "flexibility_grid",
     "Constant",
     "Threshold",
@@ -41,6 +42,7 @@ __all__ = [
     "Table",
     "WeightFn",
     "eval_weight",
+    "weight_ratio",
     "Committee",
     "AuditCurve",
 ]
@@ -150,7 +152,8 @@ def as_frac(x: object) -> Frac:
 def open_unit(x: object, what: str = "threshold") -> Frac:
     """``as_frac(x)``, checked to lie strictly inside (0, 1); ``what`` names it in the error."""
     value = as_frac(x)
-    if not 0 < value < 1:
+    # A Fraction's denominator is positive, so this is 0 < value < 1 in ints.
+    if not 0 < value.numerator < value.denominator:
         raise ValidationError(f"{what} {value} lies outside (0,1)")
     return value
 
@@ -241,6 +244,15 @@ def flexibility(inst: Instance, i: int) -> Frac:
     if not 0 <= i < inst.n:
         raise ValidationError(f"no voter {i}: instance has {inst.n} voters")
     return Frac(len(inst.approvals[i]), inst.m)
+
+
+def flexible_size(s: Frac, m: int) -> int:
+    """ceil(s*m), in ints: the fewest approvals that make a voter s-flexible.
+
+    A voter approving ``size`` of ``m`` candidates is s-flexible exactly when
+    ``size >= flexible_size(s, m)``, since ``size`` is an integer.
+    """
+    return -(-s.numerator * m // s.denominator)
 
 
 def flexibility_grid(m: int) -> tuple[Frac, ...]:
@@ -349,17 +361,29 @@ WeightFn = Union[Constant, Threshold, Power, Optimal, Table]
 def eval_weight(w: WeightFn, f: object) -> Frac:
     """Evaluate a weight function at a flexibility in (0, 1)."""
     flex = open_unit(f, "flexibility")
+    return Fraction(*weight_ratio(w, flex.numerator, flex.denominator))
+
+
+def weight_ratio(w: WeightFn, size: int, m: int) -> tuple[int, int]:
+    """w(size/m) as an int pair (numerator, denominator > 0), for 0 < size < m.
+
+    The pair need not be in lowest terms.  Scoring adds weights as ints
+    over a common denominator, so it never builds the ``Fraction``.
+    """
     if isinstance(w, Constant):
-        return Fraction(1)
+        return 1, 1
     if isinstance(w, Threshold):
-        return Fraction(1) if flex >= w.s0 else Fraction(0)
+        s0 = w.s0
+        return int(size * s0.denominator >= s0.numerator * m), 1
     if isinstance(w, Power):
-        return flex**w.p
+        return size**w.p, m**w.p
     if isinstance(w, Optimal):
-        return w.c / (1 - flex)
+        # c / (1 - size/m) = c * m / (m - size)
+        return w.c.numerator * m, w.c.denominator * (m - size)
     if isinstance(w, Table):
+        flex = Fraction(size, m)
         try:
-            return w._by_flex[flex]
+            return w._by_flex[flex].as_integer_ratio()
         except KeyError:
             raise ValidationError(f"weight table has no entry for flexibility {flex}") from None
     raise ValidationError(f"not a weight function: {w!r}")

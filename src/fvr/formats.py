@@ -34,8 +34,6 @@ value is rejected before anything is built for it.
 
 from __future__ import annotations
 
-import re
-
 from .core import CANDIDATE_LIMIT, Instance, RankedProfile, ValidationError, is_numeral
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
 
 INSTANCE_HEADER = "fvr 1"
 RANKED_HEADER = "fvr-ranked 1"
-# A voter line that is nothing but ASCII numerals separated by single spaces.
-PLAIN_LINE = re.compile("[0-9]+( [0-9]+)*")
 
 
 class ParseError(ValueError):
@@ -126,16 +122,22 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     n = _parse_count(lines, 2, "n")
     if len(lines) < 3 + n:
         raise ParseError(len(lines) + 1, f"expected {n} voter lines, found {len(lines) - 3}")
+    # Fast path: each token is looked up among the canonical numerals
+    # "0".."m-1", so a found token is an index in range; the line is valid
+    # when its indices strictly increase.  Any other line (a missing key,
+    # such as "", "07" or "m"; a repeat; a descent) gets the per-token
+    # check, which accepts "07" and words every error.
+    index_of = {str(a): a for a in range(m)}.__getitem__
     rows = []
     for i in range(n):
         line = lines[3 + i]
-        # Fast path: a plain line whose indices increase and stay below m is
-        # valid as it stands.  Any other line, empty or not, gets the
-        # per-token check, which also words any error.
-        if PLAIN_LINE.fullmatch(line):
-            values = list(map(int, line.split(" ")))
+        try:
+            values = list(map(index_of, line.split(" ")))
+        except KeyError:
+            pass
+        else:
             row = frozenset(values)
-            if values[-1] < m and sorted(row) == values:
+            if len(row) == len(values) and sorted(values) == values:
                 rows.append(row)
                 continue
         rows.append(frozenset(_parse_index_line(line, 4 + i, m, strictly_increasing=True)))

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb
+from math import comb
 
-from .core import Frac, ValidationError, int_at_least, open_unit, record
+from .core import Frac, ValidationError, flexible_size, int_at_least, open_unit, record
 
 __all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
@@ -27,6 +27,8 @@ class HypParams:
 
     def __post_init__(self) -> None:
         p, k, d = self.population, self.successes, self.draws
+        if type(p) is type(k) is type(d) is int and 0 <= k <= p and 0 <= d <= p:
+            return  # valid: the checks below only word what is wrong
         for name, v in (("population", p), ("successes", k), ("draws", d)):
             int_at_least(v, name)
         if k > p:
@@ -47,19 +49,22 @@ def _pmf(population: int, successes: int, draws: int, t: int) -> Frac:
 
 @lru_cache(maxsize=None)
 def _cdf(population: int, successes: int, draws: int, upper: int) -> Frac:
-    total = Fraction(0)
-    for t in range(0, upper + 1):
-        total += _pmf(population, successes, draws, t)
-    return total
+    # The favourable draws for t = 0..upper, summed as ints over their common
+    # count of all draws; ``upper`` <= min(successes, draws), so every term is
+    # a valid binomial product (0 where draws - t exceeds the failures).
+    failures = population - successes
+    favourable = sum(comb(successes, t) * comb(failures, draws - t) for t in range(upper + 1))
+    return Fraction(favourable, comb(population, draws))
 
 
 def hyp_pmf(params: HypParams, t: int) -> Frac:
     """Probability of drawing exactly ``t`` successes.
 
     Any integer ``t`` is accepted; arguments outside the support return 0.
-    Callers rely on that: the sequential committee rule probes the mass
-    function at shifted arguments that go negative once a voter is already
-    satisfied, and those probes must vanish rather than fail.
+    Callers rely on that: the reference loop of the sequential committee
+    rule probes the mass function at shifted arguments that go negative
+    once a voter is already satisfied, and those probes must vanish rather
+    than fail.
     """
     return _pmf(params.population, params.successes, params.draws, t)
 
@@ -100,4 +105,4 @@ def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
         raise ValidationError(f"need 1 <= k < m, got k={k}, m={m}")
     if not 1 <= t <= k:
         raise ValidationError(f"need 1 <= t <= k, got t={t}, k={k}")
-    return miss_prob(m, ceil(sv * m), k, t)
+    return miss_prob(m, flexible_size(sv, m), k, t)

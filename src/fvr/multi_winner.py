@@ -20,12 +20,13 @@ from .core import (
     Instance,
     SizeLimitError,
     ValidationError,
+    flexible_size,
     int_at_least,
     open_unit,
     record,
 )
-from .hypergeom import _pmf, miss_prob
-from .single_winner import argmax, audit_curve, common_units, weighted_counts
+from .hypergeom import miss_prob
+from .single_winner import argmax, audit_curve, common_units, unit_counts
 
 __all__ = [
     "COMMITTEE_LIMIT",
@@ -176,13 +177,13 @@ def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
             voters_of[a].append(i)
         by_size.setdefault(len(approved), []).append(i)
     approvers = [_bitset(voters, n) for voters in voters_of]
-    weights, masks = [], []
+    misses, masks = [], []
     for size, voters in by_size.items():
         miss = miss_prob(m, size, k, t)
-        if 0 < miss < 1:
-            weights.append(1 / miss)
+        if 0 < miss.numerator < miss.denominator:
+            misses.append(miss)
             masks.append(_bitset(voters, n))
-    units, _ = common_units(weights)
+    units, _ = common_units([(miss.denominator, miss.numerator) for miss in misses])
     classes = list(zip(units, masks))
     everyone = (1 << n) - 1
     best: tuple[int, ...] = ()
@@ -211,7 +212,8 @@ def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
     target on every committee have reciprocal weight undefined (probability
     0) and are skipped; such voters can never be in the penalized group.
     The probability depends only on the approval size, so it is computed
-    once per size of the voters left short.
+    once per size of the voters left short; the sizes' reciprocals are
+    summed as ints over one denominator, and one Fraction is built.
     """
     members = _check_committee(inst, committee, t)
     k = len(members)
@@ -220,12 +222,14 @@ def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
         if len(approved & members) < t:
             size = len(approved)
             short[size] = short.get(size, 0) + 1
-    total = Fraction(0)
+    counts, misses = [], []
     for size, count in short.items():
         miss = miss_prob(inst.m, size, k, t)
         if miss:
-            total += count / miss
-    return total
+            counts.append(count)
+            misses.append(miss)
+    units, scale = common_units([(miss.denominator, miss.numerator) for miss in misses])
+    return Fraction(sum(c * u for c, u in zip(counts, units)), scale)
 
 
 def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
@@ -241,29 +245,41 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
 
     The weight depends only on a voter's class (approval size, overlap with
     the picks so far), so it is evaluated once per class and each class's
-    approvals are counted as plain ints.
+    approvals are counted as plain ints.  At pick j, for a voter with r
+    approved candidates left who needs x = t-1-overlap more of them besides
+    the next pick, the weight is C(r-1, x) * C(m-j-r, k-j-x) / C(m-j-1, k-j)
+    divided by her miss probability.  The denominator is the same for every
+    class and the reciprocal miss probabilities are int units over one
+    denominator, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
+    with the same argmax.
     """
     _check_k(inst, params.k)
     m, k, t = inst.m, params.k, params.t
     miss = {size: miss_prob(m, size, k, t) for size in {len(A) for A in inst.approvals}}
     # Only voters who approve someone and can miss the target ever carry weight.
+    sizes = [size for size, p in miss.items() if size and p]
+    units, _ = common_units([(miss[size].denominator, miss[size].numerator) for size in sizes])
+    unit = dict(zip(sizes, units))
     classes: dict[tuple[int, int], list[frozenset[int]]] = {}
     for approved in inst.approvals:
-        if approved and miss[len(approved)]:
+        if len(approved) in unit:
             classes.setdefault((len(approved), 0), []).append(approved)
     chosen: list[int] = []
     for j in range(1, k + 1):
         weighted = []
         for (size, overlap), rows in classes.items():
             remaining = size - overlap
+            needed = t - 1 - overlap
             if remaining > m - j:
                 # She approves every candidate still available, so her weight
                 # would raise all of them equally; the argmax cannot move.
                 continue
-            # Valid by construction: 1 <= remaining <= m - j and k < m.
-            weight = _pmf(m - j - 1, remaining - 1, k - j, t - 1 - overlap) / miss[size]
-            weighted.append((weight, rows))
-        counts, _ = weighted_counts(m, weighted)
+            if needed > k - j:
+                continue  # too few seats left to reach the target: weight 0
+            # Defined by construction: 1 <= remaining <= m - j, 0 <= needed <= k - j.
+            weight = comb(remaining - 1, needed) * comb(m - j - remaining, k - j - needed)
+            weighted.append((weight * unit[size], rows))
+        counts = unit_counts(m, weighted)
         best = argmax(counts, skip=chosen)
         chosen.append(best)
         if j < k:
@@ -300,11 +316,9 @@ def empirical_fvr_committee(inst: Instance, committee: Committee, s: object, t: 
     """Share of voters that are s-flexible yet approve fewer than ``t`` members."""
     sv = open_unit(s)
     members = _check_committee(inst, committee, t)
-    threshold_size = sv * inst.m
+    need = flexible_size(sv, inst.m)
     hits = sum(
-        1
-        for approved in inst.approvals
-        if len(approved) >= threshold_size and len(approved & members) < t
+        1 for approved in inst.approvals if len(approved) >= need and len(approved & members) < t
     )
     return Fraction(hits, inst.n)
 

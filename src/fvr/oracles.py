@@ -45,6 +45,7 @@ from .single_winner import ScoreVector, closed_form_fvr, ropt_winner
 __all__ = [
     "DEFAULT_SEED",
     "ENUMERATION_BUDGET",
+    "APPROVAL_LIMIT",
     "run_generator",
     "generator_names",
     "gen_spread",
@@ -71,6 +72,10 @@ DEFAULT_SEED = 2718
 
 ENUMERATION_BUDGET = 10**6
 
+# Cap on the approvals (the sum of |A| over voters) that a generator may
+# build; time, memory and the size of the file ``fvr gen`` writes grow with it.
+APPROVAL_LIMIT = 10**6
+
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -90,18 +95,19 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     Ties break toward the lowest index.  The greedy turn order keeps all
     approval counts within one of each other, so no candidate ends up with
     more than ceil(n*per_voter/m) approvals.
+
+    The greedy turns are a window sliding round the candidates: after i
+    voters, the least-approved candidates in (count, index) order are
+    i*per_voter mod m, then onward cyclically, so voter i approves the
+    ``per_voter`` candidates from there.  Cost: O(n*per_voter).
     """
     _require_ints(n=n, m=m, per_voter=per_voter)
-    _check_voter_budget(n)
+    int_at_least(m, "m", 1)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
-    counts = [0] * m
-    rows = []
-    for _ in range(n):
-        picks = sorted(range(m), key=lambda c: (counts[c], c))[:per_voter]
-        for c in picks:
-            counts[c] += 1
-        rows.append(picks)
+    _check_budget(n, m, n * per_voter)
+    window = range(per_voter)
+    rows = [[(i * per_voter + j) % m for j in window] for i in range(n)]
     return build_instance(m, rows)
 
 
@@ -119,7 +125,7 @@ def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, in
     it.  Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n, m=m)
-    _check_voter_budget(n)
+    _check_budget(n, m)
     sv, rv = open_unit(s), as_frac(r)
     if not Frac(0) < rv < 1 / (1 + sv):
         raise ValidationError(f"need 0 < r < 1/(1+s) = {1 / (1 + sv)}, got r={rv}")
@@ -146,7 +152,7 @@ def gen_power_gap(n: int, m: int, s: object, r: object, p: int) -> tuple[Instanc
     f^p*(1-f).  Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n, m=m)
-    _check_voter_budget(n)
+    _check_budget(n, m)
     sv, rv = as_frac(s), as_frac(r)
     bound = closed_form_fvr(Power(p), sv).value
     if not Frac(0) < rv < bound:
@@ -180,13 +186,13 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     Returns the instance and the special candidate (index 0).
     """
     _require_ints(n=n)
-    _check_voter_budget(n)
     fv, fpv = as_frac(f), as_frac(fprime)
+    m = lcm(fv.denominator, fpv.denominator)
+    _check_budget(n, m)
     wf = eval_weight(w, fv)
     if wf == 0:
         raise ValidationError(f"need w(f) > 0 at f={fv}")
     wfp = eval_weight(w, fpv)
-    m = lcm(fv.denominator, fpv.denominator)
     ell = int(fv * m)
     ell_prime = int(fpv * m)
     gap = ((1 - fv) * wf) / ((1 - fv) * wf + fpv * wfp)
@@ -210,13 +216,24 @@ def gen_symmetric(m: int, per_voter: int) -> Instance:
     _require_ints(m=m, per_voter=per_voter)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
-    _check_voter_budget(comb(m, per_voter))
+    _check_budget(0, m)  # before comb(m, per_voter), which is slow for a huge m
+    voters = comb(m, per_voter)
+    _check_budget(voters, approvals=voters * per_voter)
     return build_instance(m, combinations(range(m), per_voter))
 
 
-def _check_voter_budget(n: int) -> None:
-    if n > COMMITTEE_LIMIT:
-        raise SizeLimitError(f"{n} voters exceed the limit {COMMITTEE_LIMIT}")
+def _check_budget(voters: int, m: int = 0, approvals: int = 0) -> None:
+    """Reject a generator's sizes before it builds any row.
+
+    In this order: at most ``COMMITTEE_LIMIT`` voters, ``CANDIDATE_LIMIT``
+    candidates and ``APPROVAL_LIMIT`` approvals in all.
+    """
+    if voters > COMMITTEE_LIMIT:
+        raise SizeLimitError(f"{voters} voters exceed the limit {COMMITTEE_LIMIT}")
+    if m > CANDIDATE_LIMIT:
+        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {m}")
+    if approvals > APPROVAL_LIMIT:
+        raise SizeLimitError(f"{approvals} approvals exceed the limit {APPROVAL_LIMIT}")
 
 
 def gen_party_split(k: int, reps: int = 1) -> Instance:
@@ -229,7 +246,7 @@ def gen_party_split(k: int, reps: int = 1) -> Instance:
     """
     int_at_least(k, "slate size k", 2)
     int_at_least(reps, "replication factor", 1)
-    _check_voter_budget(2 * reps)
+    _check_budget(2 * reps, 2 * k, 2 * reps * k)
     first = set(range(k))
     second = set(range(k, 2 * k))
     return build_instance(2 * k, [first, second] * reps)
@@ -249,7 +266,8 @@ def gen_jr_hard(m: int, k: int) -> Instance:
     if int_at_least(m, "m") <= k:
         raise ValidationError(f"need m > k, got m={m!r}, k={k!r}")
     group = m - k + 1
-    _check_voter_budget(k * group)
+    # k-1 party groups bullet-vote; group pool voters approve group-1 each.
+    _check_budget(k * group, m, group * (m - 1))
     rows: list[set[int]] = []
     for j in range(k - 1):
         rows.extend({j} for _ in range(group))
@@ -263,9 +281,8 @@ def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     """Seeded uniform profile: each of n <= ``COMMITTEE_LIMIT`` voters
     approves a uniformly random subset of m <= ``CANDIDATE_LIMIT`` candidates."""
     _require_ints(n=n, m=m, seed=seed)
-    if int_at_least(m, "m", 1) > CANDIDATE_LIMIT:
-        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {m}")
-    _check_voter_budget(n)
+    int_at_least(m, "m", 1)
+    _check_budget(n, m)
     if n < 1:
         raise ValidationError("need at least one voter")
     rng = random.Random(seed)
@@ -488,17 +505,18 @@ def strong_pvc(profile: RankedProfile) -> frozenset[int]:
 
     A group of g voters weakly vetoes candidate ``a`` when every member
     prefers at least m - ceil(m*g/n) + 1 candidates to ``a``.  Only the
-    count of voters past the positional cutoff matters, so scanning group
-    sizes is equivalent to enumerating subsets.  May be empty.
+    count of voters past the positional cutoff matters, so such a group
+    exists exactly when the g-th largest position of ``a`` reaches the
+    cutoff; checking that for every g is equivalent to enumerating
+    subsets.  May be empty.
     """
     m, n = profile.m, profile.n
     positions = [{a: pos for pos, a in enumerate(ranking)} for ranking in profile.rankings]
+    # m - ceil(m*g/n) + 1 for g = 1..n in ints, as (m*g) // -n is -ceil(m*g/n).
+    cutoffs = [m + (m * g) // -n + 1 for g in range(1, n + 1)]
     surviving = set(range(m))
     for a in range(m):
-        for g in range(1, n + 1):
-            cutoff = m - ceil(Fraction(m * g, n)) + 1
-            ahead = sum(1 for pos in positions if pos[a] >= cutoff)
-            if ahead >= g:
-                surviving.discard(a)
-                break
+        column = sorted((pos[a] for pos in positions), reverse=True)
+        if any(pos >= cutoff for pos, cutoff in zip(column, cutoffs)):
+            surviving.discard(a)
     return frozenset(surviving)

@@ -27,9 +27,11 @@ from .core import (
     WeightFn,
     eval_weight,
     flexibility_grid,
+    flexible_size,
     int_at_least,
     open_unit,
     record,
+    weight_ratio,
 )
 
 __all__ = [
@@ -48,38 +50,49 @@ __all__ = [
 ScoreVector = tuple[Frac, ...]
 
 
-def common_units(weights: Sequence[Frac]) -> tuple[list[int], int]:
-    """Exact weights as integer numerators over one denominator.
+def common_units(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Exact ratios as integer numerators over one denominator.
 
-    ``scale`` is the lcm of all weight denominators, and weight ``i`` equals
-    exactly ``units[i] / scale``, so sums of weights become sums of ints.
+    ``ratios`` holds ``(numerator, denominator)`` pairs with positive
+    denominators.  ``scale`` is the lcm of the denominators, and ratio ``i``
+    equals exactly ``units[i] / scale``, so sums and comparisons of ratios
+    become sums and comparisons of ints.
     """
-    scale = lcm(*(wv.denominator for wv in weights))
-    return [wv.numerator * (scale // wv.denominator) for wv in weights], scale
+    scale = lcm(*(den for _, den in ratios))
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def weighted_counts(
-    m: int, classes: Iterable[tuple[Frac, Iterable[frozenset[int]]]]
+    m: int, classes: Iterable[tuple[tuple[int, int], Iterable[frozenset[int]]]]
 ) -> tuple[list[int], int]:
     """Exact weighted approval counts as integer numerators over one denominator.
 
     ``classes`` yields ``(weight, rows)`` pairs in which every row carries the
-    same weight.  Each weight becomes an int numerator over ``scale``
-    (:func:`common_units`), and each approval adds that int, so candidate
-    ``a`` scores exactly ``counts[a] / scale``.  Zero-weight classes are
-    never visited.
+    same weight, given as a ``(numerator, denominator)`` pair of ints.  Each
+    weight becomes an int numerator over ``scale`` (:func:`common_units`),
+    and each approval adds that int, so candidate ``a`` scores exactly
+    ``counts[a] / scale``.  Zero-weight classes are never visited.
     """
-    weighted = [(wv, rows) for wv, rows in classes if wv]
-    units, scale = common_units([wv for wv, _ in weighted])
+    classes = list(classes)
+    units, scale = common_units([ratio for ratio, _ in classes])
+    return unit_counts(m, zip(units, (rows for _, rows in classes))), scale
+
+
+def unit_counts(m: int, classes: Iterable[tuple[int, Iterable[frozenset[int]]]]) -> list[int]:
+    """Per-candidate sums of int weights: each row of a ``(unit, rows)`` class
+    adds ``unit`` to every candidate it approves.  Zero units are skipped."""
     counts = [0] * m
-    for unit, (_, rows) in zip(units, weighted):
-        for approved in rows:
-            for a in approved:
-                counts[a] += unit
-    return counts, scale
+    for unit, rows in classes:
+        if unit:
+            for approved in rows:
+                for a in approved:
+                    counts[a] += unit
+    return counts
 
 
-def _size_classes(inst: Instance, w: WeightFn) -> list[tuple[Frac, list[frozenset[int]]]]:
+def _size_classes(
+    inst: Instance, w: WeightFn
+) -> list[tuple[tuple[int, int], list[frozenset[int]]]]:
     """Voters grouped by approval size, with the weight each size carries.
 
     Sizes 0 and m are left out: those voters approve nobody or everybody, so
@@ -90,7 +103,7 @@ def _size_classes(inst: Instance, w: WeightFn) -> list[tuple[Frac, list[frozense
     for approved in inst.approvals:
         by_size.setdefault(len(approved), []).append(approved)
     return [
-        (eval_weight(w, Fraction(size, inst.m)), rows)
+        (weight_ratio(w, size, inst.m), rows)
         for size, rows in by_size.items()
         if 0 < size < inst.m
     ]
@@ -131,10 +144,8 @@ def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
     sv = open_unit(s)
     if not 0 <= a < inst.m:
         raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    threshold_size = sv * inst.m
-    hits = sum(
-        1 for approved in inst.approvals if a not in approved and len(approved) >= threshold_size
-    )
+    need = flexible_size(sv, inst.m)
+    hits = sum(1 for approved in inst.approvals if len(approved) >= need and a not in approved)
     return Fraction(hits, inst.n)
 
 

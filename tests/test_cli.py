@@ -241,6 +241,23 @@ def test_gen_random_over_candidate_budget_exits_2(capsys):
     assert err == f"error: m must be at most {CANDIDATE_LIMIT}, got {m}\n"
 
 
+@pytest.mark.parametrize(
+    "name, params, m",
+    [
+        ("symmetric", ("m=20000", "L=0"), 20000),
+        ("spread", ("n=1", f"m={CANDIDATE_LIMIT + 1}", "L=0"), CANDIDATE_LIMIT + 1),
+        ("jr_hard", (f"m={CANDIDATE_LIMIT + 1}", "k=2"), CANDIDATE_LIMIT + 1),
+        ("party_split", (f"k={CANDIDATE_LIMIT // 2 + 1}",), CANDIDATE_LIMIT + 2),
+    ],
+)
+def test_every_generator_over_candidate_budget_exits_2_at_once(capsys, name, params, m):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", name, *(f"--param={p}" for p in params))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: m must be at most {CANDIDATE_LIMIT}, got {m}\n"
+
+
 def test_solve_with_huge_m_exits_2_before_allocating(capsys, tmp_path):
     path = tmp_path / "huge.fvr"
     path.write_text("fvr 1\nm 5000000\nn 1\n0\n", encoding="utf-8")

@@ -2,9 +2,7 @@
 replaced on every valid command line in use, and total on arbitrary argv."""
 
 import argparse
-import importlib.util
 import runpy
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -111,15 +109,8 @@ TEST_CLI_ARGV = [
 ]
 
 
-def perfbench_argv() -> list[list[str]]:
+def perfbench_argv(module) -> list[list[str]]:
     """Every command line in perfbench's workload table, with its set-up ``gen`` calls."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up by name
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
     argvs = []
     for workload in module.WORKLOADS.values():
         for f in workload.files:
@@ -152,10 +143,10 @@ def reference_values(argv) -> dict:
         pytest.fail(f"argparse rejected {argv!r} with exit {exc.code}")
 
 
-def test_parser_matches_reference_on_every_valid_argv_in_use(monkeypatch):
+def test_parser_matches_reference_on_every_valid_argv_in_use(monkeypatch, perfbench_run):
     scripts = script_argv(monkeypatch)
     assert scripts, "no script calls fvr.cli.main"
-    bench = perfbench_argv()
+    bench = perfbench_argv(perfbench_run)
     assert any(argv[0] == "verify" for argv in bench) and any(argv[0] == "gen" for argv in bench)
     for argv in TEST_CLI_ARGV + scripts + bench:
         assert vars(cli._parse_args(argv)) == reference_values(argv), argv

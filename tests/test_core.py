@@ -22,6 +22,7 @@ from fvr.core import (
     eval_weight,
     flexibility,
     flexibility_grid,
+    weight_ratio,
 )
 from fvr.hypergeom import HypParams
 from fvr.multi_winner import MultiParams
@@ -148,6 +149,28 @@ def test_optimal_family_identity(num, den, c):
         num = den - 1
     f = Fraction(num, den)
     assert eval_weight(Optimal(c), f) * (1 - f) == c
+
+
+@given(st.integers(2, 30).flatmap(lambda m: st.tuples(st.integers(1, m - 1), st.just(m))),
+       st.fractions(0, 1).filter(lambda x: 0 < x < 1), st.integers(1, 4), st.integers(1, 9))
+def test_weight_ratio_is_each_family_at_size_over_m(case, s0, p, c):
+    # The int pair need not be reduced; its value is the family's definition
+    # at f = size/m, written here in Fractions.
+    size, m = case
+    f = Fraction(size, m)
+    table = Table({f: Fraction(c, p)})
+    expected = {
+        Constant(): Fraction(1),
+        Threshold(s0): Fraction(int(f >= s0)),
+        Power(p): f**p,
+        Optimal(c): c / (1 - f),
+        table: Fraction(c, p),
+    }
+    for w, value in expected.items():
+        num, den = weight_ratio(w, size, m)
+        assert den > 0 and Fraction(num, den) == value == eval_weight(w, f)
+    with pytest.raises(ValidationError, match=f"no entry for flexibility {f}"):
+        weight_ratio(Table({Fraction(1, m + 1): 1}), size, m)
 
 
 def test_weight_family_validation():

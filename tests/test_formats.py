@@ -95,7 +95,7 @@ def error_position(exc):
 
 
 VOTER_LINES = st.one_of(
-    st.text(alphabet="0123456789 \u00b2x", max_size=12),
+    st.text(alphabet="0123456789 \u00b2\u0663\rx", max_size=12),
     st.lists(st.integers(0, 40), max_size=6).map(lambda xs: " ".join(map(str, xs))),
 )
 
@@ -103,18 +103,26 @@ VOTER_LINES = st.one_of(
 @given(VOTER_LINES, st.integers(1, 30))
 @example("", 3)
 @example("0 1 2", 3)
-@example("0 1 3", 3)
+@example("0 1 3", 3)  # index == m
+@example("3", 3)
 @example("007 8", 9)
-@example("1 1", 3)
-@example("2 1", 3)
-@example("0  1", 3)
+@example("07", 8)
+@example("0 07", 8)
+@example("1 1", 3)  # duplicate
+@example("0 2 2", 3)
+@example("2 1", 3)  # descending pair
+@example("0 2 1", 3)
+@example("0  1", 3)  # empty token
 @example(" 0", 3)
-@example("0 ", 3)
+@example("0 ", 3)  # trailing space
+@example("0 1\r", 3)
+@example("\r", 3)
 @example("1 \u00b2", 3)
 @example("\u0663", 5)
+@example("0 \u0663", 5)
 def test_voter_line_fast_path_matches_per_token_parse(line, m):
-    """Every voter line parses to the same row, or fails at the same place
-    with the same text, as the per-token check alone gives."""
+    """Every voter line parses to the same instance, or fails at the same
+    place with the same text, as the per-token check alone gives."""
     text = f"fvr 1\nm {m}\nn 1\n{line}\n"
     try:
         expected = frozenset(_parse_index_line(line, 4, m, strictly_increasing=True))
@@ -123,8 +131,7 @@ def test_voter_line_fast_path_matches_per_token_parse(line, m):
             parse_instance(text)
         assert error_position(excinfo.value) == error_position(exc)
     else:
-        inst, _, _ = parse_instance(text)
-        assert inst.approvals == (expected,)
+        assert parse_instance(text) == (build_instance(m, [expected]), None, None)
 
 
 @pytest.mark.parametrize(

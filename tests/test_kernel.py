@@ -1,12 +1,15 @@
 """The class-count kernels against the per-approval reference loops they replace.
 
 Every fast path must return exactly the same values as its reference:
-the same Fractions, the same winner, the same picks.
+the same Fractions, the same winner, the same picks.  The integer kernels
+(winner pick, point audits, committee penalty, veto cutoffs, open-interval
+check) are also held to their Fraction definitions, written out here.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -17,9 +20,14 @@ from fvr.core import (
     Power,
     Table,
     Threshold,
+    ValidationError,
+    as_frac,
     build_instance,
+    build_ranked_profile,
     flexibility_grid,
+    open_unit,
 )
+from fvr.hypergeom import miss_prob
 from fvr.multi_winner import (
     MultiParams,
     committee_score,
@@ -33,8 +41,10 @@ from fvr.oracles import (
     reference_expanded_rule,
     reference_score_all,
     reference_sequential_picks,
+    strong_pvc,
 )
 from fvr.single_winner import empirical_fvr_curve, empirical_fvr_point, score_all, winner
+from fvr.verify import strong_pvc_by_subsets
 
 unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
     lambda f: 0 < f < 1
@@ -64,18 +74,21 @@ def tables(draw, m):
     return Table(weights)
 
 
+def families(m):
+    """One strategy per weight family; the table family needs m > 1."""
+    return {
+        "constant": st.just(Constant()),
+        "optimal": unit_interval.filter(lambda c: c != 1).map(Optimal)
+        | st.integers(2, 9).map(Optimal),
+        "power": st.integers(1, 4).map(Power),
+        "threshold": unit_interval.map(Threshold),
+        **({"table": tables(m)} if m > 1 else {}),
+    }
+
+
 @st.composite
 def weight_functions(draw, m):
-    families = [
-        st.just(Constant()),
-        unit_interval.filter(lambda c: c != 1).map(Optimal)
-        | st.integers(2, 9).map(Optimal),
-        st.integers(1, 4).map(Power),
-        unit_interval.map(Threshold),
-    ]
-    if m > 1:
-        families.append(tables(m))
-    return draw(st.one_of(families))
+    return draw(st.one_of(list(families(m).values())))
 
 
 @given(st.data())
@@ -152,3 +165,123 @@ def test_expanded_rule_is_lowest_lex_argmin_of_committee_score(case):
         for members in combinations(range(inst.m), params.k)
     )
     assert expanded_rule(inst, params).members == first
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against their Fraction definitions.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["constant", "optimal", "power", "threshold", "table"])
+@given(data=st.data())
+def test_winner_is_the_argmax_of_the_fraction_scores(family, data):
+    inst = data.draw(instances().filter(lambda inst: inst.m > 1))
+    w = data.draw(families(inst.m)[family])
+    scores = score_all(inst, w)
+    assert winner(inst, w) == max(range(inst.m), key=scores.__getitem__)
+
+
+@st.composite
+def thresholds(draw, m):
+    """A threshold in (0, 1), often one with s*m integral (a voter exactly at it)."""
+    on_grid = st.integers(1, m - 1).map(lambda i: Fraction(i, m)) if m > 1 else unit_interval
+    return draw(st.one_of(on_grid, unit_interval))
+
+
+def flexible(approved, s, m):
+    return Fraction(len(approved), m) >= s
+
+
+@st.composite
+def committees(draw, inst):
+    return Committee(tuple(draw(st.frozensets(st.integers(0, inst.m - 1), min_size=1))))
+
+
+@st.composite
+def audit_cases(draw):
+    inst = draw(instances())
+    a = draw(st.integers(0, inst.m - 1))
+    return inst, draw(thresholds(inst.m)), a, draw(committees(inst))
+
+
+# s*m = 2 is integral and voter {0, 1} sits exactly at the threshold.
+@example((build_instance(4, [{0, 1}, {2, 3}, {1, 2, 3}, set()]), Fraction(1, 2), 1, Committee((0,))))
+@given(audit_cases())
+def test_point_audits_match_their_fraction_definitions(case):
+    inst, s, a, committee = case
+    expected = Fraction(
+        sum(1 for A in inst.approvals if flexible(A, s, inst.m) and a not in A), inst.n
+    )
+    assert empirical_fvr_point(inst, a, s) == expected
+    members = set(committee.members)
+    for t in range(1, committee.k + 1):
+        short = sum(1 for A in inst.approvals if flexible(A, s, inst.m) and len(A & members) < t)
+        assert empirical_fvr_committee(inst, committee, s, t) == Fraction(short, inst.n)
+
+
+def fraction_committee_score(inst, committee, t):
+    """Sum over voters left short of 1/miss, one Fraction addition per voter."""
+    members = set(committee.members)
+    total = Fraction(0)
+    for approved in inst.approvals:
+        if len(approved & members) < t:
+            miss = miss_prob(inst.m, len(approved), committee.k, t)
+            if miss:
+                total += 1 / miss
+    return total
+
+
+@st.composite
+def penalty_cases(draw):
+    inst = draw(instances())
+    committee = draw(committees(inst))
+    return inst, committee, draw(st.integers(1, committee.k))
+
+
+# Nobody is left short: the penalty is 0.
+@example((build_instance(4, [{0, 1}, {0, 2, 3}]), Committee((0,)), 1))
+# The voters left short are certain to miss (miss probability 1); the full one is not short.
+@example((build_instance(4, [set(), {0, 1, 2, 3}, {3}]), Committee((0, 1)), 2))
+@given(penalty_cases())
+def test_committee_score_matches_its_fraction_definition(case):
+    inst, committee, t = case
+    assert committee_score(inst, committee, t) == fraction_committee_score(inst, committee, t)
+
+
+@st.composite
+def ranked_profiles(draw):
+    m = draw(st.integers(1, 5))
+    rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=5))
+    return build_ranked_profile(m, rankings)
+
+
+@given(ranked_profiles())
+def test_strong_pvc_matches_the_subset_oracle(profile):
+    assert strong_pvc(profile) == strong_pvc_by_subsets(profile)
+
+
+def fraction_open_unit(x, what):
+    """The open-interval check with Fraction comparisons."""
+    value = as_frac(x)
+    if not 0 < value < 1:
+        raise ValidationError(f"{what} {value} lies outside (0,1)")
+    return value
+
+
+def outcome(check, x):
+    try:
+        return check(x, "threshold")
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "x", [0, 1, Fraction(-1, 2), Fraction(3, 2), "1/2", True, "0", "-1/3", Fraction(1, 3)]
+)
+def test_open_unit_matches_its_fraction_definition_at_the_edges(x):
+    assert outcome(open_unit, x) == outcome(fraction_open_unit, x)
+
+
+@given(st.fractions(min_value=-2, max_value=2, max_denominator=10))
+def test_open_unit_matches_its_fraction_definition(x):
+    assert outcome(open_unit, x) == outcome(fraction_open_unit, x)

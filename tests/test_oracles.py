@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvr.core import (
+    CANDIDATE_LIMIT,
     Committee,
     Constant,
     Power,
@@ -24,7 +25,8 @@ from fvr.core import (
 from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committee
 from fvr.oracles import (
-    _check_voter_budget,
+    APPROVAL_LIMIT,
+    _check_budget,
     enumerate_instances,
     enumerate_voter_multisets,
     gen_approval_gap,
@@ -55,6 +57,25 @@ def test_gen_spread_degenerate_sizes():
     assert all(A == frozenset(range(4)) for A in gen_spread(2, 4, 4).approvals)
     with pytest.raises(ValidationError):
         gen_spread(2, 4, 5)
+
+
+def greedy_spread(n, m, per_voter):
+    """The turn-taking definition: each voter takes the ``per_voter``
+    least-approved candidates, lowest index first on ties."""
+    counts = [0] * m
+    rows = []
+    for _ in range(n):
+        picks = sorted(range(m), key=lambda c: (counts[c], c))[:per_voter]
+        for c in picks:
+            counts[c] += 1
+        rows.append(frozenset(picks))
+    return tuple(rows)
+
+
+@given(st.integers(1, 15), st.integers(1, 9), st.data())
+def test_gen_spread_is_the_greedy_turn_order(n, m, data):
+    per_voter = data.draw(st.integers(0, m))
+    assert gen_spread(n, m, per_voter).approvals == greedy_spread(n, m, per_voter)
 
 
 @settings(max_examples=60)
@@ -164,12 +185,63 @@ def test_gen_party_split():
 def test_generators_reject_voter_counts_over_the_limit():
     # Exactly at the limit passes the check; actually building that many
     # rows is too slow and too large for a unit test.
-    _check_voter_budget(COMMITTEE_LIMIT)
+    _check_budget(COMMITTEE_LIMIT)
     over = f"{COMMITTEE_LIMIT + 2} voters exceed the limit {COMMITTEE_LIMIT}"
     with pytest.raises(SizeLimitError, match=over):
         gen_party_split(2, reps=COMMITTEE_LIMIT // 2 + 1)
     with pytest.raises(SizeLimitError, match=over):
         gen_random_instance(COMMITTEE_LIMIT + 2, 3)
+
+
+def test_generator_budgets_admit_their_limits():
+    _check_budget(COMMITTEE_LIMIT, CANDIDATE_LIMIT, APPROVAL_LIMIT)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # The candidate count, before any row is built.
+        (lambda: gen_spread(1, CANDIDATE_LIMIT + 1, 0), f"m must be at most {CANDIDATE_LIMIT}"),
+        (lambda: gen_symmetric(10**9, 5 * 10**8), f"m must be at most {CANDIDATE_LIMIT}"),
+        (lambda: gen_party_split(CANDIDATE_LIMIT // 2 + 1), f"m must be at most {CANDIDATE_LIMIT}"),
+        (lambda: gen_jr_hard(CANDIDATE_LIMIT + 1, CANDIDATE_LIMIT - 1), "m must be at most"),
+        (lambda: gen_approval_gap(10, CANDIDATE_LIMIT + 1, HALF, Fraction(1, 2)), "m must be at most"),
+        (lambda: gen_power_gap(10, CANDIDATE_LIMIT + 1, HALF, Fraction(1, 10), 2), "m must be at most"),
+        # lcm(101, 103) = 10403 candidates.
+        (
+            lambda: gen_weight_gap(
+                Table({Fraction(1, 101): 1, Fraction(1, 103): 1}),
+                Fraction(1, 101), Fraction(1, 103), 1000,
+            ),
+            f"m must be at most {CANDIDATE_LIMIT}, got 10403",
+        ),
+        # The approvals, the sum of |A| over voters.
+        (lambda: gen_spread(1001, 1000, 1000), "1001000 approvals exceed the limit"),
+        # C(22, 7) = 170544 voters (within their limit) of 7 approvals each.
+        (lambda: gen_symmetric(22, 7), "1193808 approvals exceed the limit"),
+        (lambda: gen_party_split(10, reps=50_001), "1000020 approvals exceed the limit"),
+        # (m - k + 1) * (m - 1) = 1001 * 1001.
+        (lambda: gen_jr_hard(1002, 2), "1002001 approvals exceed the limit"),
+    ],
+)
+def test_generators_reject_sizes_over_their_budgets_at_once(build, message):
+    with pytest.raises(SizeLimitError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build", [lambda: gen_spread(2, 4, 10**6), lambda: gen_symmetric(4, 10**6)])
+def test_an_out_of_range_per_voter_count_is_named_before_the_budgets(build):
+    with pytest.raises(ValidationError, match=r"per-voter approvals must be in 0\.\.4, got 1000000"):
+        build()
+
+
+def test_gen_weight_gap_checks_its_sizes_before_evaluating_the_weights():
+    # The table has no value at f or f', so evaluating it would fail.
+    table = Table({HALF: 1})
+    with pytest.raises(SizeLimitError, match=f"m must be at most {CANDIDATE_LIMIT}, got 10403"):
+        gen_weight_gap(table, Fraction(1, 101), Fraction(1, 103), 1000)
+    with pytest.raises(SizeLimitError, match="voters exceed the limit"):
+        gen_weight_gap(table, Fraction(1, 3), Fraction(1, 2), COMMITTEE_LIMIT + 1)
 
 
 def test_gen_jr_hard_structure():
