@@ -163,8 +163,9 @@ def serialize_instance(inst: Instance, k: int | None = None, t: int | None = Non
     if t is not None and k is None:
         raise ValidationError("cannot serialize t without k")
     parts = [INSTANCE_HEADER, f"m {inst.m}", f"n {inst.n}"]
-    for approved in inst.approvals:
-        parts.append(" ".join(str(a) for a in sorted(approved)))
+    # One numeral per candidate, not one str() per approval.
+    numeral = [str(a) for a in range(inst.m)].__getitem__
+    parts.extend(" ".join(map(numeral, sorted(approved))) for approved in inst.approvals)
     if k is not None:
         parts.append(f"k {k}")
     if t is not None:
@@ -197,6 +198,6 @@ def parse_ranked(text: str) -> RankedProfile:
 def serialize_ranked(profile: RankedProfile) -> str:
     """Canonical serialization of a ranked profile."""
     parts = [RANKED_HEADER, f"m {profile.m}", f"n {profile.n}"]
-    for ranking in profile.rankings:
-        parts.append(" ".join(str(a) for a in ranking))
+    numeral = [str(a) for a in range(profile.m)].__getitem__
+    parts.extend(" ".join(map(numeral, ranking)) for ranking in profile.rankings)
     return "\n".join(parts) + "\n"

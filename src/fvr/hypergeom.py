@@ -37,7 +37,13 @@ class HypParams:
             raise ValidationError(f"draws {d} cannot exceed population {p}")
 
 
-@lru_cache(maxsize=None)
+# Each cache holds at most CACHE_SIZE entries, so a long-running process
+# cannot grow them without bound; the largest sweep ``verify`` admits
+# (``hypergeom --m-max 12``) fills 24,319 ``_pmf`` entries and evicts none.
+CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _pmf(population: int, successes: int, draws: int, t: int) -> Frac:
     if t < 0 or t > draws or t > successes or draws - t > population - successes:
         return Fraction(0)
@@ -47,7 +53,7 @@ def _pmf(population: int, successes: int, draws: int, t: int) -> Frac:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cdf(population: int, successes: int, draws: int, upper: int) -> Frac:
     # The favourable draws for t = 0..upper, summed as ints over their common
     # count of all draws; ``upper`` <= min(successes, draws), so every term is

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, product
 from math import ceil, comb, floor, lcm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     CANDIDATE_LIMIT,
@@ -279,19 +279,38 @@ def gen_jr_hard(m: int, k: int) -> Instance:
 
 def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     """Seeded uniform profile: each of n <= ``COMMITTEE_LIMIT`` voters
-    approves a uniformly random subset of m <= ``CANDIDATE_LIMIT`` candidates."""
+    approves a uniformly random subset of m <= ``CANDIDATE_LIMIT`` candidates.
+
+    n*m, the most approvals the rows can hold, is at most ``APPROVAL_LIMIT``.
+    """
     _require_ints(n=n, m=m, seed=seed)
     int_at_least(m, "m", 1)
-    _check_budget(n, m)
+    _check_budget(n, m, n * m)
     if n < 1:
         raise ValidationError("need at least one voter")
     rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        mask = rng.getrandbits(m)
-        rows.append(frozenset(c for c in range(m) if mask >> c & 1))
+    masks = (rng.getrandbits(m) for _ in range(n))
     # Every index is in 0..m-1 by construction, so build_instance's checks are skipped.
-    return Instance(m, tuple(rows))
+    return Instance(m, tuple(_rows(masks, m)))
+
+
+# Maps the digits of a binary numeral to the bytes 0 and 1, for compress().
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _rows(masks: Iterable[int], m: int) -> list[frozenset[int]]:
+    """The approval set of each mask < 2**m: candidate c is in it when bit 2**c is set.
+
+    Each mask is decoded in C-level passes: its binary numeral, reversed
+    so that digit c is bit c, becomes 0/1 flags that select the candidates
+    from range(m).  The numeral has no leading zeros, so it may be shorter
+    than m; ``compress`` stops at its end.
+    """
+    candidates = range(m)
+    return [
+        frozenset(compress(candidates, bin(mask)[:1:-1].encode().translate(_BITS)))
+        for mask in masks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +367,7 @@ def run_generator(name: str, params: Mapping[str, object]) -> tuple[Instance, in
 
 
 def _all_subsets(m: int) -> list[frozenset[int]]:
-    return [frozenset(c for c in range(m) if mask >> c & 1) for mask in range(2**m)]
+    return _rows(range(2**m), m)
 
 
 def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Iterator[Instance]:

@@ -154,7 +154,12 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
 def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
     if m < 2:
         return 0, []
-    grid = flexibility_grid(m)
+    # The bounds depend on (k, t, s) only, not on the instance.
+    bounds = {
+        (k, t): [(s, multiwinner_bound(m, s, k, t)) for s in flexibility_grid(m)]
+        for k in range(1, m)
+        for t in range(1, k + 1)
+    }
     checked = 0
     bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
@@ -189,8 +194,7 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                         )
                     previous = current
                 exp_committee = expanded_rule(inst, params)
-                for s in grid:
-                    bound = multiwinner_bound(m, s, k, t)
+                for s, bound in bounds[k, t]:
                     for name, committee in (("seq", seq_committee), ("expanded", exp_committee)):
                         audit = empirical_fvr_committee(inst, committee, s, t)
                         checked += 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fvr import oracles
 from fvr.cli import dec_str, main
 from fvr.core import CANDIDATE_LIMIT, build_instance
 from fvr.formats import parse_instance, serialize_instance
@@ -239,6 +240,18 @@ def test_gen_random_over_candidate_budget_exits_2(capsys):
     code, out, err = run(capsys, "gen", "random", "--param=n=1", f"--param=m={m}")
     assert (code, out) == (2, "")
     assert err == f"error: m must be at most {CANDIDATE_LIMIT}, got {m}\n"
+
+
+def test_gen_random_over_approval_budget_exits_2_at_once(capsys, monkeypatch):
+    # Each count is at its own limit, but n*m would be 2*10^9 approvals.  Should
+    # the budget be missed, the test fails before any row is built.
+    def build_rows(masks, m):
+        raise AssertionError(f"rows built for m={m}")
+
+    monkeypatch.setattr(oracles, "_rows", build_rows)
+    code, out, err = run(capsys, "gen", "random", "--param=n=200000", f"--param=m={CANDIDATE_LIMIT}")
+    assert (code, out) == (2, "")
+    assert err == "error: 2000000000 approvals exceed the limit 1000000\n"
 
 
 @pytest.mark.parametrize(

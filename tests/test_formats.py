@@ -157,12 +157,21 @@ def test_candidate_count_at_the_limit_parses():
 
 @given(st.data())
 def test_instance_round_trip(data):
-    m = data.draw(st.integers(1, 6))
+    m = data.draw(st.sampled_from((1, 2, 6, 9, 10, 11, 99, 100, 101, 300)) | st.integers(1, 300))
     n = data.draw(st.integers(1, 5))
-    rows = [data.draw(st.frozensets(st.integers(0, m - 1))) for _ in range(n)]
+    rows = [data.draw(st.frozensets(st.integers(0, m - 1), max_size=min(m, 40))) for _ in range(n)]
     inst = build_instance(m, rows)
     parsed, k, t = parse_instance(serialize_instance(inst))
     assert parsed == inst and k is None and t is None
+
+
+@given(st.data())
+def test_ranked_round_trip_any_size(data):
+    m = data.draw(st.sampled_from((1, 2, 10, 11, 100, 101, 300)) | st.integers(1, 300))
+    n = data.draw(st.integers(1, 3))
+    rankings = [data.draw(st.permutations(range(m))) for _ in range(n)]
+    profile = build_ranked_profile(m, rankings)
+    assert parse_ranked(serialize_ranked(profile)) == profile
 
 
 def test_ranked_round_trip():

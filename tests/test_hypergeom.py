@@ -7,8 +7,18 @@ from math import comb
 import pytest
 
 from fvr.core import ValidationError
-from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
+from fvr.hypergeom import (
+    CACHE_SIZE,
+    HypParams,
+    _cdf,
+    _pmf,
+    hyp_cdf,
+    hyp_pmf,
+    miss_prob,
+    multiwinner_bound,
+)
 from fvr.oracles import gen_random_instance
+from fvr.verify import run_suite
 
 
 def pmf_oracle(population, successes, draws, t):
@@ -154,3 +164,14 @@ def test_bound_converges_to_binomial_limit():
     gaps = [abs(multiwinner_bound(m, s, k, t) - binomial) for m in (9, 18, 36, 72, 144)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0] / 8
+
+
+def test_caches_are_bounded_and_the_largest_sweep_evicts_nothing():
+    assert _pmf.cache_info().maxsize == _cdf.cache_info().maxsize == CACHE_SIZE == 1 << 16
+    # Every cached value is a pure function of its key, so clearing is invisible.
+    _pmf.cache_clear()
+    _cdf.cache_clear()
+    assert run_suite("hypergeom", m_max=12).passed
+    for cache in (_pmf, _cdf):
+        info = cache.cache_info()
+        assert 0 < info.currsize == info.misses < info.maxsize

@@ -26,7 +26,9 @@ from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committee
 from fvr.oracles import (
     APPROVAL_LIMIT,
+    _all_subsets,
     _check_budget,
+    _rows,
     enumerate_instances,
     enumerate_voter_multisets,
     gen_approval_gap,
@@ -222,6 +224,8 @@ def test_generator_budgets_admit_their_limits():
         (lambda: gen_party_split(10, reps=50_001), "1000020 approvals exceed the limit"),
         # (m - k + 1) * (m - 1) = 1001 * 1001.
         (lambda: gen_jr_hard(1002, 2), "1002001 approvals exceed the limit"),
+        # n*m, the most approvals uniform rows can hold.
+        (lambda: gen_random_instance(1001, 1000), "1001000 approvals exceed the limit"),
     ],
 )
 def test_generators_reject_sizes_over_their_budgets_at_once(build, message):
@@ -265,13 +269,27 @@ def test_gen_random_instance_is_seed_deterministic():
     assert a != c
 
 
-@pytest.mark.parametrize("n, m, seed", [(1, 1, 0), (7, 5, 3), (40, 40, 1), (3, 130, 9)])
+@pytest.mark.parametrize(
+    "n, m, seed", [(1, 1, 0), (7, 5, 3), (30, 8, 2), (30, 17, 4), (40, 40, 1), (3, 130, 9)]
+)
 def test_gen_random_instance_equals_checked_build(n, m, seed):
     """The rows, built without build_instance's per-index checks, are the ones it accepts."""
     rng = random.Random(seed)
     masks = [rng.getrandbits(m) for _ in range(n)]
     rows = [{c for c in range(m) if mask >> c & 1} for mask in masks]
     assert gen_random_instance(n, m, seed=seed) == build_instance(m, rows)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17])
+def test_mask_decoder_sets_candidate_c_for_bit_c(m):
+    if m <= 9:
+        masks = range(2**m)
+    else:
+        masks = [0, 1, 2 ** (m - 1), 2**m - 1, *random.Random(m).sample(range(2**m), 200)]
+    expected = [frozenset(c for c in range(m) if mask >> c & 1) for mask in masks]
+    assert _rows(masks, m) == expected
+    if m <= 9:
+        assert _all_subsets(m) == expected
 
 
 @pytest.mark.parametrize("n", [0, -2])

@@ -1,0 +1,72 @@
+"""The lazy package: ``import fvr`` loads no submodule until one of its names is used."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fvr
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def loaded_after(code):
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def test_import_fvr_loads_no_submodule_and_no_fractions():
+    modules = loaded_after("import fvr")
+    assert "fvr" in modules
+    assert not {name for name in modules if name.startswith("fvr.")}
+    assert "fractions" not in modules and "decimal" not in modules
+
+
+def test_a_name_loads_only_its_module_and_what_that_imports():
+    modules = loaded_after("from fvr import HypParams")
+    assert {name for name in modules if name.startswith("fvr.")} == {"fvr.core", "fvr.hypergeom"}
+
+
+def test_import_fvr_cli_still_loads_verify_and_oracles():
+    # The benchmark's tracer looks both up in sys.modules after ``import fvr.cli``.
+    modules = loaded_after("import fvr.cli")
+    assert {"fvr.verify", "fvr.oracles"} <= modules
+
+
+def test_a_submodule_resolves_without_an_explicit_import():
+    modules = loaded_after("import fvr\nassert fvr.oracles.DEFAULT_SEED == fvr.DEFAULT_SEED")
+    assert "fvr.oracles" in modules
+
+
+def test_every_exported_name_is_its_submodule_object():
+    assert len(fvr.__all__) == len(set(fvr.__all__))
+    for name in fvr.__all__:
+        module = getattr(fvr, fvr._MODULE_OF[name])
+        assert getattr(fvr, name) is getattr(module, name), name
+    assert set(fvr.__all__) <= set(dir(fvr))
+    assert {"cli", "core", "formats", "oracles", "verify"} <= set(dir(fvr))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'fvr' has no attribute 'no_such_name'"):
+        fvr.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from fvr import no_such_name  # noqa: F401
+    assert not hasattr(fvr, "_private")
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from fvr import *", namespace)
+    assert set(fvr.__all__) <= set(namespace)
+    assert namespace["gen_random_instance"] is fvr.oracles.gen_random_instance

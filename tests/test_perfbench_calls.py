@@ -1,10 +1,12 @@
 """The benchmark's own calls, run as Tier-1 tests.
 
-``perfbench/run.py`` pins the check count of every ``verify`` call it makes,
-and ``perfbench/traced_cli.py`` reruns the command line with fvr's public
+``perfbench/run.py`` pins the check count of every ``verify`` call it makes
+and the SHA-256 of every input file it generates, and
+``perfbench/traced_cli.py`` reruns the command line with fvr's public
 functions wrapped from outside.  These tests keep both working from the
-program's side: each pinned ``verify`` call passes with its count, and the
-tracer still finds every name it wraps and prints what ``fvr.cli`` prints.
+program's side: each pinned ``verify`` call passes with its count, each
+generated file matches its pin, and the tracer still finds every name it
+wraps and prints what ``fvr.cli`` prints.
 Nothing under ``perfbench/`` is changed.
 """
 
@@ -33,6 +35,22 @@ def test_every_pinned_verify_call_passes_with_its_check_count(capsys, perfbench_
         out = capsys.readouterr().out
         assert code == 0, argv
         assert perfbench_run.verify_checks(out.encode("utf-8")) == call.checks, (argv, out)
+
+
+def test_generated_benchmark_files_match_their_pins(tmp_path, perfbench_run):
+    """``fvr gen random`` writes every input file of the benchmark byte for byte
+    as pinned in ``perfbench/pins.json`` at the default seed."""
+    pins = perfbench_run.load_pins()
+    seed = pins["seed"]
+    checked = 0
+    for workload in perfbench_run.WORKLOADS.values():
+        for f in workload.files:
+            out = tmp_path / f"{f.name}.fvr"
+            argv = ["gen", "random", f"--param=n={f.n}", f"--param=m={f.m}", f"--seed={seed}"]
+            assert cli.main([*argv, f"--out={out}"]) == 0
+            assert perfbench_run.sha256(out.read_bytes()) == pins[workload.name]["files"][f.name]
+            checked += 1
+    assert checked == 6
 
 
 def run_cli(args, cwd):
