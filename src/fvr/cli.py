@@ -20,10 +20,12 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .core import (
+    CANDIDATE_LIMIT,
     Constant,
     Frac,
     Optimal,
     Power,
+    SizeLimitError,
     Table,
     Threshold,
     ValidationError,
@@ -132,8 +134,11 @@ def _cmd_curve(args: SimpleNamespace) -> int:
         if kind != "single":
             raise ValidationError(f"rule {name!r} has no closed-form guarantee curve")
         families.append((name, payload))
+    # The 2g-1 rows are built before any is written, so g has a budget.
     if args.s_grid < 1:
         raise ValidationError(f"--s-grid must be at least 1, got {args.s_grid}")
+    if args.s_grid > CANDIDATE_LIMIT:
+        raise SizeLimitError(f"--s-grid must be at most {CANDIDATE_LIMIT}, got {args.s_grid}")
     header = ["s", "s_dec", "optimal", "optimal_dec"]
     for name, _ in families:
         header.extend((name, f"{name}_dec"))

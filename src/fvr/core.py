@@ -11,11 +11,13 @@ use from multiple threads without coordination.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Union
+from itertools import compress
+from typing import TypeVar, Union
 
 Frac = Fraction
+_T = TypeVar("_T")
 
 __all__ = [
     "Frac",
@@ -24,10 +26,14 @@ __all__ = [
     "FrozenRecordError",
     "record",
     "CANDIDATE_LIMIT",
+    "POWER_LIMIT",
     "as_frac",
     "open_unit",
     "int_at_least",
     "is_numeral",
+    "select",
+    "decode_rows",
+    "encode_row",
     "Instance",
     "build_instance",
     "RankedProfile",
@@ -59,6 +65,15 @@ class SizeLimitError(ValidationError):
 # Cap on the candidate count of a parsed file or a generated random instance:
 # output and per-candidate state grow with m (the largest m in use is 400).
 CANDIDATE_LIMIT = 10_000
+
+# Cap on the exponent p of the power family f**p.  A score under it is an int
+# over m**p, and the closed-form guarantee at s = i/d has terms up to
+# p**p * d**(p+1); with m and d (2 * the curve grid) at most 2 * CANDIDATE_LIMIT,
+# every value ``fvr solve`` and ``fvr curve`` print then has at most about
+# 100*log10(100) + 101*log10(20000) + 7 < 650 digits per numerator or
+# denominator (7 for a voter count up to 10**7), far inside Python's
+# 4300-digit limit on int-to-str conversion, and each term costs microseconds.
+POWER_LIMIT = 100
 
 
 class FrozenRecordError(AttributeError):
@@ -175,20 +190,179 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-@record
+# Maps the digits of a binary numeral to the bytes 0 and 1, for compress().
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def select(items: Sequence[_T], mask: int) -> Iterator[_T]:
+    """The items at the set bits of ``mask``, in order: item c when bit 2**c is set.
+
+    The mask's binary numeral, reversed so that digit c is bit c, becomes
+    0/1 flags for ``compress``, all in C-level passes.  The numeral has no
+    leading zeros, so it may be shorter than ``items``; ``compress`` stops
+    at its end.
+    """
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
+def decode_rows(masks: Iterable[int], m: int) -> list[frozenset[int]]:
+    """The approval set of each mask < 2**m: candidate c is in it when bit 2**c is set."""
+    candidates = range(m)
+    return [frozenset(select(candidates, mask)) for mask in masks]
+
+
+def encode_row(row: Iterable[int], m: int) -> int:
+    """The mask of an approval set over candidates 0..m-1: bit 2**a for each a in it.
+
+    One digit per candidate, so the cost is linear in m, where summing
+    ``1 << a`` would cost |row|*m.  Indices must lie in 0..m-1.
+    """
+    digits = bytearray(b"0") * m
+    for a in row:
+        digits[~a] = 49  # ord("1"); digit ~a, counted from the right, is bit a
+    return int(digits, 2)
+
+
 class Instance:
     """An approval election: candidates 0..m-1 and one approval set per voter.
 
+    Stored as one int mask per voter, ``masks[i]`` (bit 2**a set when voter
+    i approves candidate a).  ``approvals``, one frozenset per voter, is a
+    view decoded on first use.  The kernels read two more views, built
+    together on first use: ``columns``, one voter bitset per candidate (bit
+    2**i set when voter i approves her), and ``size_masks``, one voter bitset
+    per approval size.  Equality, hashing, ``repr`` and pickling are those
+    of a frozen record with fields ``m`` and ``approvals``.
+
     Construct through :func:`build_instance` or ``fvr.formats.parse_instance``,
-    which validate the indices.
+    which validate the indices, or :meth:`from_masks`, which trusts them.
     """
 
-    m: int
-    approvals: tuple[frozenset[int], ...]
+    __slots__ = ("m", "masks", "n", "_approvals", "_views")
+    __match_args__ = ("m", "approvals")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, m: int, approvals: Iterable[Iterable[int]]):
+        rows = tuple(map(frozenset, approvals))
+        _fill(self, m, tuple(encode_row(row, m) for row in rows))
+        _set(self, "_approvals", rows)
+
+    @classmethod
+    def from_masks(cls, m: int, masks: Iterable[int]) -> Instance:
+        """The instance whose voter i approves the candidates at the set bits of
+        ``masks[i]``; each mask must be below 2**m."""
+        inst = object.__new__(cls)
+        _fill(inst, m, tuple(masks))
+        return inst
 
     @property
-    def n(self) -> int:
-        return len(self.approvals)
+    def approvals(self) -> tuple[frozenset[int], ...]:
+        try:
+            return self._approvals
+        except AttributeError:  # left unset until first read
+            _set(self, "_approvals", tuple(decode_rows(self.masks, self.m)))
+            return self._approvals
+
+    @property
+    def columns(self) -> tuple[int, ...]:
+        """Per candidate a, the voters approving a: bit 2**i set for voter i."""
+        views = self._views
+        if views is None:
+            views = self._build_views()
+        return views[0]
+
+    @property
+    def size_masks(self) -> dict[int, int]:
+        """Per approval size that some voter has, in increasing order, the voters of that size."""
+        views = self._views
+        if views is None:
+            views = self._build_views()
+        return views[1]
+
+    def _build_views(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        views = _kernel_views(self.m, self.masks)
+        _set(self, "_views", views)
+        return views
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.masks == other.masks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.approvals))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(m={self.m!r}, approvals={self.approvals!r})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__.from_masks, (self.m, self.masks)
+
+
+_set = object.__setattr__
+
+
+def _fill(inst: Instance, m: int, masks: tuple[int, ...]) -> None:
+    _set(inst, "m", m)
+    _set(inst, "masks", masks)
+    _set(inst, "n", len(masks))
+    _set(inst, "_views", None)
+
+
+def _kernel_views(m: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The columns and size masks of an instance (see :class:`Instance`).
+
+    Columns: each mask, with bit 2**m added so that its binary numeral
+    always has m digits after the '0b1' prefix, is written out, last voter
+    first, into one row-major string of rows of width m+3.  The digit of
+    candidate a in a row sits at offset m+2-a, so every (m+3)-th character
+    from there is column a, with voter 0 last (the lowest bit).  Sizes: the
+    columns are summed as a bit-sliced binary counter, ``planes[b]`` holding
+    the voters whose approval count has bit 2**b set; a size's voters are
+    those whose planes spell it.  Cost: O(n*m) characters in C-level
+    passes, then O(m) big-int operations for the counter and O(log m) per
+    size.  A profile of at most 64 cells (n*m), such as those the ``verify``
+    sweeps enumerate, takes fewer steps one voter at a time.
+    """
+    if len(masks) * m <= 64:
+        return _views_by_voter(m, masks)
+    width = m + 3
+    rows = "".join(map(bin, map((1 << m).__or__, reversed(masks))))
+    columns = tuple([int(rows[offset::width] or "0", 2) for offset in range(m + 2, 2, -1)])
+    planes: list[int] = []
+    for carry in columns:
+        b = 0
+        while carry:
+            if b == len(planes):
+                planes.append(carry)
+                break
+            planes[b], carry = planes[b] ^ carry, planes[b] & carry
+            b += 1
+    everyone = (1 << len(masks)) - 1
+    size_masks = {}
+    for size in sorted(set(map(int.bit_count, masks))):
+        voters = everyone
+        for b, plane in enumerate(planes):
+            voters &= plane if size >> b & 1 else ~plane
+        size_masks[size] = voters
+    return columns, size_masks
+
+
+def _views_by_voter(m: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """:func:`_kernel_views` one voter and one approval at a time (lowest set bit first)."""
+    columns = [0] * m
+    size_masks: dict[int, int] = {}
+    bit = 1
+    for mask in masks:
+        size = mask.bit_count()
+        size_masks[size] = size_masks.get(size, 0) | bit
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= bit
+            mask ^= low
+        bit <<= 1
+    return tuple(columns), dict(sorted(size_masks.items()))
 
 
 def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
@@ -243,7 +417,7 @@ def flexibility(inst: Instance, i: int) -> Frac:
     """The share of all candidates voter ``i`` approves, in lowest terms."""
     if not 0 <= i < inst.n:
         raise ValidationError(f"no voter {i}: instance has {inst.n} voters")
-    return Frac(len(inst.approvals[i]), inst.m)
+    return Frac(inst.masks[i].bit_count(), inst.m)
 
 
 def flexible_size(s: Frac, m: int) -> int:
@@ -288,12 +462,13 @@ class Threshold:
 
 @record
 class Power:
-    """w(f) = f**p for an integer exponent p >= 1 (kept integral for exactness)."""
+    """w(f) = f**p for an integer exponent 1 <= p <= ``POWER_LIMIT`` (kept integral for exactness)."""
 
     p: int
 
     def __post_init__(self) -> None:
-        int_at_least(self.p, "power exponent", 1)
+        if int_at_least(self.p, "power exponent", 1) > POWER_LIMIT:
+            raise SizeLimitError(f"power exponent must be at most {POWER_LIMIT}, got {self.p}")
 
 
 @record

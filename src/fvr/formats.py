@@ -34,7 +34,15 @@ value is rejected before anything is built for it.
 
 from __future__ import annotations
 
-from .core import CANDIDATE_LIMIT, Instance, RankedProfile, ValidationError, is_numeral
+from .core import (
+    CANDIDATE_LIMIT,
+    Instance,
+    RankedProfile,
+    ValidationError,
+    encode_row,
+    is_numeral,
+    select,
+)
 
 __all__ = [
     "ParseError",
@@ -123,24 +131,27 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     if len(lines) < 3 + n:
         raise ParseError(len(lines) + 1, f"expected {n} voter lines, found {len(lines) - 3}")
     # Fast path: each token is looked up among the canonical numerals
-    # "0".."m-1", so a found token is an index in range; the line is valid
-    # when its indices strictly increase.  Any other line (a missing key,
-    # such as "", "07" or "m"; a repeat; a descent) gets the per-token
-    # check, which accepts "07" and words every error.
-    index_of = {str(a): a for a in range(m)}.__getitem__
-    rows = []
+    # "0".."m-1", so a found token is an index in range, and its bit is
+    # summed into the voter's mask; the line is valid when the bits are
+    # distinct (as many set bits as tokens) and increase.  Any other line (a
+    # missing key, such as "", "07" or "m"; a repeat; a descent) gets the
+    # per-token check, which accepts "07" and words every error.
+    bit_of = {str(a): 1 << a for a in range(m)}.__getitem__
+    masks = []
     for i in range(n):
         line = lines[3 + i]
+        tokens = line.split(" ")
         try:
-            values = list(map(index_of, line.split(" ")))
+            bits = list(map(bit_of, tokens))
         except KeyError:
             pass
         else:
-            row = frozenset(values)
-            if len(row) == len(values) and sorted(values) == values:
-                rows.append(row)
+            mask = sum(bits)
+            if mask.bit_count() == len(bits) and sorted(bits) == bits:
+                masks.append(mask)
                 continue
-        rows.append(frozenset(_parse_index_line(line, 4 + i, m, strictly_increasing=True)))
+        indices = _parse_index_line(line, 4 + i, m, strictly_increasing=True)
+        masks.append(encode_row(indices, m))
     k: int | None = None
     t: int | None = None
     extra = 3 + n
@@ -155,7 +166,7 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     if extra < len(lines):
         raise ParseError(extra + 1, f"unexpected extra line {lines[extra]!r}")
     # Every index was checked above; build_instance would check them again.
-    return Instance(m, tuple(rows)), k, t
+    return Instance.from_masks(m, masks), k, t
 
 
 def serialize_instance(inst: Instance, k: int | None = None, t: int | None = None) -> str:
@@ -163,9 +174,9 @@ def serialize_instance(inst: Instance, k: int | None = None, t: int | None = Non
     if t is not None and k is None:
         raise ValidationError("cannot serialize t without k")
     parts = [INSTANCE_HEADER, f"m {inst.m}", f"n {inst.n}"]
-    # One numeral per candidate, not one str() per approval.
-    numeral = [str(a) for a in range(inst.m)].__getitem__
-    parts.extend(" ".join(map(numeral, sorted(approved))) for approved in inst.approvals)
+    # One numeral per candidate, not one str() per approval, picked by each mask's bits.
+    numerals = [str(a) for a in range(inst.m)]
+    parts.extend(" ".join(select(numerals, mask)) for mask in inst.masks)
     if k is not None:
         parts.append(f"k {k}")
     if t is not None:

@@ -8,10 +8,12 @@ one seat at a time in polynomial time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Sequence
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import and_, or_
 
 from .core import (
     AuditCurve,
@@ -26,7 +28,14 @@ from .core import (
     record,
 )
 from .hypergeom import miss_prob
-from .single_winner import argmax, audit_curve, common_units, unit_counts
+from .single_winner import (
+    argmax,
+    audit_curve,
+    common_units,
+    count_flexible,
+    size_histogram,
+    weighted_counts,
+)
 
 __all__ = [
     "COMMITTEE_LIMIT",
@@ -140,12 +149,24 @@ def expand_instance(inst: Instance, params: MultiParams) -> ExpandedInstance:
     return ExpandedInstance(base=inst, params=params, committees=committees, expanded=expanded)
 
 
-def _bitset(voters: Iterable[int], n: int) -> int:
-    """The int whose bit i is set for each listed voter i, built in O(n)."""
-    digits = bytearray(b"0") * n
-    for i in voters:
-        digits[n - 1 - i] = ord("1")
-    return int(digits, 2)
+def _reaching(columns: Sequence[int], members: Collection[int], t: int) -> int:
+    """The voters approving at least ``t`` of ``members``, as a voter bitset.
+
+    A bit-sliced counter: ``at_least[c]`` holds the voters approving at
+    least c of the members seen so far (``at_least[0]`` is -1, every bit
+    set), so each member costs t ANDs and ORs of n-bit ints.  At least one
+    member is the OR of their columns, and all of them the AND.
+    """
+    if t == 1:
+        return reduce(or_, map(columns.__getitem__, members))
+    if t == len(members):
+        return reduce(and_, map(columns.__getitem__, members))
+    at_least = [-1] + [0] * t
+    for a in members:
+        approved_a = columns[a]
+        for c in range(t, 0, -1):
+            at_least[c] |= at_least[c - 1] & approved_a
+    return at_least[t]
 
 
 def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
@@ -159,44 +180,30 @@ def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
     the lowest-index (lexicographic) committee minimising
     :func:`committee_score`.
 
-    The expansion is never built.  Each candidate's approvers and each
-    approval size's voters are int bitsets; per committee, a bit-sliced
-    counter finds the voters approving at least t members, and each size
-    class adds its int weight (over one common denominator) per such voter.
-    Sizes whose miss probability is 0 or 1 raise every committee equally
-    and are skipped, as the single-winner rule skips voters approving all
-    or no committees.  Cost: O(C(m,k) * (k*t + sizes)) big-int operations
-    on n-bit ints; memory O(m*n) bits.
+    The expansion is never built.  Per committee, the bit-sliced counter
+    :func:`_reaching` finds the voters approving at least t members among
+    the instance's cached voter bitsets, and each size class adds its int
+    weight (over one common denominator) per such voter.  Sizes whose miss
+    probability is 0 or 1 raise every committee equally and are skipped, as
+    the single-winner rule skips voters approving all or no committees.
+    Cost: O(C(m,k) * (k*t + sizes)) big-int operations on n-bit ints.
     """
     _check_expansion(inst, params)
-    m, n, k, t = inst.m, inst.n, params.k, params.t
-    voters_of: list[list[int]] = [[] for _ in range(m)]
-    by_size: dict[int, list[int]] = {}
-    for i, approved in enumerate(inst.approvals):
-        for a in approved:
-            voters_of[a].append(i)
-        by_size.setdefault(len(approved), []).append(i)
-    approvers = [_bitset(voters, n) for voters in voters_of]
-    misses, masks = [], []
-    for size, voters in by_size.items():
+    m, k, t = inst.m, params.k, params.t
+    misses, groups = [], []
+    for size, voters in inst.size_masks.items():
         miss = miss_prob(m, size, k, t)
         if 0 < miss.numerator < miss.denominator:
             misses.append(miss)
-            masks.append(_bitset(voters, n))
+            groups.append(voters)
     units, _ = common_units([(miss.denominator, miss.numerator) for miss in misses])
-    classes = list(zip(units, masks))
-    everyone = (1 << n) - 1
+    classes = list(zip(units, groups))
+    columns = inst.columns
     best: tuple[int, ...] = ()
     best_score = -1
     for members in combinations(range(m), k):
-        # at_least[c]: voters approving at least c of the members seen so far.
-        at_least = [everyone] + [0] * t
-        for a in members:
-            approved_a = approvers[a]
-            for c in range(t, 0, -1):
-                at_least[c] |= at_least[c - 1] & approved_a
-        reached = at_least[t]
-        score = sum(unit * (reached & mask).bit_count() for unit, mask in classes)
+        reached = _reaching(columns, members, t)
+        score = sum(unit * (reached & voters).bit_count() for unit, voters in classes)
         if score > best_score:
             best, best_score = members, score
     return Committee(best)
@@ -217,17 +224,15 @@ def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
     """
     members = _check_committee(inst, committee, t)
     k = len(members)
-    short: dict[int, int] = {}
-    for approved in inst.approvals:
-        if len(approved & members) < t:
-            size = len(approved)
-            short[size] = short.get(size, 0) + 1
+    short = ~_reaching(inst.columns, members, t)  # AND with a voter bitset to select
     counts, misses = [], []
-    for size, count in short.items():
-        miss = miss_prob(inst.m, size, k, t)
-        if miss:
-            counts.append(count)
-            misses.append(miss)
+    for size, voters in inst.size_masks.items():
+        count = (short & voters).bit_count()
+        if count:
+            miss = miss_prob(inst.m, size, k, t)
+            if miss:
+                counts.append(count)
+                misses.append(miss)
     units, scale = common_units([(miss.denominator, miss.numerator) for miss in misses])
     return Fraction(sum(c * u for c, u in zip(counts, units)), scale)
 
@@ -244,30 +249,30 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     :func:`sequential_rule` wraps it as a committee.
 
     The weight depends only on a voter's class (approval size, overlap with
-    the picks so far), so it is evaluated once per class and each class's
-    approvals are counted as plain ints.  At pick j, for a voter with r
-    approved candidates left who needs x = t-1-overlap more of them besides
-    the next pick, the weight is C(r-1, x) * C(m-j-r, k-j-x) / C(m-j-1, k-j)
-    divided by her miss probability.  The denominator is the same for every
-    class and the reciprocal miss probabilities are int units over one
+    the picks so far), so it is evaluated once per class, and each class is
+    a voter bitset whose approvals are counted by popcount
+    (:func:`weighted_counts`).  At pick j, for a voter with r approved
+    candidates left who needs x = t-1-overlap more of them besides the next
+    pick, the weight is C(r-1, x) * C(m-j-r, k-j-x) / C(m-j-1, k-j) divided
+    by her miss probability.  The denominator is the same for every class
+    and the reciprocal miss probabilities are int units over one
     denominator, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
-    with the same argmax.
+    with the same argmax.  After each pick, a class's voters who approve it
+    (its bitset AND the pick's column) move up one overlap.
     """
     _check_k(inst, params.k)
     m, k, t = inst.m, params.k, params.t
-    miss = {size: miss_prob(m, size, k, t) for size in {len(A) for A in inst.approvals}}
+    columns, groups = inst.columns, inst.size_masks
+    miss = {size: miss_prob(m, size, k, t) for size in groups}
     # Only voters who approve someone and can miss the target ever carry weight.
     sizes = [size for size, p in miss.items() if size and p]
     units, _ = common_units([(miss[size].denominator, miss[size].numerator) for size in sizes])
     unit = dict(zip(sizes, units))
-    classes: dict[tuple[int, int], list[frozenset[int]]] = {}
-    for approved in inst.approvals:
-        if len(approved) in unit:
-            classes.setdefault((len(approved), 0), []).append(approved)
+    classes = {(size, 0): groups[size] for size in sizes}
     chosen: list[int] = []
     for j in range(1, k + 1):
         weighted = []
-        for (size, overlap), rows in classes.items():
+        for (size, overlap), voters in classes.items():
             remaining = size - overlap
             needed = t - 1 - overlap
             if remaining > m - j:
@@ -278,33 +283,24 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
                 continue  # too few seats left to reach the target: weight 0
             # Defined by construction: 1 <= remaining <= m - j, 0 <= needed <= k - j.
             weight = comb(remaining - 1, needed) * comb(m - j - remaining, k - j - needed)
-            weighted.append((weight * unit[size], rows))
-        counts = unit_counts(m, weighted)
-        best = argmax(counts, skip=chosen)
+            weighted.append((weight * unit[size], voters))
+        best = argmax(weighted_counts(columns, weighted), skip=chosen)
         chosen.append(best)
         if j < k:
-            classes = _advance(classes, best, t)
+            # Voters approving ``best`` move up one overlap.  Those who then
+            # reach the target, or have no approved candidate left, weigh 0
+            # at every later pick and are dropped.
+            regrouped: dict[tuple[int, int], int] = {}
+            for (size, overlap), voters in classes.items():
+                moved = voters & columns[best]
+                if voters != moved:
+                    key = (size, overlap)
+                    regrouped[key] = regrouped.get(key, 0) | (voters ^ moved)
+                if moved and overlap + 1 < min(t, size):
+                    key = (size, overlap + 1)
+                    regrouped[key] = regrouped.get(key, 0) | moved
+            classes = regrouped
     return tuple(chosen)
-
-
-def _advance(
-    classes: dict[tuple[int, int], list[frozenset[int]]], best: int, t: int
-) -> dict[tuple[int, int], list[frozenset[int]]]:
-    """Regroup voters after ``best`` is picked.
-
-    Voters approving ``best`` move up one overlap.  Those who then reach the
-    target, or have no approved candidate left, weigh 0 at every later pick
-    and are dropped.
-    """
-    regrouped: dict[tuple[int, int], list[frozenset[int]]] = {}
-    for (size, overlap), rows in classes.items():
-        stay = [A for A in rows if best not in A]
-        if stay:
-            regrouped.setdefault((size, overlap), []).extend(stay)
-        if len(stay) < len(rows) and overlap + 1 < min(t, size):
-            moved = [A for A in rows if best in A]
-            regrouped.setdefault((size, overlap + 1), []).extend(moved)
-    return regrouped
 
 
 def sequential_rule(inst: Instance, params: MultiParams) -> Committee:
@@ -316,22 +312,19 @@ def empirical_fvr_committee(inst: Instance, committee: Committee, s: object, t: 
     """Share of voters that are s-flexible yet approve fewer than ``t`` members."""
     sv = open_unit(s)
     members = _check_committee(inst, committee, t)
-    need = flexible_size(sv, inst.m)
-    hits = sum(
-        1 for approved in inst.approvals if len(approved) >= need and len(approved & members) < t
-    )
-    return Fraction(hits, inst.n)
+    short = ~_reaching(inst.columns, members, t)
+    return Fraction(count_flexible(inst, short, flexible_size(sv, inst.m)), inst.n)
 
 
 def empirical_fvr_committee_curve(inst: Instance, committee: Committee, t: int) -> AuditCurve:
     """The committee audit as a step function of the threshold s.
 
-    Equals :func:`empirical_fvr_committee` at every s, from one pass over
-    the voters.
+    Equals :func:`empirical_fvr_committee` at every s, from one count of
+    the voters left short per approval size.
     """
     members = _check_committee(inst, committee, t)
-    sizes = (len(approved) for approved in inst.approvals if len(approved & members) < t)
-    return audit_curve(sizes, inst.m, inst.n)
+    short = ~_reaching(inst.columns, members, t)
+    return audit_curve(size_histogram(inst, short), inst.m, inst.n)
 
 
 @record

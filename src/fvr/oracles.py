@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, compress, product
+from itertools import combinations, combinations_with_replacement, product
 from math import ceil, comb, floor, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     CANDIDATE_LIMIT,
@@ -289,28 +289,8 @@ def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     if n < 1:
         raise ValidationError("need at least one voter")
     rng = random.Random(seed)
-    masks = (rng.getrandbits(m) for _ in range(n))
-    # Every index is in 0..m-1 by construction, so build_instance's checks are skipped.
-    return Instance(m, tuple(_rows(masks, m)))
-
-
-# Maps the digits of a binary numeral to the bytes 0 and 1, for compress().
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _rows(masks: Iterable[int], m: int) -> list[frozenset[int]]:
-    """The approval set of each mask < 2**m: candidate c is in it when bit 2**c is set.
-
-    Each mask is decoded in C-level passes: its binary numeral, reversed
-    so that digit c is bit c, becomes 0/1 flags that select the candidates
-    from range(m).  The numeral has no leading zeros, so it may be shorter
-    than m; ``compress`` stops at its end.
-    """
-    candidates = range(m)
-    return [
-        frozenset(compress(candidates, bin(mask)[:1:-1].encode().translate(_BITS)))
-        for mask in masks
-    ]
+    # Bit 2**c of a voter's mask is set when she approves candidate c.
+    return Instance.from_masks(m, [rng.getrandbits(m) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +346,6 @@ def run_generator(name: str, params: Mapping[str, object]) -> tuple[Instance, in
 # ---------------------------------------------------------------------------
 
 
-def _all_subsets(m: int) -> list[frozenset[int]]:
-    return _rows(range(2**m), m)
-
-
 def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Iterator[Instance]:
     """Every approval profile with n voters and m candidates, exactly once.
 
@@ -380,9 +356,8 @@ def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Ite
     total = (2**m) ** n
     if total > budget:
         raise SizeLimitError(f"{total} profiles exceed the budget {budget}")
-    subsets = _all_subsets(m)
-    for rows in product(subsets, repeat=n):
-        yield Instance(m, rows)
+    for masks in product(range(2**m), repeat=n):
+        yield Instance.from_masks(m, masks)
 
 
 def enumerate_voter_multisets(
@@ -397,9 +372,8 @@ def enumerate_voter_multisets(
     total = comb(2**m + n - 1, n)
     if total > budget:
         raise SizeLimitError(f"{total} voter multisets exceed the budget {budget}")
-    subsets = _all_subsets(m)
-    for rows in combinations_with_replacement(subsets, n):
-        yield Instance(m, rows)
+    for masks in combinations_with_replacement(range(2**m), n):
+        yield Instance.from_masks(m, masks)
 
 
 def conditional_expected_score(inst: Instance, params: MultiParams, partial: object = ()) -> Frac:

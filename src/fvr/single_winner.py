@@ -9,8 +9,7 @@ instance can force on it; lower is stronger, and no rule can beat ``1 - s``.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Container, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -62,51 +61,41 @@ def common_units(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in ratios], scale
 
 
-def weighted_counts(
-    m: int, classes: Iterable[tuple[tuple[int, int], Iterable[frozenset[int]]]]
-) -> tuple[list[int], int]:
-    """Exact weighted approval counts as integer numerators over one denominator.
+def weighted_counts(columns: Sequence[int], classes: Iterable[tuple[int, int]]) -> list[int]:
+    """Per-candidate sums of int weights over classes of voters.
 
-    ``classes`` yields ``(weight, rows)`` pairs in which every row carries the
-    same weight, given as a ``(numerator, denominator)`` pair of ints.  Each
-    weight becomes an int numerator over ``scale`` (:func:`common_units`),
-    and each approval adds that int, so candidate ``a`` scores exactly
-    ``counts[a] / scale``.  Zero-weight classes are never visited.
+    ``classes`` yields ``(unit, voters)`` pairs, ``voters`` a voter bitset;
+    each of those voters adds ``unit`` to every candidate she approves, so
+    ``counts[a]`` is the sum of unit * popcount(columns[a] & voters).
+    Zero units are skipped.  Cost: one AND and one popcount of n-bit ints
+    per (candidate, class).
     """
-    classes = list(classes)
-    units, scale = common_units([ratio for ratio, _ in classes])
-    return unit_counts(m, zip(units, (rows for _, rows in classes))), scale
-
-
-def unit_counts(m: int, classes: Iterable[tuple[int, Iterable[frozenset[int]]]]) -> list[int]:
-    """Per-candidate sums of int weights: each row of a ``(unit, rows)`` class
-    adds ``unit`` to every candidate it approves.  Zero units are skipped."""
-    counts = [0] * m
-    for unit, rows in classes:
-        if unit:
-            for approved in rows:
-                for a in approved:
-                    counts[a] += unit
+    classes = [(unit, voters) for unit, voters in classes if unit]
+    counts = []
+    for column in columns:
+        total = 0
+        for unit, voters in classes:
+            total += unit * (column & voters).bit_count()
+        counts.append(total)
     return counts
 
 
-def _size_classes(
-    inst: Instance, w: WeightFn
-) -> list[tuple[tuple[int, int], list[frozenset[int]]]]:
-    """Voters grouped by approval size, with the weight each size carries.
+def size_histogram(inst: Instance, voters: int) -> dict[int, int]:
+    """How many of ``voters`` (a voter bitset) have each approval size.
 
-    Sizes 0 and m are left out: those voters approve nobody or everybody, so
-    the weight function is never evaluated at flexibility 0 or 1.  Weights
-    are evaluated once per size, in order of first appearance.
+    ``voters`` may also be the complement ``~bitset`` of a group, as it is
+    only ANDed with each size's voters.
     """
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for approved in inst.approvals:
-        by_size.setdefault(len(approved), []).append(approved)
-    return [
-        (weight_ratio(w, size, inst.m), rows)
-        for size, rows in by_size.items()
-        if 0 < size < inst.m
-    ]
+    return {size: (voters & group).bit_count() for size, group in inst.size_masks.items()}
+
+
+def count_flexible(inst: Instance, voters: int, need: int) -> int:
+    """How many of ``voters`` (as for :func:`size_histogram`) approve at least ``need`` candidates."""
+    hits = 0
+    for size, group in inst.size_masks.items():
+        if size >= need:
+            hits += (voters & group).bit_count()
+    return hits
 
 
 def argmax(values: Sequence[object], skip: Container[int] = ()) -> int:
@@ -119,9 +108,15 @@ def score_all(inst: Instance, w: WeightFn) -> ScoreVector:
 
     Voters approving nothing contribute no score; voters approving
     everything would raise all scores equally, so they are skipped and the
-    weight function is never evaluated at flexibility 0 or 1.
+    weight function is never evaluated at flexibility 0 or 1.  The weight
+    depends only on the approval size, so it is evaluated once per size,
+    as an int unit over one common denominator (:func:`common_units`), and
+    candidate a scores the sum over sizes of unit * |approvers of a of that size|.
     """
-    counts, scale = weighted_counts(inst.m, _size_classes(inst, w))
+    m, groups = inst.m, inst.size_masks
+    sizes = [size for size in groups if 0 < size < m]
+    units, scale = common_units([weight_ratio(w, size, m) for size in sizes])
+    counts = weighted_counts(inst.columns, zip(units, map(groups.__getitem__, sizes)))
     return tuple(Fraction(c, scale) for c in counts)
 
 
@@ -144,22 +139,20 @@ def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
     sv = open_unit(s)
     if not 0 <= a < inst.m:
         raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    need = flexible_size(sv, inst.m)
-    hits = sum(1 for approved in inst.approvals if len(approved) >= need and a not in approved)
+    hits = count_flexible(inst, ~inst.columns[a], flexible_size(sv, inst.m))
     return Fraction(hits, inst.n)
 
 
-def audit_curve(sizes: Iterable[int], m: int, n: int) -> AuditCurve:
-    """The audit step function of a group of voters, from their approval sizes.
+def audit_curve(histogram: Mapping[int, int], m: int, n: int) -> AuditCurve:
+    """The audit step function of a group of voters, from its count per approval size.
 
     The curve at s is the share of all n voters that lie in the group and
-    are s-flexible.  One histogram pass and suffix sums: O(len(sizes) + m).
+    are s-flexible: suffix sums of the histogram, largest size first.
     """
-    histogram = Counter(sizes)
     breakpoints = []
     count = 0
-    for size in range(m, 0, -1):
-        if histogram[size]:
+    for size in sorted(histogram, reverse=True):
+        if size and histogram[size]:
             count += histogram[size]
             breakpoints.append((Fraction(size, m), Fraction(count, n)))
     breakpoints.reverse()
@@ -175,8 +168,7 @@ def empirical_fvr_curve(inst: Instance, a: int) -> AuditCurve:
     """
     if not 0 <= a < inst.m:
         raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    sizes = (len(approved) for approved in inst.approvals if a not in approved)
-    return audit_curve(sizes, inst.m, inst.n)
+    return audit_curve(size_histogram(inst, ~inst.columns[a]), inst.m, inst.n)
 
 
 @record

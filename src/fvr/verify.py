@@ -32,6 +32,7 @@ from .core import (
     Committee,
     Constant,
     Frac,
+    Instance,
     Optimal,
     Power,
     RankedProfile,
@@ -119,6 +120,11 @@ def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
+def _profile(inst: Instance) -> list[list[int]]:
+    """The approval sets as sorted lists, for a violation message; decoded only then."""
+    return [sorted(A) for A in inst.approvals]
+
+
 def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, list[str]]:
     grid = flexibility_grid(m)
     if not grid:
@@ -145,7 +151,7 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
                 checked += 1
                 if audit > bound:
                     bad.append(
-                        f"{label} n={n} m={m} approvals={[sorted(A) for A in inst.approvals]} "
+                        f"{label} n={n} m={m} approvals={_profile(inst)} "
                         f"s={s}: audit {audit} exceeds {bound}"
                     )
     return checked, bad
@@ -163,7 +169,6 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
-        profile = [sorted(A) for A in inst.approvals]
         for k in range(1, m):
             for t in range(1, k + 1):
                 params = MultiParams(k, t)
@@ -173,23 +178,27 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                 checked += 1
                 if score > n:
                     bad.append(
-                        f"n={n} m={m} k={k} t={t} approvals={profile}: "
+                        f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: "
                         f"sequential committee {picks} scores {score} > n"
                     )
                 previous = conditional_expected_score(inst, params, ())
-                includable = sum(1 for A in inst.approvals if miss_prob(m, len(A), k, t) > 0)
+                includable = sum(
+                    voters.bit_count()
+                    for size, voters in inst.size_masks.items()
+                    if miss_prob(m, size, k, t) > 0
+                )
                 checked += 1
                 if previous != includable:
                     bad.append(
-                        f"n={n} m={m} k={k} t={t} approvals={profile}: average penalty over "
-                        f"all committees is {previous}, not the {includable} includable voters"
+                        f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: average penalty "
+                        f"over all committees is {previous}, not the {includable} includable voters"
                     )
                 for j in range(1, k + 1):
                     current = conditional_expected_score(inst, params, picks[:j])
                     checked += 1
                     if current > previous:
                         bad.append(
-                            f"n={n} m={m} k={k} t={t} approvals={profile}: conditional "
+                            f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: conditional "
                             f"expectation rose from {previous} to {current} at pick {j}"
                         )
                     previous = current
@@ -200,8 +209,8 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                         checked += 1
                         if audit > bound:
                             bad.append(
-                                f"{name} n={n} m={m} k={k} t={t} s={s} approvals={profile}: "
-                                f"audit {audit} exceeds {bound}"
+                                f"{name} n={n} m={m} k={k} t={t} s={s} "
+                                f"approvals={_profile(inst)}: audit {audit} exceeds {bound}"
                             )
     return checked, bad
 
@@ -218,10 +227,10 @@ def _reduction_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
         exp = expanded_rule(inst, params)
         checked += 2
         if seq != (expected,):
-            bad.append(f"n={n} m={m} approvals={[sorted(A) for A in inst.approvals]}: "
+            bad.append(f"n={n} m={m} approvals={_profile(inst)}: "
                        f"sequential gave {seq}, single-winner rule gives {expected}")
         if exp.members != (expected,):
-            bad.append(f"n={n} m={m} approvals={[sorted(A) for A in inst.approvals]}: "
+            bad.append(f"n={n} m={m} approvals={_profile(inst)}: "
                        f"expanded gave {exp.members}, single-winner rule gives {expected}")
     return checked, bad
 

@@ -3,12 +3,13 @@
 import time
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from fvr import oracles
 from fvr.cli import dec_str, main
-from fvr.core import CANDIDATE_LIMIT, build_instance
+from fvr.core import CANDIDATE_LIMIT, POWER_LIMIT, build_instance
 from fvr.formats import parse_instance, serialize_instance
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams
 from fvr.oracles import reference_expanded_rule
@@ -91,6 +92,43 @@ def test_solve_rejects_non_ascii_power_exponent(capsys, intro_file):
     code, _, err = run(capsys, "solve", intro_file, "--rule", "power:\u00b2")
     assert code == 2
     assert "integer exponent" in err
+
+
+def test_largest_power_exponent_solves_and_the_next_exits_2(capsys, tmp_path):
+    # At m = 400 a power score is an int over 400**p: 261 digits at the limit.
+    path = tmp_path / "wide.fvr"
+    path.write_text(serialize_instance(oracles.gen_random_instance(20, 400, seed=5)))
+    code, out, err = run(capsys, "solve", str(path), "--rule", f"power:{POWER_LIMIT}")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"rule: power:{POWER_LIMIT}\nm: 400\nn: 20\nwinner: ")
+    for argv in (
+        ("solve", str(path), "--rule", f"power:{POWER_LIMIT + 1}"),
+        ("curve", "--rules", f"approval,power:{POWER_LIMIT + 1}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: power exponent must be at most {POWER_LIMIT}, got {POWER_LIMIT + 1}\n"
+
+
+def test_curve_at_both_budgets_prints_every_row(capsys):
+    # The largest exponent on the finest grid: the curve's largest values.
+    code, out, err = run(
+        capsys, "curve", "--rules", f"power:{POWER_LIMIT}", "--s-grid", str(CANDIDATE_LIMIT)
+    )
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 2 * CANDIDATE_LIMIT
+    s, _, optimal, _, value, _ = rows[-1].split(",")
+    assert (s, optimal) == ("19999/20000", "1/20000")
+    assert 0 < Fraction(value) < 1
+
+
+@pytest.mark.parametrize("grid", [0, CANDIDATE_LIMIT + 1])
+def test_curve_grid_outside_its_budget_exits_2(capsys, grid):
+    code, out, err = run(capsys, "curve", "--rules", "opt", "--s-grid", str(grid))
+    assert (code, out) == (2, "")
+    bound = "at least 1" if grid < 1 else f"at most {CANDIDATE_LIMIT}"
+    assert err == f"error: --s-grid must be {bound}, got {grid}\n"
 
 
 def test_solve_reports_parse_error_position(capsys, tmp_path):
@@ -244,11 +282,15 @@ def test_gen_random_over_candidate_budget_exits_2(capsys):
 
 def test_gen_random_over_approval_budget_exits_2_at_once(capsys, monkeypatch):
     # Each count is at its own limit, but n*m would be 2*10^9 approvals.  Should
-    # the budget be missed, the test fails before any row is built.
-    def build_rows(masks, m):
-        raise AssertionError(f"rows built for m={m}")
+    # the budget be missed, the test fails before any row is drawn.
+    class Tripwire:
+        def __init__(self, seed):
+            pass
 
-    monkeypatch.setattr(oracles, "_rows", build_rows)
+        def getrandbits(self, m):
+            raise AssertionError(f"rows built for m={m}")
+
+    monkeypatch.setattr(oracles, "random", SimpleNamespace(Random=Tripwire))
     code, out, err = run(capsys, "gen", "random", "--param=n=200000", f"--param=m={CANDIDATE_LIMIT}")
     assert (code, out) == (2, "")
     assert err == "error: 2000000000 approvals exceed the limit 1000000\n"

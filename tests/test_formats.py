@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fvr.core import CANDIDATE_LIMIT, ValidationError, build_instance, build_ranked_profile
+from fvr.core import (
+    CANDIDATE_LIMIT,
+    Instance,
+    RankedProfile,
+    ValidationError,
+    build_instance,
+    build_ranked_profile,
+)
 from fvr.formats import (
     ParseError,
     _parse_index_line,
@@ -194,3 +201,41 @@ def test_ranked_parse_errors(text, line):
     with pytest.raises(ParseError) as excinfo:
         parse_ranked(text)
     assert excinfo.value.line == line
+
+
+# Whole files: a header (right, wrong or absent), then short lines mixing the
+# count keys, numerals, spaces, stray carriage returns and a non-ASCII digit.
+FILE_LINES = st.lists(
+    st.one_of(
+        st.text(alphabet="mnkt 0123456789\r٣", max_size=8),
+        st.sampled_from(["m 3", "n 1", "n 2", "k 2", "t 1", "0 1 2", "2 1 0", "", "0"]),
+    ),
+    max_size=7,
+)
+FILES = st.tuples(st.sampled_from(["fvr 1", "fvr-ranked 1", "fvr 2", ""]), FILE_LINES).map(
+    lambda parts: "\n".join([parts[0], *parts[1]])
+) | st.text(max_size=30)
+
+
+@given(FILES)
+@example("fvr 1\nm 3\nn 2\n0 1\n2\nk 2\nt 1\n")
+@example("fvr-ranked 1\nm 3\nn 2\n0 1 2\n2 1 0")
+@example("fvr 1\nm 3\nn 1\n0 1\nt 1")
+@example("fvr-ranked 1\nm 2\nn 1\n1 0 \n")
+def test_any_text_parses_or_is_a_parse_error(text):
+    """Both parsers turn any text into their record or a ParseError, nothing else,
+    and what they accept serializes to text that parses back to it."""
+    try:
+        inst, k, t = parse_instance(text)
+    except ParseError:
+        pass
+    else:
+        assert type(inst) is Instance
+        assert parse_instance(serialize_instance(inst, k, t)) == (inst, k, t)
+    try:
+        profile = parse_ranked(text)
+    except ParseError:
+        pass
+    else:
+        assert type(profile) is RankedProfile
+        assert parse_ranked(serialize_ranked(profile)) == profile

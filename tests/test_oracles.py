@@ -18,6 +18,7 @@ from fvr.core import (
     Table,
     ValidationError,
     build_instance,
+    decode_rows,
     build_ranked_profile,
     flexibility,
     flexibility_grid,
@@ -26,9 +27,7 @@ from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committee
 from fvr.oracles import (
     APPROVAL_LIMIT,
-    _all_subsets,
     _check_budget,
-    _rows,
     enumerate_instances,
     enumerate_voter_multisets,
     gen_approval_gap,
@@ -287,9 +286,10 @@ def test_mask_decoder_sets_candidate_c_for_bit_c(m):
     else:
         masks = [0, 1, 2 ** (m - 1), 2**m - 1, *random.Random(m).sample(range(2**m), 200)]
     expected = [frozenset(c for c in range(m) if mask >> c & 1) for mask in masks]
-    assert _rows(masks, m) == expected
+    assert decode_rows(masks, m) == expected
     if m <= 9:
-        assert _all_subsets(m) == expected
+        # The enumerators list each voter's sets in mask order.
+        assert [inst.approvals[0] for inst in enumerate_instances(1, m)] == expected
 
 
 @pytest.mark.parametrize("n", [0, -2])
