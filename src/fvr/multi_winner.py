@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Collection, Sequence
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import comb
-from operator import and_, or_
 
 from .core import (
     AuditCurve,
@@ -154,13 +152,8 @@ def _reaching(columns: Sequence[int], members: Collection[int], t: int) -> int:
 
     A bit-sliced counter: ``at_least[c]`` holds the voters approving at
     least c of the members seen so far (``at_least[0]`` is -1, every bit
-    set), so each member costs t ANDs and ORs of n-bit ints.  At least one
-    member is the OR of their columns, and all of them the AND.
+    set), so each member costs t ANDs and ORs of n-bit ints.
     """
-    if t == 1:
-        return reduce(or_, map(columns.__getitem__, members))
-    if t == len(members):
-        return reduce(and_, map(columns.__getitem__, members))
     at_least = [-1] + [0] * t
     for a in members:
         approved_a = columns[a]

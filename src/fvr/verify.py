@@ -182,11 +182,7 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                         f"sequential committee {picks} scores {score} > n"
                     )
                 previous = conditional_expected_score(inst, params, ())
-                includable = sum(
-                    voters.bit_count()
-                    for size, voters in inst.size_masks.items()
-                    if miss_prob(m, size, k, t) > 0
-                )
+                includable = sum(1 for A in inst.approvals if miss_prob(m, len(A), k, t) > 0)
                 checked += 1
                 if previous != includable:
                     bad.append(

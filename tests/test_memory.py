@@ -13,7 +13,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SLACK_MB = 3.0
+# With per-voter frozensets, gen random and solve on this input read 10.5 and
+# 10.3 MB above the import floor; with int masks 1.4 and 1.0 MB (CPython
+# 3.11.7, Linux x86-64).  The bound sits at half the frozenset gap, so it
+# catches the frozenset rows coming back but leaves a few MB for allocator
+# layout and interpreter builds that differ from the one measured.
+SLACK_MB = 5.0
 
 # Linux counts a parent's RSS high-water mark into the max RSS of a child it
 # starts (fork or vfork, then exec), so the child is started and reaped with
