@@ -21,18 +21,15 @@ from typing import NoReturn
 
 from .core import (
     CANDIDATE_LIMIT,
-    Constant,
     Frac,
-    Optimal,
-    Power,
     SizeLimitError,
     Table,
-    Threshold,
     ValidationError,
     WeightFn,
     as_frac,
     flexibility_grid,
     is_numeral,
+    parse_family,
 )
 from .formats import ParseError, parse_instance, parse_ranked, serialize_instance
 from .multi_winner import (
@@ -65,22 +62,9 @@ def _render(x: Frac) -> str:
 
 
 def _parse_rule(text: str) -> tuple[str, object]:
-    if text == "approval":
-        return "single", Constant()
-    if text == "opt":
-        return "single", Optimal(Fraction(1))
-    if text.startswith("threshold:"):
-        return "single", Threshold(as_frac(text.partition(":")[2]))
-    if text.startswith("power:"):
-        raw = text.partition(":")[2]
-        if not is_numeral(raw):
-            raise ValidationError(f"power rule needs an integer exponent, got {raw!r}")
-        return "single", Power(int(raw))
     if text in ("seq", "expanded"):
         return "multi", text
-    raise ValidationError(
-        f"unknown rule {text!r}; expected approval, threshold:<s>, power:<p>, opt, seq, expanded"
-    )
+    return "single", parse_family(text)
 
 
 def _write_out(path: str | None, payload: str) -> None:

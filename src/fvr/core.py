@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
-from typing import TypeVar, Union
+from typing import TypeVar
 
 Frac = Fraction
 _T = TypeVar("_T")
@@ -27,6 +27,7 @@ __all__ = [
     "record",
     "CANDIDATE_LIMIT",
     "POWER_LIMIT",
+    "NUMERAL_LIMIT",
     "as_frac",
     "open_unit",
     "int_at_least",
@@ -47,8 +48,9 @@ __all__ = [
     "Optimal",
     "Table",
     "WeightFn",
+    "as_family",
+    "parse_family",
     "eval_weight",
-    "weight_ratio",
     "Committee",
     "AuditCurve",
 ]
@@ -74,6 +76,10 @@ CANDIDATE_LIMIT = 10_000
 # denominator (7 for a voter count up to 10**7), far inside Python's
 # 4300-digit limit on int-to-str conversion, and each term costs microseconds.
 POWER_LIMIT = 100
+
+# Cap on the characters of a numeral read from text: by default ``int`` refuses
+# to read a longer digit string or to print an int of more digits.
+NUMERAL_LIMIT = 4300
 
 
 class FrozenRecordError(AttributeError):
@@ -144,7 +150,8 @@ def as_frac(x: object) -> Frac:
     """Coerce an int, Fraction, or fraction string to an exact rational.
 
     Floats are rejected: silently converting them would smuggle binary
-    rounding error into a library whose whole point is exactness.
+    rounding error into a library whose whole point is exactness.  So are strings
+    over ``NUMERAL_LIMIT`` characters and exponent notation, as in '1e-10000000'.
     """
     if isinstance(x, Fraction):
         return x
@@ -154,6 +161,8 @@ def as_frac(x: object) -> Frac:
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if len(x) > NUMERAL_LIMIT or "e" in x.lower():
+                raise ValueError(f"over {NUMERAL_LIMIT} characters, or exponent notation")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational number: {x!r} ({exc})") from None
@@ -183,11 +192,12 @@ def int_at_least(x: object, what: str, low: int = 0) -> int:
 
 
 def is_numeral(text: str) -> bool:
-    """Whether ``text`` is a plain decimal numeral, ``[0-9]+``, that ``int`` accepts.
+    """Whether ``text`` is a plain decimal numeral, ``[0-9]+`` of at most
+    ``NUMERAL_LIMIT`` digits, that ``int`` accepts.
 
     ``str.isdigit`` alone also passes digits such as '²', which ``int`` rejects.
     """
-    return text.isascii() and text.isdigit()
+    return text.isascii() and text.isdigit() and len(text) <= NUMERAL_LIMIT
 
 
 # Maps the digits of a binary numeral to the bytes 0 and 1, for compress().
@@ -444,12 +454,23 @@ def flexibility_grid(m: int) -> tuple[Frac, ...]:
 # approvers.  Voters at flexibility 0 approve nobody and voters at
 # flexibility 1 raise every candidate equally, so scoring never evaluates a
 # weight at the endpoints.
+#
+# Each family defines ``ratio(size, m)``, its weight at f = size/m for
+# 0 < size < m as an int pair (numerator, denominator > 0) that need not be in
+# lowest terms, so that scoring adds weights as ints over one denominator;
+# and ``guarantee(s)``, its rule's worst-case audit at a threshold s in (0,1).
 # ---------------------------------------------------------------------------
 
 
 @record
 class Constant:
     """w(f) = 1: plain approval counting."""
+
+    def ratio(self, size: int, m: int) -> tuple[int, int]:
+        return 1, 1
+
+    def guarantee(self, s: Frac) -> Frac:
+        return 1 / (1 + s)
 
 
 @record
@@ -461,6 +482,12 @@ class Threshold:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s0", open_unit(self.s0, "threshold cutoff"))
 
+    def ratio(self, size: int, m: int) -> tuple[int, int]:
+        return int(size * self.s0.denominator >= self.s0.numerator * m), 1
+
+    def guarantee(self, s: Frac) -> Frac:
+        return (1 - self.s0) if s >= self.s0 else Fraction(1)
+
 
 @record
 class Power:
@@ -471,6 +498,13 @@ class Power:
     def __post_init__(self) -> None:
         if int_at_least(self.p, "power exponent", 1) > POWER_LIMIT:
             raise SizeLimitError(f"power exponent must be at most {POWER_LIMIT}, got {self.p}")
+
+    def ratio(self, size: int, m: int) -> tuple[int, int]:
+        return size**self.p, m**self.p
+
+    def guarantee(self, s: Frac) -> Frac:
+        p = self.p
+        return 1 / (1 + (s * (p + 1)) ** (p + 1) / Fraction(p**p))
 
 
 @record
@@ -489,12 +523,20 @@ class Optimal:
         if self.c <= 0:
             raise ValidationError(f"scale must be positive, got {self.c}")
 
+    def ratio(self, size: int, m: int) -> tuple[int, int]:
+        # c / (1 - size/m) = c * m / (m - size)
+        return self.c.numerator * m, self.c.denominator * (m - size)
+
+    def guarantee(self, s: Frac) -> Frac:
+        return 1 - s
+
 
 class Table:
     """Finite weight table: an explicit nonnegative weight per listed flexibility.
 
     Must be nontrivial (at least one positive weight).  Evaluation outside
-    the listed flexibilities is an error.
+    the listed flexibilities is an error, and there is no closed-form
+    guarantee: ``fvr.single_winner.grid_theoretical_fvr`` evaluates one.
     """
 
     __slots__ = ("entries", "_by_flex")
@@ -531,39 +573,51 @@ class Table:
         inner = ", ".join(f"{f}: {w}" for f, w in self.entries)
         return f"Table({{{inner}}})"
 
+    def ratio(self, size: int, m: int) -> tuple[int, int]:
+        flex = Fraction(size, m)
+        try:
+            return self._by_flex[flex].as_integer_ratio()
+        except KeyError:
+            raise ValidationError(f"weight table has no entry for flexibility {flex}") from None
 
-WeightFn = Union[Constant, Threshold, Power, Optimal, Table]
+    def guarantee(self, s: Frac) -> Frac:
+        raise ValidationError(
+            "no closed form for table weights; evaluate with grid_theoretical_fvr"
+        )
+
+
+WeightFn = Constant | Threshold | Power | Optimal | Table
+
+
+def as_family(w: object) -> WeightFn:
+    """``w``, checked to be a weight function of one of the families above."""
+    if not isinstance(w, WeightFn):
+        raise ValidationError(f"not a weight function: {w!r}")
+    return w
+
+
+def parse_family(spec: str) -> WeightFn:
+    """The weight function a rule spec names: approval, opt, threshold:<s0> or power:<p>."""
+    if spec == "approval":
+        return Constant()
+    if spec == "opt":
+        return Optimal()
+    name, colon, arg = spec.partition(":")
+    if colon and name == "threshold":
+        return Threshold(arg)
+    if colon and name == "power":
+        if not is_numeral(arg):
+            raise ValidationError(f"power rule needs an integer exponent, got {arg!r}")
+        return Power(int(arg))
+    raise ValidationError(
+        f"unknown rule {spec!r}; expected approval, threshold:<s>, power:<p>, opt"
+    )
 
 
 def eval_weight(w: WeightFn, f: object) -> Frac:
     """Evaluate a weight function at a flexibility in (0, 1)."""
     flex = open_unit(f, "flexibility")
-    return Fraction(*weight_ratio(w, flex.numerator, flex.denominator))
-
-
-def weight_ratio(w: WeightFn, size: int, m: int) -> tuple[int, int]:
-    """w(size/m) as an int pair (numerator, denominator > 0), for 0 < size < m.
-
-    The pair need not be in lowest terms.  Scoring adds weights as ints
-    over a common denominator, so it never builds the ``Fraction``.
-    """
-    if isinstance(w, Constant):
-        return 1, 1
-    if isinstance(w, Threshold):
-        s0 = w.s0
-        return int(size * s0.denominator >= s0.numerator * m), 1
-    if isinstance(w, Power):
-        return size**w.p, m**w.p
-    if isinstance(w, Optimal):
-        # c / (1 - size/m) = c * m / (m - size)
-        return w.c.numerator * m, w.c.denominator * (m - size)
-    if isinstance(w, Table):
-        flex = Fraction(size, m)
-        try:
-            return w._by_flex[flex].as_integer_ratio()
-        except KeyError:
-            raise ValidationError(f"weight table has no entry for flexibility {flex}") from None
-    raise ValidationError(f"not a weight function: {w!r}")
+    return Fraction(*as_family(w).ratio(flex.numerator, flex.denominator))
 
 
 @record

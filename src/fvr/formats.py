@@ -96,13 +96,10 @@ def _parse_index_line(line: str, line_no: int, m: int, *, strictly_increasing: b
     prev: int | None = None
     if line == "":
         return indices
-    # On an ASCII line str.isdigit is exactly is_numeral; testing the line once
-    # keeps the ASCII check out of the per-token loop.
-    numeral = str.isdigit if line.isascii() else is_numeral
     for token in line.split(" "):
         if token == "":
             raise ParseError(line_no, "empty token (stray space?)", column)
-        if not numeral(token):
+        if not is_numeral(token):
             raise ParseError(line_no, f"not a candidate index: {token!r}", column)
         value = int(token)
         if value >= m:

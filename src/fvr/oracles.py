@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Mapping
 from .core import (
     CANDIDATE_LIMIT,
     Committee,
+    Constant,
     Frac,
     Instance,
     Power,
@@ -40,7 +41,7 @@ from .multi_winner import (
     committee_score,
     expand_instance,
 )
-from .single_winner import ScoreVector, closed_form_fvr, ropt_winner
+from .single_winner import ScoreVector, ropt_winner
 
 __all__ = [
     "DEFAULT_SEED",
@@ -111,66 +112,57 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     return build_instance(m, rows)
 
 
-def _shift(inst: Instance) -> list[set[int]]:
-    return [{a + 1 for a in approved} for approved in inst.approvals]
+def _gap_instance(
+    m: int, bloc: int, per_bloc: int, rest: int, per_rest: int
+) -> tuple[Instance, int]:
+    """A gap construction and its special candidate 0: ``bloc`` voters spread
+    ``per_bloc`` approvals over candidates 1..m-1 as :func:`gen_spread` does, then
+    ``rest`` voters each approve 0 plus ``per_rest`` others, spread the same way."""
+    masks = [mask << 1 for mask in gen_spread(bloc, m - 1, per_bloc).masks] if bloc else []
+    masks += [mask << 1 | 1 for mask in gen_spread(rest, m - 1, per_rest).masks]
+    return Instance.from_masks(m, masks), 0
 
 
-def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, int]:
-    """Instance pushing the approval rule's audit at threshold s toward r.
+def _family_gap(
+    family: WeightFn, per_rest: Callable[[int], int], n: int, m: int, s: object, r: object
+) -> tuple[Instance, int]:
+    """Instance pushing the audit at threshold s of the rule weighted by ``family``
+    toward r, below the family's guarantee at s.
 
     A flexible bloc of ceil(r*n) voters spreads ceil(s*m) approvals evenly
-    over all candidates except a special one; everyone else bullet-votes
-    the special candidate.  When the sizes work out, the special candidate
-    wins on approvals while the whole bloc is s-flexible and disapproves
-    it.  Returns the instance and the special candidate (index 0).
+    over all candidates except a special one; everyone else approves it plus
+    ``per_rest(m)`` others.  When the sizes work out, the special candidate
+    wins while the whole bloc is s-flexible and disapproves it.  Returns the
+    instance and the special candidate (index 0).
     """
     _require_ints(n=n, m=m)
     _check_budget(n, m)
     sv, rv = open_unit(s), as_frac(r)
-    if not Frac(0) < rv < 1 / (1 + sv):
-        raise ValidationError(f"need 0 < r < 1/(1+s) = {1 / (1 + sv)}, got r={rv}")
+    if not 0 < rv < family.guarantee(sv):
+        raise ValidationError(f"need 0 < r < the {family} guarantee at s={sv}, got r={rv}")
     bloc = ceil(rv * n)
     if not 1 <= bloc < n:
         raise ValidationError(f"flexible bloc of size {bloc} must satisfy 1 <= size < n={n}")
-    per_voter = ceil(sv * m)
-    if per_voter > m - 1:
+    per_bloc, rest = ceil(sv * m), per_rest(m)
+    if per_bloc > m - 1 or not 0 <= rest <= m - 1:
         raise ValidationError(
-            f"bloc voters need ceil(s*m) = {per_voter} <= m-1 = {m - 1} non-special candidates"
+            f"infeasible spreads: bloc approves {per_bloc}, others approve {rest}, "
+            f"of {m - 1} non-special candidates"
         )
-    rows = _shift(gen_spread(bloc, m - 1, per_voter))
-    rows.extend({0} for _ in range(n - bloc))
-    return build_instance(m, rows), 0
+    return _gap_instance(m, bloc, per_bloc, n - bloc, rest)
+
+
+def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, int]:
+    """:func:`_family_gap` for the approval rule: everyone outside the bloc
+    bullet-votes the special candidate."""
+    return _family_gap(Constant(), lambda m: 0, n, m, s, r)
 
 
 def gen_power_gap(n: int, m: int, s: object, r: object, p: int) -> tuple[Instance, int]:
-    """Instance pushing the p-power rule's audit at threshold s toward r.
-
-    As in :func:`gen_approval_gap`, a bloc of ceil(r*n) voters spreads
-    ceil(s*m) approvals over the non-special candidates.  The remaining
-    voters approve the special candidate plus ceil(p*m/(1+p)) - 1 others,
-    spread evenly, putting their flexibility at the point maximizing
-    f^p*(1-f).  Returns the instance and the special candidate (index 0).
-    """
-    _require_ints(n=n, m=m)
-    _check_budget(n, m)
-    sv, rv = as_frac(s), as_frac(r)
-    bound = closed_form_fvr(Power(p), sv).value
-    if not Frac(0) < rv < bound:
-        raise ValidationError(f"need 0 < r < {bound} (the p={p} guarantee at s={sv}), got r={rv}")
-    bloc = ceil(rv * n)
-    if not 1 <= bloc < n:
-        raise ValidationError(f"flexible bloc of size {bloc} must satisfy 1 <= size < n={n}")
-    per_bloc = ceil(sv * m)
-    per_rest = ceil(Fraction(p, p + 1) * m) - 1
-    if per_bloc > m - 1 or per_rest > m - 1 or per_rest < 0:
-        raise ValidationError(
-            f"infeasible spreads: bloc approves {per_bloc}, others approve {per_rest}, "
-            f"of {m - 1} non-special candidates"
-        )
-    rows = _shift(gen_spread(bloc, m - 1, per_bloc))
-    for shifted in _shift(gen_spread(n - bloc, m - 1, per_rest)):
-        rows.append(shifted | {0})
-    return build_instance(m, rows), 0
+    """:func:`_family_gap` for the p-power rule: everyone outside the bloc approves
+    ceil(p*m/(1+p)) candidates, the special one included, putting their
+    flexibility at the point maximizing f^p*(1-f)."""
+    return _family_gap(Power(p), lambda m: ceil(Fraction(p, p + 1) * m) - 1, n, m, s, r)
 
 
 def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Instance, int]:
@@ -193,18 +185,13 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     if wf == 0:
         raise ValidationError(f"need w(f) > 0 at f={fv}")
     wfp = eval_weight(w, fpv)
-    ell = int(fv * m)
-    ell_prime = int(fpv * m)
     gap = ((1 - fv) * wf) / ((1 - fv) * wf + fpv * wfp)
     bloc = floor(gap * n) - m
     if bloc < 0:
         raise ValidationError(
             f"n={n} too small: need floor(g*n) >= m, with g={gap} and m={m}"
         )
-    rows = _shift(gen_spread(bloc, m - 1, ell_prime)) if bloc else []
-    for shifted in _shift(gen_spread(n - bloc, m - 1, ell - 1)):
-        rows.append(shifted | {0})
-    return build_instance(m, rows), 0
+    return _gap_instance(m, bloc, int(fpv * m), n - bloc, int(fv * m) - 1)
 
 
 def gen_symmetric(m: int, per_voter: int) -> Instance:

@@ -15,22 +15,19 @@ from math import lcm
 
 from .core import (
     AuditCurve,
-    Constant,
     Frac,
     Instance,
     Optimal,
-    Power,
     Table,
-    Threshold,
     ValidationError,
     WeightFn,
+    as_family,
     eval_weight,
     flexibility_grid,
     flexible_size,
     int_at_least,
     open_unit,
     record,
-    weight_ratio,
 )
 
 __all__ = [
@@ -113,9 +110,9 @@ def score_all(inst: Instance, w: WeightFn) -> ScoreVector:
     as an int unit over one common denominator (:func:`common_units`), and
     candidate a scores the sum over sizes of unit * |approvers of a of that size|.
     """
-    m, groups = inst.m, inst.size_masks
+    m, groups, ratio = inst.m, inst.size_masks, as_family(w).ratio
     sizes = [size for size in groups if 0 < size < m]
-    units, scale = common_units([weight_ratio(w, size, m) for size in sizes])
+    units, scale = common_units([ratio(size, m) for size in sizes])
     counts = weighted_counts(inst.columns, zip(units, map(groups.__getitem__, sizes)))
     return tuple(Fraction(c, scale) for c in counts)
 
@@ -127,7 +124,7 @@ def winner(inst: Instance, w: WeightFn) -> int:
 
 def ropt_winner(inst: Instance) -> int:
     """Winner under the 1/(1-f) weighting, optimal at every threshold at once."""
-    return winner(inst, Optimal(Fraction(1)))
+    return winner(inst, Optimal())
 
 
 def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
@@ -188,29 +185,9 @@ class FvrBound:
 
 
 def closed_form_fvr(family: WeightFn, s: object) -> FvrBound:
-    """Exact guarantee of a built-in weight family at threshold ``s``.
-
-    Constant scoring gives 1/(1+s); the p-power family gives
-    1/(1 + (s(1+p))^(1+p) / p^p); the 1/(1-f) family gives 1-s; a hard
-    cutoff at s0 gives 1-s0 once s reaches s0 and nothing (1) below it.
-    """
+    """Exact guarantee of a built-in weight family at threshold ``s`` (its ``guarantee``)."""
     sv = open_unit(s)
-    if isinstance(family, Constant):
-        value = 1 / (1 + sv)
-    elif isinstance(family, Power):
-        p = family.p
-        value = 1 / (1 + (sv * (p + 1)) ** (p + 1) / Fraction(p**p))
-    elif isinstance(family, Optimal):
-        value = 1 - sv
-    elif isinstance(family, Threshold):
-        value = (1 - family.s0) if sv >= family.s0 else Fraction(1)
-    elif isinstance(family, Table):
-        raise ValidationError(
-            "no closed form for table weights; evaluate with grid_theoretical_fvr"
-        )
-    else:
-        raise ValidationError(f"not a weight function: {family!r}")
-    return FvrBound(s=sv, value=value, kind="closed_form")
+    return FvrBound(s=sv, value=as_family(family).guarantee(sv), kind="closed_form")
 
 
 def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:

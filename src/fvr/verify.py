@@ -30,18 +30,15 @@ from math import ceil, comb, factorial
 
 from .core import (
     Committee,
-    Constant,
     Frac,
     Instance,
-    Optimal,
-    Power,
     RankedProfile,
     SizeLimitError,
-    Threshold,
     ValidationError,
     build_instance,
     flexibility_grid,
     int_at_least,
+    parse_family,
     record,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
@@ -129,18 +126,18 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
     grid = flexibility_grid(m)
     if not grid:
         return 0, []
-    # (label, weight family, thresholds to audit its winner at); a threshold
-    # rule is tailored to one s, so each s gets its own rule.
+    # (rule spec, thresholds to audit its winner at); a threshold rule is
+    # tailored to one s, so each s gets its own rule.
     rules = {
-        "opt": [("opt", Optimal(Fraction(1)), grid)],
-        "approval": [("approval", Constant(), grid)],
-        "power": [(f"power:{p}", Power(p), grid) for p in (1, 2, 3)],
-        "threshold": [("threshold", Threshold(s), (s,)) for s in grid],
+        "opt": [("opt", grid)],
+        "approval": [("approval", grid)],
+        "power": [(f"power:{p}", grid) for p in (1, 2, 3)],
+        "threshold": [(f"threshold:{s}", (s,)) for s in grid],
     }[suite]
-    bounded = [
-        (label, family, [(s, closed_form_fvr(family, s).value) for s in thresholds])
-        for label, family, thresholds in rules
-    ]
+    bounded = []
+    for label, thresholds in rules:
+        family = parse_family(label)
+        bounded.append((label, family, [(s, closed_form_fvr(family, s).value) for s in thresholds]))
     checked = 0
     bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):

@@ -1,5 +1,6 @@
 """CLI behaviour: output contracts, determinism, exit codes."""
 
+import hashlib
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from fvr import oracles
 from fvr.cli import dec_str, main
-from fvr.core import CANDIDATE_LIMIT, POWER_LIMIT, build_instance
+from fvr.core import CANDIDATE_LIMIT, NUMERAL_LIMIT, POWER_LIMIT, build_instance
 from fvr.formats import parse_instance, serialize_instance
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams
 from fvr.oracles import reference_expanded_rule
@@ -486,3 +487,78 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
     assert out.startswith(f"usage: fvr {command}")
     if command == "gen":
         assert "party_split" in out
+
+
+LONG = "1" * (NUMERAL_LIMIT + 1)  # more digits than int() reads by default
+
+
+def run_to_exit(capsys, *argv):
+    """``run``, also for a usage error, which ends in SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (f"fvr 1\nm 4\nn {LONG}\n", ("solve", "{file}", "--rule", "opt")),
+        (f"fvr 1\nm 4\nn 1\n{LONG}\n", ("solve", "{file}", "--rule", "opt")),
+        (f"fvr-ranked 1\nm 3\nn 1\n0 {LONG} 2\n", ("pvc", "{file}")),
+        (None, ("verify", "opt", "--n-max", LONG)),
+        (INTRO_TEXT, ("solve", "{file}", "--rule", f"power:{LONG}")),
+        (None, ("gen", "spread", f"--param=n={LONG}", "--param=m=3", "--param=L=1")),
+    ],
+    ids=["count-line", "voter-line", "ranked-line", "integer-flag", "power", "param"],
+)
+def test_an_overlong_numeral_is_one_error_and_exit_2(capsys, tmp_path, text, argv):
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_to_exit(capsys, *(arg.format(file=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.splitlines()[0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "{file}", "--rule", "threshold:1e-10000000"),
+        ("curve", "--rules", "threshold:1e-100000"),
+    ],
+)
+def test_exponent_notation_exits_2_at_once(capsys, intro_file, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(arg.format(file=intro_file) for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exponent notation" in err
+
+
+# SHA-256 of each gap generator's output at one valid parameter set: the
+# three generators share one row construction, which must keep these bytes.
+GAP_DIGESTS = [
+    (
+        ("approval_gap", "n=12", "m=10", "s=1/2", "r=7/12"),
+        "791adc5aaabd7b5ba09b2f78982c04d661d39c5b9f6b7822eab0f13bef587228",
+    ),
+    (
+        ("power_gap", "n=40", "m=20", "s=1/2", "r=9/20", "p=2"),
+        "71c2faf90b2845bade0c197be255443af85498bf7696e3e6da8c191f3481d4b3",
+    ),
+    (
+        ("weight_gap", "w=1/4:1,1/2:1", "f=1/4", "fprime=1/2", "n=200"),
+        "482e676f2b4323b46653c640ce2ac6b8fefdb471d4fcbf5573af5fe146e4d350",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GAP_DIGESTS, ids=[a[0] for a, _ in GAP_DIGESTS])
+def test_gap_generator_output_is_pinned(capsys, argv, digest):
+    name, *params = argv
+    code, out, _ = run(capsys, "gen", name, *(f"--param={p}" for p in params))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fvr.core import (
+    NUMERAL_LIMIT,
     AuditCurve,
     Committee,
     Constant,
@@ -22,12 +23,11 @@ from fvr.core import (
     eval_weight,
     flexibility,
     flexibility_grid,
-    weight_ratio,
 )
 from fvr.hypergeom import HypParams
 from fvr.multi_winner import MultiParams
 from fvr.oracles import conditional_expected_score, gen_jr_hard, gen_party_split
-from fvr.single_winner import grid_theoretical_fvr
+from fvr.single_winner import closed_form_fvr, grid_theoretical_fvr, score_all
 from fvr.verify import run_suite
 
 INTRO = build_instance(4, [{1, 2}, {1, 3}, {2, 3}])
@@ -61,6 +61,33 @@ def test_as_frac_rejects_floats():
         as_frac(0.5)
     assert as_frac("1/2") == Fraction(1, 2)
     assert as_frac(3) == 3
+
+
+@pytest.mark.parametrize("text", ["1e3", "1E-2", "2.5e1", "1e-10000000", "1/2e1"])
+def test_as_frac_rejects_exponent_notation(text):
+    with pytest.raises(ValidationError, match="exponent notation"):
+        as_frac(text)
+
+
+def test_as_frac_reads_ratios_integers_and_decimals():
+    assert [as_frac(t) for t in ("7/12", "-3", "0.25", " 1/3 ")] == [
+        Fraction(7, 12), Fraction(-3), Fraction(1, 4), Fraction(1, 3)
+    ]
+    with pytest.raises(ValidationError, match=f"over {NUMERAL_LIMIT} characters"):
+        as_frac("0." + "1" * NUMERAL_LIMIT)
+
+
+@pytest.mark.parametrize("w", [None, "approval", 1, Fraction(1, 2), Committee((0,))])
+def test_a_non_family_is_not_a_weight_function_anywhere(w):
+    message = f"not a weight function: {w!r}"
+    for call in (
+        lambda: score_all(INTRO, w),
+        lambda: eval_weight(w, Fraction(1, 2)),
+        lambda: closed_form_fvr(w, Fraction(1, 2)),
+    ):
+        with pytest.raises(ValidationError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_build_instance_intro():
@@ -153,7 +180,7 @@ def test_optimal_family_identity(num, den, c):
 
 @given(st.integers(2, 30).flatmap(lambda m: st.tuples(st.integers(1, m - 1), st.just(m))),
        st.fractions(0, 1).filter(lambda x: 0 < x < 1), st.integers(1, 4), st.integers(1, 9))
-def test_weight_ratio_is_each_family_at_size_over_m(case, s0, p, c):
+def test_ratio_is_each_family_at_size_over_m(case, s0, p, c):
     # The int pair need not be reduced; its value is the family's definition
     # at f = size/m, written here in Fractions.
     size, m = case
@@ -167,10 +194,10 @@ def test_weight_ratio_is_each_family_at_size_over_m(case, s0, p, c):
         table: Fraction(c, p),
     }
     for w, value in expected.items():
-        num, den = weight_ratio(w, size, m)
+        num, den = w.ratio(size, m)
         assert den > 0 and Fraction(num, den) == value == eval_weight(w, f)
     with pytest.raises(ValidationError, match=f"no entry for flexibility {f}"):
-        weight_ratio(Table({Fraction(1, m + 1): 1}), size, m)
+        Table({Fraction(1, m + 1): 1}).ratio(size, m)
 
 
 def test_weight_family_validation():

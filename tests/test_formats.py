@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fvr.core import (
     CANDIDATE_LIMIT,
+    NUMERAL_LIMIT,
     Instance,
     RankedProfile,
     ValidationError,
@@ -23,6 +24,13 @@ from fvr.formats import (
 
 INTRO = build_instance(4, [{1, 2}, {1, 3}, {2, 3}])
 INTRO_TEXT = "fvr 1\nm 4\nn 3\n1 2\n1 3\n2 3\n"
+
+
+def test_an_index_numeral_of_the_longest_length_parses():
+    inst, _, _ = parse_instance(f"fvr 1\nm 4\nn 1\n{'0' * (NUMERAL_LIMIT - 1)}1\n")
+    assert inst.approvals == (frozenset({1}),)
+    with pytest.raises(ParseError, match="not a candidate index"):
+        parse_instance(f"fvr 1\nm 4\nn 1\n{'0' * NUMERAL_LIMIT}1\n")
 
 
 def test_serialize_intro_canonical():
