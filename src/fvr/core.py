@@ -244,8 +244,8 @@ class Instance:
     per approval size.  Equality, hashing, ``repr`` and pickling are those
     of a frozen record with fields ``m`` and ``approvals``.
 
-    Construct through :func:`build_instance` or ``fvr.formats.parse_instance``,
-    which validate the indices, or :meth:`from_masks`, which trusts them.
+    The constructor checks that m is a positive int and that every index is
+    an int in 0..m-1; :meth:`from_masks` trusts its masks.
     """
 
     __slots__ = ("m", "masks", "n", "_approvals", "_views")
@@ -254,7 +254,15 @@ class Instance:
     __delattr__ = _frozen_delattr
 
     def __init__(self, m: int, approvals: Iterable[Iterable[int]]):
+        int_at_least(m, "m", 1)
         rows = tuple(map(frozenset, approvals))
+        for i, row in enumerate(rows):
+            what = f"voter {i}: candidate index"
+            for a in row:
+                if int_at_least(a, what) >= m:
+                    raise ValidationError(
+                        f"voter {i} approves candidate {a}, outside the range 0..{m - 1}"
+                    )
         _fill(self, m, tuple(encode_row(row, m) for row in rows))
         _set(self, "_approvals", rows)
 
@@ -378,25 +386,15 @@ def _views_by_voter(m: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], di
 
 
 def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
-    """Validate and freeze an approval profile.
+    """Validate and freeze an approval profile of at least one voter.
 
     Voter order is preserved.  Each approval set is deduplicated; indices
-    must lie in ``0..m-1``.
+    must lie in ``0..m-1`` (checked by :class:`Instance`).
     """
-    int_at_least(m, "m", 1)
-    rows: list[frozenset[int]] = []
-    for i, approved in enumerate(approvals):
-        row = frozenset(approved)
-        what = f"voter {i}: candidate index"
-        for a in row:
-            if int_at_least(a, what) >= m:
-                raise ValidationError(
-                    f"voter {i} approves candidate {a}, outside the range 0..{m - 1}"
-                )
-        rows.append(row)
-    if not rows:
+    inst = Instance(m, approvals)
+    if not inst.n:
         raise ValidationError("need at least one voter")
-    return Instance(m, tuple(rows))
+    return inst
 
 
 @record

@@ -20,20 +20,12 @@ from .core import (
     Instance,
     SizeLimitError,
     ValidationError,
-    flexible_size,
     int_at_least,
     open_unit,
     record,
 )
 from .hypergeom import miss_prob
-from .single_winner import (
-    argmax,
-    audit_curve,
-    common_units,
-    count_flexible,
-    size_histogram,
-    weighted_counts,
-)
+from .single_winner import argmax, common_units, group_audit, group_audit_curve, weighted_counts
 
 __all__ = [
     "COMMITTEE_LIMIT",
@@ -142,7 +134,6 @@ def expand_instance(inst: Instance, params: MultiParams) -> ExpandedInstance:
                 if len(approved.intersection(members)) >= params.t
             )
         )
-    # Indices are by construction within range; skip per-index revalidation.
     expanded = Instance(total, tuple(rows))
     return ExpandedInstance(base=inst, params=params, committees=committees, expanded=expanded)
 
@@ -162,72 +153,84 @@ def _reaching(columns: Sequence[int], members: Collection[int], t: int) -> int:
     return at_least[t]
 
 
+def _penalty(inst: Instance, k: int, t: int) -> tuple[list[tuple[int, int, int]], int]:
+    """The committee penalty for (k, t) as int units over one scale.
+
+    A voter approving ``size`` candidates who is left below t on a
+    k-committee costs 1/miss_prob(m, size, k, t), the reciprocal of the
+    probability that a uniformly random k-committee leaves her below t, so
+    a random committee costs n in expectation.  For each approval size
+    present whose miss probability p/q is positive, the table holds
+    ``(size, voters, unit)``: the voters of that size as a bitset, and
+    unit = q*(scale/p), so each of them costs exactly unit/scale.  Voters
+    with miss probability 0 reach t on every committee: their cost is
+    undefined, and no committee leaves them short.
+    """
+    classes, ratios = [], []
+    for size, voters in inst.size_masks.items():
+        miss = miss_prob(inst.m, size, k, t)
+        if miss:
+            classes.append((size, voters))
+            ratios.append((miss.denominator, miss.numerator))
+    units, scale = common_units(ratios)
+    return [(size, voters, unit) for (size, voters), unit in zip(classes, units)], scale
+
+
+def _charge(table: list[tuple[int, int, int]], short: int) -> int:
+    """The penalty times the table's scale of a committee leaving ``short`` below t.
+
+    ``short`` is a voter bitset, or the complement ``~reached`` of the
+    voters reaching t, as it is only ANDed with each size's voters.
+    """
+    return sum(unit * (short & voters).bit_count() for _, voters, unit in table)
+
+
+def _short_voters(inst: Instance, committee: Committee, t: int) -> tuple[int, int]:
+    """The committee's size k and its voters below t (as for :func:`_charge`), once it is valid."""
+    members = _check_committee(inst, committee, t)
+    return len(members), ~_reaching(inst.columns, members, t)
+
+
 def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
     """The optimal single-winner rule's winner over all k-committees.
 
     In the expanded instance (:func:`expand_instance`) a voter's flexibility
     is the share of committees she t-approves, so her 1/(1-f) weight is
-    1/miss_prob, the reciprocal of the probability that a uniformly random
-    k-committee leaves her below t.  That is the weight
-    :func:`committee_score` charges when she is left short, so the winner is
-    the lowest-index (lexicographic) committee minimising
-    :func:`committee_score`.
+    1/miss_prob, the cost :func:`_penalty` charges when she is left short.
+    A committee's score there is the total weight minus its penalty, so the
+    winner is the lowest-index (lexicographic) committee of least penalty,
+    the one minimising :func:`committee_score`.  Voters with miss
+    probability 1 are short on every committee and add the same constant
+    to each, as voters approving no committee add nothing to any score.
 
     The expansion is never built.  Per committee, the bit-sliced counter
     :func:`_reaching` finds the voters approving at least t members among
-    the instance's cached voter bitsets, and each size class adds its int
-    weight (over one common denominator) per such voter.  Sizes whose miss
-    probability is 0 or 1 raise every committee equally and are skipped, as
-    the single-winner rule skips voters approving all or no committees.
-    Cost: O(C(m,k) * (k*t + sizes)) big-int operations on n-bit ints.
+    the instance's cached voter bitsets, and :func:`_charge` sums the int
+    penalty of the rest.  Cost: O(C(m,k) * (k*t + sizes)) big-int
+    operations on n-bit ints.
     """
     _check_expansion(inst, params)
-    m, k, t = inst.m, params.k, params.t
-    misses, groups = [], []
-    for size, voters in inst.size_masks.items():
-        miss = miss_prob(m, size, k, t)
-        if 0 < miss.numerator < miss.denominator:
-            misses.append(miss)
-            groups.append(voters)
-    units, _ = common_units([(miss.denominator, miss.numerator) for miss in misses])
-    classes = list(zip(units, groups))
+    k, t = params.k, params.t
+    table, _ = _penalty(inst, k, t)
     columns = inst.columns
-    best: tuple[int, ...] = ()
-    best_score = -1
-    for members in combinations(range(m), k):
-        reached = _reaching(columns, members, t)
-        score = sum(unit * (reached & voters).bit_count() for unit, voters in classes)
-        if score > best_score:
-            best, best_score = members, score
-    return Committee(best)
+    return Committee(
+        min(
+            combinations(range(inst.m), k),
+            key=lambda members: _charge(table, ~_reaching(columns, members, t)),
+        )
+    )
 
 
 def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
-    """Penalty of a committee: each voter left below her approval target adds
-    the reciprocal of the probability that a uniformly random committee of
-    the same size would leave her below it.
+    """Penalty of a committee: the summed cost (:func:`_penalty`) of the
+    voters it leaves below their approval target t, as one Fraction.
 
     A random committee scores n in expectation, so any committee scoring at
-    most n meets the hypergeometric guarantee.  Voters certain to reach the
-    target on every committee have reciprocal weight undefined (probability
-    0) and are skipped; such voters can never be in the penalized group.
-    The probability depends only on the approval size, so it is computed
-    once per size of the voters left short; the sizes' reciprocals are
-    summed as ints over one denominator, and one Fraction is built.
+    most n meets the hypergeometric guarantee.
     """
-    members = _check_committee(inst, committee, t)
-    k = len(members)
-    short = ~_reaching(inst.columns, members, t)  # AND with a voter bitset to select
-    counts, misses = [], []
-    for size, voters in inst.size_masks.items():
-        count = (short & voters).bit_count()
-        if count:
-            miss = miss_prob(inst.m, size, k, t)
-            if miss:
-                counts.append(count)
-                misses.append(miss)
-    units, scale = common_units([(miss.denominator, miss.numerator) for miss in misses])
-    return Fraction(sum(c * u for c, u in zip(counts, units)), scale)
+    k, short = _short_voters(inst, committee, t)
+    table, scale = _penalty(inst, k, t)
+    return Fraction(_charge(table, short), scale)
 
 
 def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
@@ -248,20 +251,18 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     candidates left who needs x = t-1-overlap more of them besides the next
     pick, the weight is C(r-1, x) * C(m-j-r, k-j-x) / C(m-j-1, k-j) divided
     by her miss probability.  The denominator is the same for every class
-    and the reciprocal miss probabilities are int units over one
-    denominator, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
+    and the reciprocal miss probabilities are the int units of
+    :func:`_penalty`, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
     with the same argmax.  After each pick, a class's voters who approve it
     (its bitset AND the pick's column) move up one overlap.
     """
     _check_k(inst, params.k)
     m, k, t = inst.m, params.k, params.t
-    columns, groups = inst.columns, inst.size_masks
-    miss = {size: miss_prob(m, size, k, t) for size in groups}
+    columns = inst.columns
+    table, _ = _penalty(inst, k, t)
+    unit = {size: u for size, _, u in table}
     # Only voters who approve someone and can miss the target ever carry weight.
-    sizes = [size for size, p in miss.items() if size and p]
-    units, _ = common_units([(miss[size].denominator, miss[size].numerator) for size in sizes])
-    unit = dict(zip(sizes, units))
-    classes = {(size, 0): groups[size] for size in sizes}
+    classes = {(size, 0): voters for size, voters, _ in table if size}
     chosen: list[int] = []
     for j in range(1, k + 1):
         weighted = []
@@ -304,20 +305,15 @@ def sequential_rule(inst: Instance, params: MultiParams) -> Committee:
 def empirical_fvr_committee(inst: Instance, committee: Committee, s: object, t: int) -> Frac:
     """Share of voters that are s-flexible yet approve fewer than ``t`` members."""
     sv = open_unit(s)
-    members = _check_committee(inst, committee, t)
-    short = ~_reaching(inst.columns, members, t)
-    return Fraction(count_flexible(inst, short, flexible_size(sv, inst.m)), inst.n)
+    return group_audit(inst, _short_voters(inst, committee, t)[1], sv)
 
 
 def empirical_fvr_committee_curve(inst: Instance, committee: Committee, t: int) -> AuditCurve:
     """The committee audit as a step function of the threshold s.
 
-    Equals :func:`empirical_fvr_committee` at every s, from one count of
-    the voters left short per approval size.
+    Equals :func:`empirical_fvr_committee` at every s.
     """
-    members = _check_committee(inst, committee, t)
-    short = ~_reaching(inst.columns, members, t)
-    return audit_curve(size_histogram(inst, short), inst.m, inst.n)
+    return group_audit_curve(inst, _short_voters(inst, committee, t)[1])
 
 
 @record

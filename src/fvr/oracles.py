@@ -180,7 +180,13 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     _require_ints(n=n)
     fv, fpv = as_frac(f), as_frac(fprime)
     m = lcm(fv.denominator, fpv.denominator)
-    _check_budget(n, m)
+    _check_budget(n)
+    # m, like g below, is built from two inputs and may be too long to print.
+    if m > CANDIDATE_LIMIT:
+        raise SizeLimitError(
+            f"m must be at most {CANDIDATE_LIMIT}, got the lcm of {fv.denominator} "
+            f"and {fpv.denominator}"
+        )
     wf = eval_weight(w, fv)
     if wf == 0:
         raise ValidationError(f"need w(f) > 0 at f={fv}")
@@ -189,7 +195,8 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     bloc = floor(gap * n) - m
     if bloc < 0:
         raise ValidationError(
-            f"n={n} too small: need floor(g*n) >= m, with g={gap} and m={m}"
+            f"n={n} too small: need floor(g*n) >= m={m}, "
+            "with g = (1-f)w(f) / ((1-f)w(f) + f'w(f'))"
         )
     return _gap_instance(m, bloc, int(fpv * m), n - bloc, int(fv * m) - 1)
 
@@ -254,6 +261,8 @@ def gen_jr_hard(m: int, k: int) -> Instance:
         raise ValidationError(f"need m > k, got m={m!r}, k={k!r}")
     group = m - k + 1
     # k-1 party groups bullet-vote; group pool voters approve group-1 each.
+    # m first, so that the voter count k*group is short enough to print.
+    _check_budget(0, m)
     _check_budget(k * group, m, group * (m - 1))
     rows: list[set[int]] = []
     for j in range(k - 1):

@@ -9,7 +9,7 @@ instance can force on it; lower is stronger, and no rule can beat ``1 - s``.
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -77,22 +77,38 @@ def weighted_counts(columns: Sequence[int], classes: Iterable[tuple[int, int]]) 
     return counts
 
 
-def size_histogram(inst: Instance, voters: int) -> dict[int, int]:
-    """How many of ``voters`` (a voter bitset) have each approval size.
+def group_audit(inst: Instance, voters: int, s: Frac) -> Frac:
+    """Share of all n voters that lie in ``voters`` and are s-flexible, for a checked s.
 
-    ``voters`` may also be the complement ``~bitset`` of a group, as it is
-    only ANDed with each size's voters.
+    ``voters`` is a voter bitset, or the complement ``~bitset`` of a group,
+    as it is only ANDed with each size's voters; a voter is s-flexible when
+    her approval size reaches ceil(s*m), compared in ints.
     """
-    return {size: (voters & group).bit_count() for size, group in inst.size_masks.items()}
-
-
-def count_flexible(inst: Instance, voters: int, need: int) -> int:
-    """How many of ``voters`` (as for :func:`size_histogram`) approve at least ``need`` candidates."""
+    need = flexible_size(s, inst.m)
     hits = 0
     for size, group in inst.size_masks.items():
         if size >= need:
             hits += (voters & group).bit_count()
-    return hits
+    return Fraction(hits, inst.n)
+
+
+def group_audit_curve(inst: Instance, voters: int) -> AuditCurve:
+    """:func:`group_audit` as a step function of the threshold s.
+
+    Breakpoints sit exactly at the distinct positive flexibilities in the
+    group; values are suffix sums of its count per approval size, largest
+    size first, and the first step's value is also the limit as s
+    approaches 0.
+    """
+    breakpoints = []
+    count = 0
+    for size, group in reversed(inst.size_masks.items()):
+        hits = (voters & group).bit_count()
+        if size and hits:
+            count += hits
+            breakpoints.append((Fraction(size, inst.m), Fraction(count, inst.n)))
+    breakpoints.reverse()
+    return AuditCurve(tuple(breakpoints))
 
 
 def argmax(values: Sequence[object], skip: Container[int] = ()) -> int:
@@ -127,6 +143,13 @@ def ropt_winner(inst: Instance) -> int:
     return winner(inst, Optimal())
 
 
+def _disapprovers(inst: Instance, a: int) -> int:
+    """The voters disapproving candidate ``a`` (as for :func:`group_audit`), once ``a`` is valid."""
+    if not 0 <= a < inst.m:
+        raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
+    return ~inst.columns[a]
+
+
 def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
     """Share of voters that are s-flexible yet disapprove candidate ``a``.
 
@@ -134,38 +157,12 @@ def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:
     threshold exactly when the returned share is at most r.
     """
     sv = open_unit(s)
-    if not 0 <= a < inst.m:
-        raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    hits = count_flexible(inst, ~inst.columns[a], flexible_size(sv, inst.m))
-    return Fraction(hits, inst.n)
-
-
-def audit_curve(histogram: Mapping[int, int], m: int, n: int) -> AuditCurve:
-    """The audit step function of a group of voters, from its count per approval size.
-
-    The curve at s is the share of all n voters that lie in the group and
-    are s-flexible: suffix sums of the histogram, largest size first.
-    """
-    breakpoints = []
-    count = 0
-    for size in sorted(histogram, reverse=True):
-        if size and histogram[size]:
-            count += histogram[size]
-            breakpoints.append((Fraction(size, m), Fraction(count, n)))
-    breakpoints.reverse()
-    return AuditCurve(tuple(breakpoints))
+    return group_audit(inst, _disapprovers(inst, a), sv)
 
 
 def empirical_fvr_curve(inst: Instance, a: int) -> AuditCurve:
-    """The audit of candidate ``a`` as a step function of the threshold s.
-
-    Breakpoints sit exactly at the distinct positive flexibilities of the
-    voters disapproving ``a``; the first step's value is also the limit as
-    s approaches 0.
-    """
-    if not 0 <= a < inst.m:
-        raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    return audit_curve(size_histogram(inst, ~inst.columns[a]), inst.m, inst.n)
+    """The audit of candidate ``a`` as a step function of the threshold s."""
+    return group_audit_curve(inst, _disapprovers(inst, a))
 
 
 @record

@@ -17,6 +17,11 @@ Suite parameter conventions (all optional, suite-specific defaults):
 - ``seed``: seed for sampled checks.
 
 ``n_max``, ``m_max`` and ``budget`` must be positive integers when given.
+
+Every suite checks its size budget before it builds or runs any block, and
+raises ``SizeLimitError`` when its largest block would exceed it: the voter
+multisets of one sweep block, the ``hypergeom`` subsets, or the voter groups
+that the ``pvc`` subset oracle tries (against ``ENUMERATION_BUDGET``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import random
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, comb, factorial
+from math import ceil, comb
 
 from .core import (
     Committee,
@@ -124,8 +129,6 @@ def _profile(inst: Instance) -> list[list[int]]:
 
 def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, list[str]]:
     grid = flexibility_grid(m)
-    if not grid:
-        return 0, []
     # (rule spec, thresholds to audit its winner at); a threshold rule is
     # tailored to one s, so each s gets its own rule.
     rules = {
@@ -155,8 +158,6 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
 
 
 def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
-    if m < 2:
-        return 0, []
     # The bounds depend on (k, t, s) only, not on the instance.
     bounds = {
         (k, t): [(s, multiwinner_bound(m, s, k, t)) for s in flexibility_grid(m)]
@@ -209,8 +210,6 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
 
 
 def _reduction_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
-    if m < 2:
-        return 0, []
     checked = 0
     bad: list[str] = []
     params = MultiParams(1, 1)
@@ -299,7 +298,7 @@ def _hyp_counting_block(seed: int, count: int, m_max: int) -> tuple[int, list[st
 def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
-    if factorial(m) ** n <= sample:
+    if _all_profiles(n, m, sample) is not None:
         profiles = product(permutations(range(m)), repeat=n)
     else:
         rng = random.Random(seed)
@@ -314,6 +313,40 @@ def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
     return checked, bad
 
 
+def _all_profiles(n: int, m: int, sample: int) -> int | None:
+    """m!**n, the count of ranked profiles of shape (n, m), if at most ``sample``, else None.
+
+    Built one factor at a time, so a large m stops as soon as it is over.
+    """
+    count = 1
+    for size in range(2, m + 1):
+        count *= size**n
+        if count > sample:
+            return None
+    return count
+
+
+def _multisets_over(n: int, m: int, budget: int) -> bool:
+    """Whether the C(2**m + n - 1, n) voter multisets of shape (n, m) exceed ``budget``.
+
+    The count is at least 2**m, so a large m is refused before 2**m is
+    built.  Otherwise it is C(cells + n, k) with cells = 2**m - 1 and
+    k = min(n, cells), built as C(cells + n - k + j, j) for j = 1..k; each
+    step at least doubles it, so the loop stops within
+    ``budget.bit_length() + 1`` steps.
+    """
+    if m >= budget.bit_length():
+        return True
+    cells = 2**m - 1
+    k = min(n, cells)
+    count = 1
+    for j in range(1, k + 1):
+        count = count * (cells + n - k + j) // j
+        if count > budget:
+            return True
+    return False
+
+
 def _dispatch(task: tuple) -> tuple[int, list[str]]:
     block, args = task
     return block(*args)
@@ -325,15 +358,25 @@ def _dispatch(task: tuple) -> tuple[int, list[str]]:
 
 
 def _sweep(block: Callable[..., tuple[int, list[str]]], n_default: int, m_default: int, *lead):
-    """Suite builder: one ``block(*lead, n, m, budget)`` task per (n, m) of the sweep."""
+    """Suite builder: one ``block(*lead, n, m, budget)`` task per (n, m) of the sweep.
+
+    A block with one candidate has no threshold and no committee to check,
+    so m starts at 2.  The multiset count grows with both n and m, so the
+    largest block decides the budget, checked before any task is built.
+    """
 
     def build(n_max, m_max, budget, seed):
         n_max = n_max or n_default
         m_max = m_max or m_default
         budget = budget or 10**6
+        if m_max > 1 and _multisets_over(n_max, m_max, budget):
+            raise SizeLimitError(
+                f"n_max={n_max}, m_max={m_max} would enumerate more than {budget} "
+                "voter multisets in one block"
+            )
         return [
             (block, (*lead, n, m, budget))
-            for m in range(1, m_max + 1)
+            for m in range(2, m_max + 1)
             for n in range(1, n_max + 1)
         ]
 
@@ -365,6 +408,18 @@ def _build_pvc(n_max, m_max, budget, seed):
     m_max = m_max or 3
     sample = budget or 300
     seed = seed if seed is not None else 0
+    # strong_pvc_by_subsets tries up to m * (2**n - 1) voter groups per
+    # profile, and the largest block tries the most.  An n whose 2**n - 1
+    # alone exceeds the budget is refused before 2**n is built.
+    if (
+        n_max > ENUMERATION_BUDGET.bit_length()
+        or m_max * (2**n_max - 1) * (_all_profiles(n_max, m_max, sample) or sample)
+        > ENUMERATION_BUDGET
+    ):
+        raise SizeLimitError(
+            f"n_max={n_max}, m_max={m_max} would try more than {ENUMERATION_BUDGET} "
+            "voter groups in one block's subset oracle"
+        )
     return [
         (_pvc_block, (n, m, sample, seed + 31 * (n * 17 + m)))
         for m in range(1, m_max + 1)

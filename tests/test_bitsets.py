@@ -3,17 +3,37 @@
 ``Instance.from_masks`` must give the very instance ``build_instance`` gives
 for the decoded sets: equal, with the same hash, ``repr`` and pickle.  The
 cached views (one voter bitset per candidate and one per approval size)
-must match a count made voter by voter.
+must match a count made voter by voter, and the kernels read only those
+views, never the decoded approval sets.
 """
 
 import pickle
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fvr.core import Instance, build_instance, decode_rows, encode_row
+from fvr.core import (
+    Committee,
+    Instance,
+    Optimal,
+    ValidationError,
+    build_instance,
+    decode_rows,
+    encode_row,
+)
 from fvr.formats import parse_instance, serialize_instance
-from fvr.multi_winner import COMMITTEE_LIMIT
+from fvr.multi_winner import (
+    COMMITTEE_LIMIT,
+    MultiParams,
+    committee_score,
+    empirical_fvr_committee,
+    empirical_fvr_committee_curve,
+    expanded_rule,
+    sequential_picks,
+)
+from fvr.single_winner import empirical_fvr_curve, empirical_fvr_point, score_all, winner
 
 
 @st.composite
@@ -96,3 +116,54 @@ def test_equality_compares_the_candidate_count_as_well():
     # Equal masks over different candidate sets are different elections.
     assert Instance.from_masks(3, [1, 6]) != Instance.from_masks(4, [1, 6])
     assert build_instance(3, [{0}]) != build_instance(4, [{0}])
+
+
+@pytest.mark.parametrize(
+    "m, rows, message",
+    [
+        (3, [[-1]], "voter 0: candidate index must be a nonnegative integer, got -1"),
+        (3, [[0], [5]], r"voter 1 approves candidate 5, outside the range 0\.\.2"),
+        (3, [[3]], r"voter 0 approves candidate 3, outside the range 0\.\.2"),
+        (3, [[True]], "got True"),
+        (3, [[1.0]], "got 1.0"),
+        (3, [["1"]], "got '1'"),
+        (0, [[]], "m must be a positive integer, got 0"),
+    ],
+)
+def test_direct_construction_rejects_bad_indices(m, rows, message):
+    with pytest.raises(ValidationError, match=message):
+        Instance(m, rows)
+
+
+@st.composite
+def index_profiles(draw):
+    m = draw(st.integers(1, 9))
+    return m, draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=8))
+
+
+@given(index_profiles())
+def test_direct_construction_is_build_instance(case):
+    m, rows = case
+    inst = Instance(m, rows)
+    assert inst == build_instance(m, rows)
+    assert hash(inst) == hash(build_instance(m, rows))
+
+
+def test_kernels_never_decode_the_approvals():
+    # An empty voter and a full one, among others; the kernels read only the
+    # masks and the cached voter bitsets.
+    inst = Instance.from_masks(5, [0, 0b11111, 0b00011, 0b10100, 0b01001, 0b00011])
+    half = Fraction(1, 2)
+    for family in (Optimal(), Optimal(2)):
+        score_all(inst, family)
+        winner(inst, family)
+    empirical_fvr_point(inst, 1, half)
+    empirical_fvr_curve(inst, 1)
+    params = MultiParams(3, 2)
+    expanded_rule(inst, params)
+    committee = Committee(sequential_picks(inst, params))
+    committee_score(inst, committee, 2)
+    empirical_fvr_committee(inst, committee, half, 2)
+    empirical_fvr_committee_curve(inst, committee, 2)
+    # The approvals slot is set on the first decode.
+    assert not hasattr(inst, "_approvals")

@@ -460,8 +460,8 @@ OVER = COMMITTEE_LIMIT + 1
         ("approval_gap", (f"n={OVER}", "m=10", "s=1/2", "r=1/2")),
         ("power_gap", (f"n={OVER}", "m=10", "s=1/2", "r=1/10", "p=2")),
         ("weight_gap", ("w=1/4:1,1/2:1", "f=1/4", "fprime=1/2", f"n={OVER}")),
-        # k * (m - k + 1) voters: 100001 * 2
-        ("jr_hard", ("m=100002", "k=100001")),
+        # k * (m - k + 1) voters: 100 * 9901, with m within its own limit
+        ("jr_hard", ("m=10000", "k=100")),
     ],
 )
 def test_gen_over_voter_budget_exits_2_at_once(capsys, name, params):
@@ -521,6 +521,34 @@ def test_an_overlong_numeral_is_one_error_and_exit_2(capsys, tmp_path, text, arg
     code, out, err = run_to_exit(capsys, *(arg.format(file=path) for arg in argv))
     assert (code, out) == (2, "")
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.splitlines()[0]]
+
+
+FOURS = "4" * 4000
+THREES = "3" * 4001
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # g multiplies the two weights: over 4,300 digits.
+        (f"w=1/4:{FOURS},1/2:1/{FOURS}", "f=1/4", "fprime=1/2", "n=3"),
+        # m is the lcm of the two denominators: over 4,300 digits.
+        ("w=1/4:1", f"f=1/{FOURS}", f"fprime=1/{THREES}", "n=3"),
+    ],
+    ids=["g", "m"],
+)
+def test_gen_weight_gap_value_built_from_two_inputs_is_not_printed(capsys, params):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "weight_gap", *(f"--param={p}" for p in params))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_jr_hard_checks_m_before_printing_its_voter_count(capsys):
+    code, out, err = run(capsys, "gen", "jr_hard", f"--param=m={'9' * 4000}", f"--param=k={'9' * 3999}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: m must be at most {CANDIDATE_LIMIT}, got 999") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -214,7 +214,7 @@ def test_generator_budgets_admit_their_limits():
                 Table({Fraction(1, 101): 1, Fraction(1, 103): 1}),
                 Fraction(1, 101), Fraction(1, 103), 1000,
             ),
-            f"m must be at most {CANDIDATE_LIMIT}, got 10403",
+            f"m must be at most {CANDIDATE_LIMIT}, got the lcm of 101 and 103",
         ),
         # The approvals, the sum of |A| over voters.
         (lambda: gen_spread(1001, 1000, 1000), "1001000 approvals exceed the limit"),
@@ -241,7 +241,7 @@ def test_an_out_of_range_per_voter_count_is_named_before_the_budgets(build):
 def test_gen_weight_gap_checks_its_sizes_before_evaluating_the_weights():
     # The table has no value at f or f', so evaluating it would fail.
     table = Table({HALF: 1})
-    with pytest.raises(SizeLimitError, match=f"m must be at most {CANDIDATE_LIMIT}, got 10403"):
+    with pytest.raises(SizeLimitError, match=f"m must be at most {CANDIDATE_LIMIT}, got the lcm"):
         gen_weight_gap(table, Fraction(1, 101), Fraction(1, 103), 1000)
     with pytest.raises(SizeLimitError, match="voters exceed the limit"):
         gen_weight_gap(table, Fraction(1, 3), Fraction(1, 2), COMMITTEE_LIMIT + 1)
