@@ -60,11 +60,13 @@ __all__ = [
     "enumerate_instances",
     "enumerate_voter_multisets",
     "conditional_expected_score",
+    "conditional_expected_scores",
     "reference_score_all",
     "reference_committee_score",
     "reference_sequential_picks",
     "reference_expanded_rule",
     "strong_pvc",
+    "committee_score",  # re-exported: perfbench/tests reads the kernel from this module
 ]
 
 # Seed used by the uniform-approval generator when none is given, so that
@@ -239,7 +241,9 @@ def gen_party_split(k: int, reps: int = 1) -> Instance:
     approval counts.
     """
     int_at_least(k, "slate size k", 2)
-    int_at_least(reps, "replication factor", 1)
+    # reps first: 2 * reps may be a numeral too long to print.
+    if int_at_least(reps, "replication factor", 1) > COMMITTEE_LIMIT:
+        raise SizeLimitError(f"replication factor {reps} would build more than {COMMITTEE_LIMIT} voters")
     _check_budget(2 * reps, 2 * k, 2 * reps * k)
     first = set(range(k))
     second = set(range(k, 2 * k))
@@ -372,29 +376,43 @@ def enumerate_voter_multisets(
         yield Instance.from_masks(m, masks)
 
 
-def conditional_expected_score(inst: Instance, params: MultiParams, partial: object = ()) -> Frac:
-    """Average committee penalty over all k-committees containing ``partial``.
+def conditional_expected_scores(inst: Instance, params: MultiParams, picks: object = ()) -> list[Frac]:
+    """Average committee penalty over the k-committees containing each prefix of ``picks``.
 
-    With an empty prefix this equals the number of voters that can miss
-    their approval target at all; pinning a full committee reproduces its
-    exact penalty.  The sequential rule's picks drive this quantity
-    monotonically downward.
+    Entry j is, summed over the voters whose miss probability
+    miss = hyp_cdf(m, |A|, k; t-1) is positive, her share of the C(m-j, k-j)
+    completions of picks[:j] that leave her below t, over miss (repeated picks
+    count once).  With no picks it is the number of such voters, a full
+    committee gives its :func:`reference_committee_score`, and the sequential
+    rule's picks never raise it.  One pass over the C(m, k) committees
+    counts every prefix, as ints over one scale; only ``hyp_cdf`` and the
+    approval sets are read, never the committee kernels.
     """
     _check_expansion(inst, params)
-    base = tuple(sorted(set(partial)))
-    for a in base:
+    picks = tuple(dict.fromkeys(picks))
+    for a in picks:
         if int_at_least(a, "partial committee member") >= inst.m:
             raise ValidationError(f"partial committee member {a!r} outside 0..{inst.m - 1}")
-    if len(base) > params.k:
-        raise ValidationError(f"partial committee has {len(base)} members, more than k={params.k}")
-    rest = [a for a in range(inst.m) if a not in base]
-    need = params.k - len(base)
-    total = Fraction(0)
-    count = 0
-    for extra in combinations(rest, need):
-        total += committee_score(inst, Committee(base + extra), params.t)
-        count += 1
-    return total / count
+    m, k, t = inst.m, params.k, params.t
+    if len(picks) > k:
+        raise ValidationError(f"partial committee has {len(picks)} members, more than k={k}")
+    misses = [(A, miss) for A in inst.approvals if (miss := hyp_cdf(HypParams(m, len(A), k), t - 1))]
+    scale = lcm(*(miss.numerator for _, miss in misses))
+    # Each voter who can miss t: her approvals as a mask, and scale / miss.
+    costs = [(sum(1 << a for a in A), miss.denominator * scale // miss.numerator) for A, miss in misses]
+    # short[j]: the cost of the voters left short, summed over the committees
+    # whose longest prefix of ``picks`` is picks[:j].
+    short = [0] * (len(picks) + 1)
+    for members in combinations([1 << a for a in range(m)], k):
+        committee = sum(members)
+        j = next((j for j, a in enumerate(picks) if not committee >> a & 1), len(picks))
+        short[j] += sum(cost for approved, cost in costs if (approved & committee).bit_count() < t)
+    return [Fraction(sum(short[j:]), scale * comb(m - j, k - j)) for j in range(len(picks) + 1)]
+
+
+def conditional_expected_score(inst: Instance, params: MultiParams, partial: object = ()) -> Frac:
+    """Average committee penalty over the k-committees containing ``partial``."""
+    return conditional_expected_scores(inst, params, partial)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -77,19 +77,19 @@ def weighted_counts(columns: Sequence[int], classes: Iterable[tuple[int, int]]) 
     return counts
 
 
-def group_audit(inst: Instance, voters: int, s: Frac) -> Frac:
-    """Share of all n voters that lie in ``voters`` and are s-flexible, for a checked s.
+def flexible_count(inst: Instance, voters: int, need: int) -> int:
+    """How many voters in ``voters`` approve at least ``need`` candidates.
 
     ``voters`` is a voter bitset, or the complement ``~bitset`` of a group,
-    as it is only ANDed with each size's voters; a voter is s-flexible when
-    her approval size reaches ceil(s*m), compared in ints.
+    as it is only ANDed with each size's voters.
     """
-    need = flexible_size(s, inst.m)
-    hits = 0
-    for size, group in inst.size_masks.items():
-        if size >= need:
-            hits += (voters & group).bit_count()
-    return Fraction(hits, inst.n)
+    return sum((voters & group).bit_count() for size, group in inst.size_masks.items() if size >= need)
+
+
+def group_audit(inst: Instance, voters: int, s: Frac) -> Frac:
+    """Share of all n voters that lie in ``voters`` and are s-flexible, for a checked s:
+    the :func:`flexible_count` at ceil(s*m) approvals (compared in ints), over n."""
+    return Fraction(flexible_count(inst, voters, flexible_size(s, inst.m)), inst.n)
 
 
 def group_audit_curve(inst: Instance, voters: int) -> AuditCurve:

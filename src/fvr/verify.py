@@ -18,20 +18,33 @@ Suite parameter conventions (all optional, suite-specific defaults):
 
 ``n_max``, ``m_max`` and ``budget`` must be positive integers when given.
 
+Each oracle walks its universe once, counts in ints and calls none of the
+kernels it checks: a sweep holds its count of the s-flexible voters a
+winner or committee fails to the exact bound p/q as hits*q <= p*n; the
+prefix oracle scores every k-committee once for all prefixes of the
+sequential picks; ``hypergeom`` reads every probe of (p, s, d) as an int
+count from one histogram of the C(p, d) draws; ``strong_pvc_by_subsets``
+tries each voter group once.  Those checks build a ``Fraction`` only to
+word a violation.
+
 Every suite checks its size budget before it builds or runs any block, and
 raises ``SizeLimitError`` when its largest block would exceed it: the voter
-multisets of one sweep block, the ``hypergeom`` subsets, or the voter groups
-that the ``pvc`` subset oracle tries (against ``ENUMERATION_BUDGET``).
+multisets of one sweep block, the ``hypergeom`` subset probes, or the
+(candidate, voter group) pairs of the ``pvc`` subset oracle (both against
+``ENUMERATION_BUDGET``).
 """
 
 from __future__ import annotations
 
 import os
 import random
-from collections.abc import Callable
+from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations, product
-from math import ceil, comb
+from math import ceil, comb, lcm
+from operator import and_
 
 from .core import (
     Committee,
@@ -40,8 +53,8 @@ from .core import (
     RankedProfile,
     SizeLimitError,
     ValidationError,
-    build_instance,
     flexibility_grid,
+    flexible_size,
     int_at_least,
     parse_family,
     record,
@@ -49,18 +62,18 @@ from .core import (
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
     MultiParams,
+    _short_voters,
     committee_score,
-    empirical_fvr_committee,
     expanded_rule,
     sequential_picks,
 )
 from .oracles import (
     ENUMERATION_BUDGET,
-    conditional_expected_score,
+    conditional_expected_scores,
     enumerate_voter_multisets,
     strong_pvc,
 )
-from .single_winner import closed_form_fvr, empirical_fvr_point, ropt_winner, winner
+from .single_winner import _disapprovers, closed_form_fvr, flexible_count, ropt_winner, winner
 
 __all__ = [
     "VerifyResult",
@@ -89,32 +102,39 @@ class VerifyResult:
 # ---------------------------------------------------------------------------
 
 
+def _overlaps(population: int, successes: int, draws: int) -> list[int]:
+    """How many of the C(population, draws) draws hold each count 0..draws of
+    the first ``successes`` items, enumerating the draws once."""
+    counts = [0] * (draws + 1)
+    for chosen in combinations(range(population), draws):
+        counts[bisect_left(chosen, successes)] += 1  # ``chosen`` is sorted
+    return counts
+
+
 def pmf_by_enumeration(population: int, successes: int, draws: int, t: int) -> Frac:
     """Hypergeometric mass by counting subsets directly."""
-    good = set(range(successes))
-    hits = sum(
-        1 for chosen in combinations(range(population), draws) if len(good.intersection(chosen)) == t
-    )
+    hits = _overlaps(population, successes, draws)[t] if 0 <= t <= draws else 0
     return Fraction(hits, comb(population, draws))
 
 
 def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
-    """Veto-core membership by enumerating every voter group explicitly."""
+    """Veto-core membership by trying every voter group explicitly, each once: a
+    group of g voters vetoes the AND of its members' bitmasks of the candidates
+    ranked at or past the cutoff m - ceil(m*g/n) + 1."""
     m, n = profile.m, profile.n
-    positions = [{a: pos for pos, a in enumerate(ranking)} for ranking in profile.rankings]
-    vetoed: set[int] = set()
-    for a in range(m):
-        done = False
-        for size in range(1, n + 1):
-            cutoff = m - ceil(Fraction(m * size, n)) + 1
-            for group in combinations(range(n), size):
-                if all(positions[i][a] >= cutoff for i in group):
-                    vetoed.add(a)
-                    done = True
-                    break
-            if done:
-                break
-    return frozenset(range(m)) - vetoed
+    bits = [[1 << a for a in ranking] for ranking in profile.rankings]
+    vetoed = 0
+    for size in range(1, n + 1):
+        cutoff = m - ceil(Fraction(m * size, n)) + 1
+        past = [sum(row[cutoff:]) for row in bits]
+        for group in combinations(past, size):
+            vetoed |= reduce(and_, group)
+    return frozenset(a for a in range(m) if not vetoed >> a & 1)
+
+
+def _off(value: Frac, count: int, total: int) -> bool:
+    """Whether ``value`` differs from count/total, compared in ints."""
+    return value.numerator * total != count * value.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +145,11 @@ def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
 def _profile(inst: Instance) -> list[list[int]]:
     """The approval sets as sorted lists, for a violation message; decoded only then."""
     return [sorted(A) for A in inst.approvals]
+
+
+def _thresholds(m: int, bounds: Iterable[tuple[Frac, Frac]]) -> list[tuple]:
+    """(s, bound, ceil(s*m), p, q) per (s, bound = p/q): hits/n > p/q exactly when hits*q > p*n."""
+    return [(s, b, flexible_size(s, m), b.numerator, b.denominator) for s, b in bounds]
 
 
 def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, list[str]]:
@@ -140,19 +165,20 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
     bounded = []
     for label, thresholds in rules:
         family = parse_family(label)
-        bounded.append((label, family, [(s, closed_form_fvr(family, s).value) for s in thresholds]))
+        bounds = _thresholds(m, ((s, closed_form_fvr(family, s).value) for s in thresholds))
+        bounded.append((label, family, bounds))
     checked = 0
     bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
         for label, family, bounds in bounded:
-            chosen = winner(inst, family)
-            for s, bound in bounds:
-                audit = empirical_fvr_point(inst, chosen, s)
+            disapprovers = _disapprovers(inst, winner(inst, family))
+            for s, bound, need, p, q in bounds:
+                hits = flexible_count(inst, disapprovers, need)
                 checked += 1
-                if audit > bound:
+                if hits * q > p * n:
                     bad.append(
                         f"{label} n={n} m={m} approvals={_profile(inst)} "
-                        f"s={s}: audit {audit} exceeds {bound}"
+                        f"s={s}: audit {Fraction(hits, n)} exceeds {bound}"
                     )
     return checked, bad
 
@@ -160,7 +186,7 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
 def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
     # The bounds depend on (k, t, s) only, not on the instance.
     bounds = {
-        (k, t): [(s, multiwinner_bound(m, s, k, t)) for s in flexibility_grid(m)]
+        (k, t): _thresholds(m, ((s, multiwinner_bound(m, s, k, t)) for s in flexibility_grid(m)))
         for k in range(1, m)
         for t in range(1, k + 1)
     }
@@ -179,32 +205,31 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                         f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: "
                         f"sequential committee {picks} scores {score} > n"
                     )
-                previous = conditional_expected_score(inst, params, ())
-                includable = sum(1 for A in inst.approvals if miss_prob(m, len(A), k, t) > 0)
+                expected = conditional_expected_scores(inst, params, picks)
+                includable = sum(1 for A in inst.approvals if miss_prob(m, len(A), k, t))
                 checked += 1
-                if previous != includable:
+                if expected[0] != includable:
                     bad.append(
                         f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: average penalty "
-                        f"over all committees is {previous}, not the {includable} includable voters"
+                        f"over all committees is {expected[0]}, not the {includable} includable voters"
                     )
                 for j in range(1, k + 1):
-                    current = conditional_expected_score(inst, params, picks[:j])
                     checked += 1
-                    if current > previous:
+                    if expected[j] > expected[j - 1]:
                         bad.append(
                             f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: conditional "
-                            f"expectation rose from {previous} to {current} at pick {j}"
+                            f"expectation rose from {expected[j - 1]} to {expected[j]} at pick {j}"
                         )
-                    previous = current
-                exp_committee = expanded_rule(inst, params)
-                for s, bound in bounds[k, t]:
-                    for name, committee in (("seq", seq_committee), ("expanded", exp_committee)):
-                        audit = empirical_fvr_committee(inst, committee, s, t)
+                committees = (("seq", seq_committee), ("expanded", expanded_rule(inst, params)))
+                shorts = [(name, _short_voters(inst, c, t)[1]) for name, c in committees]
+                for s, bound, need, p, q in bounds[k, t]:
+                    for name, short in shorts:
+                        hits = flexible_count(inst, short, need)
                         checked += 1
-                        if audit > bound:
+                        if hits * q > p * n:
                             bad.append(
-                                f"{name} n={n} m={m} k={k} t={t} s={s} "
-                                f"approvals={_profile(inst)}: audit {audit} exceeds {bound}"
+                                f"{name} n={n} m={m} k={k} t={t} s={s} approvals={_profile(inst)}: "
+                                f"audit {Fraction(hits, n)} exceeds {bound}"
                             )
     return checked, bad
 
@@ -233,15 +258,17 @@ def _hyp_enum_block(population: int) -> tuple[int, list[str]]:
     for successes in range(population + 1):
         for draws in range(population + 1):
             params = HypParams(population, successes, draws)
-            running = Fraction(0)
+            counts, total = _overlaps(population, successes, draws), comb(population, draws)
+            running = 0
             for t in range(-1, draws + 2):
-                expected = pmf_by_enumeration(population, successes, draws, t) if t >= 0 else Fraction(0)
+                hits = counts[t] if 0 <= t <= draws else 0
+                running += hits
                 actual = hyp_pmf(params, t)
                 checked += 1
-                if actual != expected:
+                if _off(actual, hits, total):
+                    expected = Fraction(hits, total)
                     bad.append(f"pmf({population},{successes},{draws};{t}) = {actual} != {expected}")
-                running += expected
-                if hyp_cdf(params, t) != (running if t >= 0 else Fraction(0)):
+                if _off(hyp_cdf(params, t), running, total):
                     bad.append(f"cdf({population},{successes},{draws};{t}) != enumerated cumulative")
     return checked, bad
 
@@ -252,17 +279,16 @@ def _hyp_sum_block(population: int) -> tuple[int, list[str]]:
     for successes in range(population + 1):
         for draws in range(population + 1):
             params = HypParams(population, successes, draws)
-            total = sum(hyp_pmf(params, t) for t in range(draws + 1))
+            pmf = [hyp_pmf(params, t) for t in range(draws + 1)]
+            scale = lcm(*(value.denominator for value in pmf))  # C(p, d) or a divisor of it
             checked += 1
-            if total != 1:
-                bad.append(f"pmf over ({population},{successes},{draws}) sums to {total}")
+            if sum(value.numerator * (scale // value.denominator) for value in pmf) != scale:
+                bad.append(f"pmf over ({population},{successes},{draws}) sums to {sum(pmf)}")
             flipped = HypParams(population, draws, successes)
             for t in range(population + 1):
                 checked += 1
                 if hyp_pmf(params, t) != hyp_pmf(flipped, t):
-                    bad.append(
-                        f"symmetry broken at ({population},{successes},{draws};{t})"
-                    )
+                    bad.append(f"symmetry broken at ({population},{successes},{draws};{t})")
     return checked, bad
 
 
@@ -270,27 +296,30 @@ def _hyp_counting_block(seed: int, count: int, m_max: int) -> tuple[int, list[st
     rng = random.Random(seed)
     checked = 0
     bad: list[str] = []
+    # Every k-committee of m candidates as a bitmask, enumerated once per block.
+    committees = {
+        (m, k): [sum(chosen) for chosen in combinations([1 << c for c in range(m)], k)]
+        for m in range(2, m_max + 1)
+        for k in range(1, m)
+    }
     for _ in range(count):
         m = rng.randint(2, m_max)
-        n = rng.randint(1, 6)
-        inst = build_instance(
-            m, [{c for c in range(m) if rng.getrandbits(1)} for _ in range(n)]
-        )
-        for approved in inst.approvals:
-            size = len(approved)
+        for _ in range(rng.randint(1, 6)):  # voters, each approving a random subset
+            approved = sum(rng.getrandbits(1) << c for c in range(m))
+            size = approved.bit_count()
             for k in range(1, m):
                 histogram = [0] * (k + 1)
-                for members in combinations(range(m), k):
-                    histogram[len(approved.intersection(members))] += 1
-                reached = comb(m, k)
+                for committee in committees[m, k]:
+                    histogram[(approved & committee).bit_count()] += 1
+                total = reached = comb(m, k)
                 for t in range(1, k + 1):
                     reached -= histogram[t - 1]
-                    expected = (1 - hyp_cdf(HypParams(m, size, k), t - 1)) * comb(m, k)
+                    miss = hyp_cdf(HypParams(m, size, k), t - 1)
                     checked += 1
-                    if reached != expected:
+                    if _off(miss, total - reached, total):
                         bad.append(
                             f"m={m} k={k} t={t} |A|={size}: {reached} committees reach the "
-                            f"target but the distribution predicts {expected}"
+                            f"target but the distribution predicts {(1 - miss) * total}"
                         )
     return checked, bad
 
@@ -302,9 +331,7 @@ def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
         profiles = product(permutations(range(m)), repeat=n)
     else:
         rng = random.Random(seed)
-        profiles = [
-            tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(sample)
-        ]
+        profiles = [tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(sample)]
     for rankings in profiles:
         profile = RankedProfile(m, rankings)
         checked += 1
@@ -387,8 +414,10 @@ def _build_hypergeom(n_max, m_max, budget, seed):
     enum_max = m_max or 6
     counting_samples = budget or 50
     seed = seed if seed is not None else 0
-    # _hyp_enum_block(p) enumerates the C(p, d) draws once per probe t >= 0:
-    # (p + 1) * sum over d of (d + 2) * C(p, d) subsets.
+    # _hyp_enum_block(p) enumerates the C(p, d) draws once per (s, d) and reads
+    # its d + 2 probes t from their histogram.  The budget charges each subset
+    # once per probe, as pmf_by_enumeration costs probe by probe:
+    # (p + 1) * sum over d of (d + 2) * C(p, d).
     subsets = 0
     for p in range(enum_max + 1):
         subsets += (p + 1) * sum((d + 2) * comb(p, d) for d in range(p + 1))
@@ -408,17 +437,18 @@ def _build_pvc(n_max, m_max, budget, seed):
     m_max = m_max or 3
     sample = budget or 300
     seed = seed if seed is not None else 0
-    # strong_pvc_by_subsets tries up to m * (2**n - 1) voter groups per
-    # profile, and the largest block tries the most.  An n whose 2**n - 1
-    # alone exceeds the budget is refused before 2**n is built.
+    # strong_pvc_by_subsets tries each of the 2**n - 1 voter groups once per
+    # profile on m-bit candidate masks, m * (2**n - 1) (candidate, group)
+    # pairs, and the largest block tries the most.  An n whose 2**n - 1 alone
+    # exceeds the budget is refused before 2**n is built.
     if (
         n_max > ENUMERATION_BUDGET.bit_length()
         or m_max * (2**n_max - 1) * (_all_profiles(n_max, m_max, sample) or sample)
         > ENUMERATION_BUDGET
     ):
         raise SizeLimitError(
-            f"n_max={n_max}, m_max={m_max} would try more than {ENUMERATION_BUDGET} "
-            "voter groups in one block's subset oracle"
+            f"n_max={n_max}, m_max={m_max} would test more than {ENUMERATION_BUDGET} "
+            "(candidate, voter group) pairs in one block's subset oracle"
         )
     return [
         (_pvc_block, (n, m, sample, seed + 31 * (n * 17 + m)))

@@ -551,6 +551,14 @@ def test_gen_jr_hard_checks_m_before_printing_its_voter_count(capsys):
     assert err.startswith(f"error: m must be at most {CANDIDATE_LIMIT}, got 999") and err.count("\n") == 1
 
 
+def test_gen_party_split_checks_reps_before_doubling_it(capsys):
+    # 2 * reps would have 4,301 digits, past what str() prints.
+    reps = "9" * NUMERAL_LIMIT
+    code, out, err = run(capsys, "gen", "party_split", "--param=k=2", f"--param=reps={reps}")
+    assert (code, out) == (2, "")
+    assert err == f"error: replication factor {reps} would build more than {COMMITTEE_LIMIT} voters\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
