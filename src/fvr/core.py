@@ -31,6 +31,7 @@ __all__ = [
     "as_frac",
     "open_unit",
     "int_at_least",
+    "comb_over",
     "is_numeral",
     "select",
     "decode_rows",
@@ -189,6 +190,19 @@ def int_at_least(x: object, what: str, low: int = 0) -> int:
         kind = kinds.get(low, f"an integer >= {low}")
         raise ValidationError(f"{what} must be {kind}, got {x!r}")
     return x
+
+
+def comb_over(total: int, chosen: int, budget: int) -> bool:
+    """Whether C(total, chosen) > ``budget`` (0 <= chosen <= total), built stepwise as
+    C(total - k + j, j) for j = 1..k = min(chosen, total - chosen); each step at least
+    doubles it, so the loop stops within ``budget.bit_length() + 1`` steps."""
+    k = min(chosen, total - chosen)
+    count = 1
+    for j in range(1, k + 1):
+        count = count * (total - k + j) // j
+        if count > budget:
+            return True
+    return count > budget
 
 
 def is_numeral(text: str) -> bool:

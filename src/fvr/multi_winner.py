@@ -20,6 +20,7 @@ from .core import (
     Instance,
     SizeLimitError,
     ValidationError,
+    comb_over,
     int_at_least,
     open_unit,
     record,
@@ -106,13 +107,12 @@ class ExpandedInstance:
 def _check_expansion(inst: Instance, params: MultiParams) -> int:
     """The number of k-committees, once k < m and the count is within ``COMMITTEE_LIMIT``."""
     _check_k(inst, params.k)
-    total = comb(inst.m, params.k)
-    if total > COMMITTEE_LIMIT:
+    if comb_over(inst.m, params.k, COMMITTEE_LIMIT):
         raise SizeLimitError(
-            f"expansion needs {total} committee-candidates (limit {COMMITTEE_LIMIT}); "
+            f"expansion needs more than {COMMITTEE_LIMIT} committee-candidates; "
             "use sequential_rule instead"
         )
-    return total
+    return comb(inst.m, params.k)
 
 
 def expand_instance(inst: Instance, params: MultiParams) -> ExpandedInstance:

@@ -27,6 +27,7 @@ from .core import (
     WeightFn,
     as_frac,
     build_instance,
+    comb_over,
     eval_weight,
     int_at_least,
     open_unit,
@@ -212,7 +213,9 @@ def gen_symmetric(m: int, per_voter: int) -> Instance:
     _require_ints(m=m, per_voter=per_voter)
     if not 0 <= per_voter <= m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
-    _check_budget(0, m)  # before comb(m, per_voter), which is slow for a huge m
+    _check_budget(0, m)  # before C(m, per_voter), which is slow for a huge m
+    if comb_over(m, per_voter, COMMITTEE_LIMIT):  # C(m, m/2) may be too long to print
+        raise SizeLimitError(f"C({m}, {per_voter}) voters exceed the limit {COMMITTEE_LIMIT}")
     voters = comb(m, per_voter)
     _check_budget(voters, approvals=voters * per_voter)
     return build_instance(m, combinations(range(m), per_voter))
@@ -351,29 +354,32 @@ def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Ite
 
     Canonical order: each voter's set is indexed by its bitmask (candidate
     c contributes 2**c), and profiles tick through like an odometer with
-    the last voter's set varying fastest.
+    the last voter's set varying fastest.  The budget is checked at the call:
+    (2**m)**n > budget exactly when m*n >= budget.bit_length().
     """
-    total = (2**m) ** n
-    if total > budget:
-        raise SizeLimitError(f"{total} profiles exceed the budget {budget}")
-    for masks in product(range(2**m), repeat=n):
-        yield Instance.from_masks(m, masks)
+    if m * n >= budget.bit_length():
+        raise SizeLimitError(f"n={n}, m={m} would enumerate more than {budget} profiles")
+    return (Instance.from_masks(m, masks) for masks in product(range(2**m), repeat=n))
+
+
+def _multisets_over(n: int, m: int, budget: int) -> bool:
+    """Whether the C(2**m + n - 1, n) >= 2**m voter multisets of shape (n >= 1, m)
+    exceed ``budget``; a large m is refused before 2**m is built."""
+    return m >= budget.bit_length() or comb_over(2**m + n - 1, n, budget)
 
 
 def enumerate_voter_multisets(
     n: int, m: int, budget: int = ENUMERATION_BUDGET
 ) -> Iterator[Instance]:
-    """One representative per profile-up-to-voter-order.
+    """One representative per profile-up-to-voter-order, n >= 1 (budget checked at the call).
 
     Winners, committee rules, and audit counts are all invariant under
     permuting voters, so sweeping these representatives checks every
     ordered profile while enumerating far fewer instances.
     """
-    total = comb(2**m + n - 1, n)
-    if total > budget:
-        raise SizeLimitError(f"{total} voter multisets exceed the budget {budget}")
-    for masks in combinations_with_replacement(range(2**m), n):
-        yield Instance.from_masks(m, masks)
+    if _multisets_over(int_at_least(n, "n", 1), m, budget):
+        raise SizeLimitError(f"n={n}, m={m} would enumerate more than {budget} voter multisets")
+    return (Instance.from_masks(m, masks) for masks in combinations_with_replacement(range(2**m), n))
 
 
 def conditional_expected_scores(inst: Instance, params: MultiParams, picks: object = ()) -> list[Frac]:

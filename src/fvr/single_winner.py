@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from collections.abc import Container, Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .core import (
+    CANDIDATE_LIMIT,
     AuditCurve,
     Frac,
     Instance,
     Optimal,
+    SizeLimitError,
     Table,
     ValidationError,
     WeightFn,
@@ -77,38 +80,34 @@ def weighted_counts(columns: Sequence[int], classes: Iterable[tuple[int, int]]) 
     return counts
 
 
-def flexible_count(inst: Instance, voters: int, need: int) -> int:
-    """How many voters in ``voters`` approve at least ``need`` candidates.
-
-    ``voters`` is a voter bitset, or the complement ``~bitset`` of a group,
-    as it is only ANDed with each size's voters.
-    """
-    return sum((voters & group).bit_count() for size, group in inst.size_masks.items() if size >= need)
+def flexible_counts(inst: Instance, voters: int) -> list[int]:
+    """How many voters in ``voters`` approve at least ``need`` candidates, at index
+    need = 0..m+1.  ``voters`` is a voter bitset, or the complement ``~bitset`` of a
+    group, as it is only ANDed with each size's voters.  Cost: one AND and one
+    popcount per approval size present, then a suffix sum."""
+    hits = [0] * (inst.m + 2)  # hits[size]: the voters approving exactly ``size``
+    for size, group in inst.size_masks.items():
+        hits[size] = (voters & group).bit_count()
+    return list(accumulate(reversed(hits)))[::-1]
 
 
 def group_audit(inst: Instance, voters: int, s: Frac) -> Frac:
     """Share of all n voters that lie in ``voters`` and are s-flexible, for a checked s:
-    the :func:`flexible_count` at ceil(s*m) approvals (compared in ints), over n."""
-    return Fraction(flexible_count(inst, voters, flexible_size(s, inst.m)), inst.n)
+    the :func:`flexible_counts` entry at ceil(s*m) approvals, over n."""
+    return Fraction(flexible_counts(inst, voters)[flexible_size(s, inst.m)], inst.n)
 
 
 def group_audit_curve(inst: Instance, voters: int) -> AuditCurve:
     """:func:`group_audit` as a step function of the threshold s.
 
-    Breakpoints sit exactly at the distinct positive flexibilities in the
-    group; values are suffix sums of its count per approval size, largest
-    size first, and the first step's value is also the limit as s
-    approaches 0.
+    A breakpoint sits at s = size/m for each size 1..m where the
+    :func:`flexible_counts` list drops (some voter in the group approves
+    exactly ``size`` candidates), with value that entry over n; the first
+    step's value is also the limit as s approaches 0.
     """
-    breakpoints = []
-    count = 0
-    for size, group in reversed(inst.size_masks.items()):
-        hits = (voters & group).bit_count()
-        if size and hits:
-            count += hits
-            breakpoints.append((Fraction(size, inst.m), Fraction(count, inst.n)))
-    breakpoints.reverse()
-    return AuditCurve(tuple(breakpoints))
+    counts = flexible_counts(inst, voters)
+    steps = [size for size in range(1, inst.m + 1) if counts[size] > counts[size + 1]]
+    return AuditCurve(tuple((Fraction(size, inst.m), Fraction(counts[size], inst.n)) for size in steps))
 
 
 def argmax(values: Sequence[object], skip: Container[int] = ()) -> int:
@@ -196,10 +195,12 @@ def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
     to the largest grid point.  The true guarantee takes rho and phi over
     all rationals in (0,1); the grid value is exact for the grid and
     converges to the closed forms as the grid refines through denominators
-    of s.
+    of s.  The grid stands for the m of an instance, so ``grid_m`` is at most
+    ``CANDIDATE_LIMIT``.
     """
     sv = open_unit(s)
-    int_at_least(grid_m, "grid resolution", 2)
+    if int_at_least(grid_m, "grid resolution", 2) > CANDIDATE_LIMIT:
+        raise SizeLimitError(f"grid resolution must be at most {CANDIDATE_LIMIT}, got {grid_m}")
     grid = flexibility_grid(grid_m)
     values = {f: eval_weight(w, f) for f in grid}
     rho = max((1 - f) * values[f] for f in grid)

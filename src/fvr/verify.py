@@ -12,26 +12,26 @@ Suite parameter conventions (all optional, suite-specific defaults):
   ``hypergeom`` suite, ``m_max`` is the largest population compared against
   subset enumeration).
 - ``budget``: cap on enumeration size; for ``hypergeom`` the number of
-  random instances for the committee-counting identity, for ``pvc`` the
-  number of sampled profiles per shape.
+  random instances for the committee-counting identity (at most 656 at
+  ``m_max`` >= 6), for ``pvc`` the number of sampled profiles per shape.
 - ``seed``: seed for sampled checks.
 
 ``n_max``, ``m_max`` and ``budget`` must be positive integers when given.
 
 Each oracle walks its universe once, counts in ints and calls none of the
-kernels it checks: a sweep holds its count of the s-flexible voters a
-winner or committee fails to the exact bound p/q as hits*q <= p*n; the
-prefix oracle scores every k-committee once for all prefixes of the
-sequential picks; ``hypergeom`` reads every probe of (p, s, d) as an int
-count from one histogram of the C(p, d) draws; ``strong_pvc_by_subsets``
-tries each voter group once.  Those checks build a ``Fraction`` only to
-word a violation.
+kernels it checks: a sweep reads one ``flexible_counts`` list per winner or
+committee and holds its entry at ceil(s*m), the s-flexible voters it fails, to
+the exact bound p/q as hits*q <= p*n; the prefix oracle scores every
+k-committee once for all prefixes of the sequential picks; ``hypergeom``
+reads every probe of (p, s, d) as an int count from one histogram of the
+C(p, d) draws; ``strong_pvc_by_subsets`` tries each voter group once.  Those
+checks build a ``Fraction`` only to word a violation.
 
 Every suite checks its size budget before it builds or runs any block, and
 raises ``SizeLimitError`` when its largest block would exceed it: the voter
-multisets of one sweep block, the ``hypergeom`` subset probes, or the
-(candidate, voter group) pairs of the ``pvc`` subset oracle (both against
-``ENUMERATION_BUDGET``).
+multisets of one sweep block (``oracles._multisets_over``), the ``hypergeom``
+subset probes and counting pairs, or the (candidate, voter group) pairs of
+the ``pvc`` subset oracle (the last three against ``ENUMERATION_BUDGET``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
-from math import ceil, comb, lcm
+from math import comb, lcm
 from operator import and_
 
 from .core import (
@@ -69,11 +69,12 @@ from .multi_winner import (
 )
 from .oracles import (
     ENUMERATION_BUDGET,
+    _multisets_over,
     conditional_expected_scores,
     enumerate_voter_multisets,
     strong_pvc,
 )
-from .single_winner import _disapprovers, closed_form_fvr, flexible_count, ropt_winner, winner
+from .single_winner import _disapprovers, closed_form_fvr, flexible_counts, ropt_winner, winner
 
 __all__ = [
     "VerifyResult",
@@ -125,7 +126,7 @@ def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
     bits = [[1 << a for a in ranking] for ranking in profile.rankings]
     vetoed = 0
     for size in range(1, n + 1):
-        cutoff = m - ceil(Fraction(m * size, n)) + 1
+        cutoff = m + (m * size) // -n + 1  # (m*g) // -n is -ceil(m*g/n)
         past = [sum(row[cutoff:]) for row in bits]
         for group in combinations(past, size):
             vetoed |= reduce(and_, group)
@@ -170,15 +171,18 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
     checked = 0
     bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
+        audited: dict[int, list[int]] = {}  # rules often share a winner: count it once
         for label, family, bounds in bounded:
-            disapprovers = _disapprovers(inst, winner(inst, family))
+            a = winner(inst, family)
+            if a not in audited:
+                audited[a] = flexible_counts(inst, _disapprovers(inst, a))
+            counts = audited[a]
             for s, bound, need, p, q in bounds:
-                hits = flexible_count(inst, disapprovers, need)
                 checked += 1
-                if hits * q > p * n:
+                if counts[need] * q > p * n:
                     bad.append(
                         f"{label} n={n} m={m} approvals={_profile(inst)} "
-                        f"s={s}: audit {Fraction(hits, n)} exceeds {bound}"
+                        f"s={s}: audit {Fraction(counts[need], n)} exceeds {bound}"
                     )
     return checked, bad
 
@@ -221,15 +225,16 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                             f"expectation rose from {expected[j - 1]} to {expected[j]} at pick {j}"
                         )
                 committees = (("seq", seq_committee), ("expanded", expanded_rule(inst, params)))
-                shorts = [(name, _short_voters(inst, c, t)[1]) for name, c in committees]
+                counted = [
+                    (name, flexible_counts(inst, _short_voters(inst, c, t)[1])) for name, c in committees
+                ]
                 for s, bound, need, p, q in bounds[k, t]:
-                    for name, short in shorts:
-                        hits = flexible_count(inst, short, need)
+                    for name, counts in counted:
                         checked += 1
-                        if hits * q > p * n:
+                        if counts[need] * q > p * n:
                             bad.append(
                                 f"{name} n={n} m={m} k={k} t={t} s={s} approvals={_profile(inst)}: "
-                                f"audit {Fraction(hits, n)} exceeds {bound}"
+                                f"audit {Fraction(counts[need], n)} exceeds {bound}"
                             )
     return checked, bad
 
@@ -353,27 +358,6 @@ def _all_profiles(n: int, m: int, sample: int) -> int | None:
     return count
 
 
-def _multisets_over(n: int, m: int, budget: int) -> bool:
-    """Whether the C(2**m + n - 1, n) voter multisets of shape (n, m) exceed ``budget``.
-
-    The count is at least 2**m, so a large m is refused before 2**m is
-    built.  Otherwise it is C(cells + n, k) with cells = 2**m - 1 and
-    k = min(n, cells), built as C(cells + n - k + j, j) for j = 1..k; each
-    step at least doubles it, so the loop stops within
-    ``budget.bit_length() + 1`` steps.
-    """
-    if m >= budget.bit_length():
-        return True
-    cells = 2**m - 1
-    k = min(n, cells)
-    count = 1
-    for j in range(1, k + 1):
-        count = count * (cells + n - k + j) // j
-        if count > budget:
-            return True
-    return False
-
-
 def _dispatch(task: tuple) -> tuple[int, list[str]]:
     block, args = task
     return block(*args)
@@ -425,10 +409,18 @@ def _build_hypergeom(n_max, m_max, budget, seed):
             raise SizeLimitError(
                 f"m_max={enum_max} would enumerate more than {ENUMERATION_BUDGET} subsets"
             )
+    # Each sample of _hyp_counting_block tests up to 6 voters against every
+    # committee of at most counting_m candidates, 6 * (2**counting_m - 2) pairs.
+    counting_m = min(enum_max + 2, 8)
+    if counting_samples * 6 * (2**counting_m - 2) > ENUMERATION_BUDGET:
+        raise SizeLimitError(
+            f"budget={counting_samples} would test more than {ENUMERATION_BUDGET} "
+            "(voter, committee) pairs"
+        )
     return [
         *((_hyp_enum_block, (p,)) for p in range(enum_max + 1)),
         *((_hyp_sum_block, (p,)) for p in range(enum_max + 5)),
-        (_hyp_counting_block, (seed, counting_samples, min(enum_max + 2, 8))),
+        (_hyp_counting_block, (seed, counting_samples, counting_m)),
     ]
 
 

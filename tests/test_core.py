@@ -1,7 +1,8 @@
 """Core types: exact arithmetic, instance validation, weight families."""
 
+import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -14,19 +15,28 @@ from fvr.core import (
     Constant,
     Optimal,
     Power,
+    SizeLimitError,
     Table,
     Threshold,
     ValidationError,
     as_frac,
     build_instance,
     build_ranked_profile,
+    comb_over,
     eval_weight,
     flexibility,
     flexibility_grid,
 )
 from fvr.hypergeom import HypParams
-from fvr.multi_winner import MultiParams
-from fvr.oracles import conditional_expected_score, gen_jr_hard, gen_party_split
+from fvr.multi_winner import MultiParams, expand_instance
+from fvr.oracles import (
+    conditional_expected_score,
+    enumerate_instances,
+    enumerate_voter_multisets,
+    gen_jr_hard,
+    gen_party_split,
+    run_generator,
+)
 from fvr.single_winner import closed_form_fvr, grid_theoretical_fvr, score_all
 from fvr.verify import run_suite
 
@@ -287,6 +297,55 @@ def test_integer_inputs_reject_bools_and_values_below_their_bound(site, bad):
     message = rf"must be (a nonnegative|a positive|an) integer.*, got {value!r}$"
     with pytest.raises(ValidationError, match=message):
         call(value)
+
+
+# Every size input, with a value far above its budget.  Each is refused at the
+# call with SizeLimitError, before anything of that size is built, and its
+# message prints no count built from the sizes (such a count may be too long
+# to print).
+OVERSIZED_SITES = {
+    "enumerate_instances m": (lambda x: enumerate_instances(10, x), 2000),
+    "enumerate_instances n": (lambda x: enumerate_instances(x, 2), 10**9),
+    "enumerate_voter_multisets m, n=400": (lambda x: enumerate_voter_multisets(400, x), 8000),
+    "enumerate_voter_multisets m, n=200": (lambda x: enumerate_voter_multisets(200, x), 2000),
+    "enumerate_voter_multisets m, n=3": (lambda x: enumerate_voter_multisets(3, x), 64),
+    "enumerate_voter_multisets n": (lambda x: enumerate_voter_multisets(x, 2), 10**9),
+    "grid_theoretical_fvr": (lambda x: grid_theoretical_fvr(Power(100), Fraction(1, 3), x), 10**6),
+    "run_suite hypergeom budget": (lambda x: run_suite("hypergeom", budget=x), 10**12),
+    "run_suite hypergeom m_max": (lambda x: run_suite("hypergeom", m_max=x), 40),
+    "run_suite sweep n_max": (lambda x: run_suite("opt", n_max=x), 10**9),
+    "run_suite sweep m_max": (lambda x: run_suite("opt", m_max=x), 10**9),
+    "run_suite multiwinner m_max": (lambda x: run_suite("multiwinner", m_max=x), 10**9),
+    "run_suite pvc n_max": (lambda x: run_suite("pvc", n_max=x), 10**9),
+    "run_suite pvc m_max": (lambda x: run_suite("pvc", m_max=x), 10**12),
+    "expand_instance": (lambda x: expand_instance(build_instance(x, [{0}]), MultiParams(x // 2, 1)), 20_000),
+    "run_generator random n": (lambda x: run_generator("random", {"n": x, "m": 3}), 10**9),
+    "run_generator random m": (lambda x: run_generator("random", {"n": 1, "m": x}), 10**9),
+    "run_generator symmetric m": (lambda x: run_generator("symmetric", {"m": x, "L": 2}), 10**9),
+    "run_generator symmetric L": (lambda x: run_generator("symmetric", {"m": 10_000, "L": x}), 5_000),
+    "run_generator party_split k": (lambda x: run_generator("party_split", {"k": x}), 10**9),
+    "run_generator party_split reps": (
+        lambda x: run_generator("party_split", {"k": 2, "reps": x}),
+        10**12,
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 36, 1000])
+def test_comb_over_is_the_binomial_comparison(budget):
+    for total in range(30):
+        for chosen in range(total + 1):
+            assert comb_over(total, chosen, budget) == (comb(total, chosen) > budget)
+
+
+@pytest.mark.parametrize("site", OVERSIZED_SITES)
+def test_size_inputs_far_over_budget_raise_at_once_with_a_short_message(site):
+    call, value = OVERSIZED_SITES[site]
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError) as excinfo:
+        call(value)
+    assert time.perf_counter() - start < 1
+    assert len(str(excinfo.value)) < 200
 
 
 def test_gen_jr_hard_keeps_its_relational_check():

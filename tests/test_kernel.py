@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fvr.core import (
+    AuditCurve,
     Committee,
     Constant,
     Optimal,
@@ -43,7 +44,14 @@ from fvr.oracles import (
     reference_sequential_picks,
     strong_pvc,
 )
-from fvr.single_winner import empirical_fvr_curve, empirical_fvr_point, score_all, winner
+from fvr.single_winner import (
+    empirical_fvr_curve,
+    empirical_fvr_point,
+    flexible_counts,
+    group_audit_curve,
+    score_all,
+    winner,
+)
 from fvr.verify import strong_pvc_by_subsets
 
 unit_interval = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
@@ -190,6 +198,43 @@ def thresholds(draw, m):
 
 def flexible(approved, s, m):
     return Fraction(len(approved), m) >= s
+
+
+@st.composite
+def voter_groups(draw):
+    """A profile and a group of its voters, as a bitset or as the complement
+    ``~bitset`` of the rest (the form the audits pass for disapprovers)."""
+    inst = draw(instances())
+    group = draw(st.integers(0, 2**inst.n - 1))
+    return inst, draw(st.sampled_from([group, ~group]))
+
+
+@given(voter_groups())
+def test_flexible_counts_match_a_count_over_the_approval_sets(case):
+    inst, voters = case
+    members = [A for i, A in enumerate(inst.approvals) if voters >> i & 1]
+    expected = [sum(1 for A in members if len(A) >= need) for need in range(inst.m + 2)]
+    assert flexible_counts(inst, voters) == expected
+
+
+def suffix_loop_curve(inst, voters):
+    """The audit curve as one loop over the approval sizes, largest first,
+    summing the group's count per size."""
+    breakpoints = []
+    count = 0
+    for size, group in reversed(inst.size_masks.items()):
+        hits = (voters & group).bit_count()
+        if size and hits:
+            count += hits
+            breakpoints.append((Fraction(size, inst.m), Fraction(count, inst.n)))
+    breakpoints.reverse()
+    return AuditCurve(tuple(breakpoints))
+
+
+@given(voter_groups())
+def test_group_audit_curve_matches_the_suffix_loop(case):
+    inst, voters = case
+    assert group_audit_curve(inst, voters) == suffix_loop_curve(inst, voters)
 
 
 @st.composite

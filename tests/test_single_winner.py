@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fvr.core import (
+    CANDIDATE_LIMIT,
     Constant,
     Optimal,
     Power,
+    SizeLimitError,
     Table,
     Threshold,
     ValidationError,
@@ -147,6 +149,12 @@ def test_grid_theoretical_fallback_above_top_grid_point():
     # s beyond the largest grid point: fall back to that grid point
     got = grid_theoretical_fvr(Constant(), Fraction(9, 10), 4)
     assert got.value == Fraction(3, 4) / (Fraction(3, 4) + Fraction(3, 4))
+
+
+def test_grid_resolution_is_at_most_the_candidate_limit():
+    assert grid_theoretical_fvr(Constant(), HALF, CANDIDATE_LIMIT).grid_m == CANDIDATE_LIMIT
+    with pytest.raises(SizeLimitError, match=f"^grid resolution must be at most {CANDIDATE_LIMIT}, got "):
+        grid_theoretical_fvr(Constant(), HALF, CANDIDATE_LIMIT + 1)
 
 
 def test_grid_theoretical_trivial_weight_rejected():

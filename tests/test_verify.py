@@ -16,6 +16,7 @@ from fvr.core import Committee, RankedProfile, SizeLimitError, build_instance, p
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import MultiParams, empirical_fvr_committee, sequential_picks
 from fvr.oracles import (
+    _multisets_over,
     conditional_expected_score,
     conditional_expected_scores,
     enumerate_voter_multisets,
@@ -26,7 +27,6 @@ from fvr.single_winner import closed_form_fvr, empirical_fvr_point, ropt_winner,
 from fvr.verify import (
     _SUITES,
     SUITE_NAMES,
-    _multisets_over,
     _pool_size,
     _pvc_block,
     pmf_by_enumeration,
@@ -73,14 +73,27 @@ def test_hypergeom_enumeration_budget():
         _build_hypergeom(None, 13, None, None)
 
 
+def test_hypergeom_counting_budget():
+    # Each counting sample tests up to 6 voters against the 2**8 - 2 committees of
+    # 8 candidates: 656 samples make 999,744 (voter, committee) pairs, 657 make 1,001,268.
+    from fvr.verify import _build_hypergeom
+
+    assert _build_hypergeom(None, 12, 656, None)
+    with pytest.raises(SizeLimitError, match="^budget=657 would test more than 1000000 "):
+        _build_hypergeom(None, 12, 657, None)
+    # A smaller population allows more samples: 6 * (2**3 - 2) pairs each at m_max=1.
+    assert _build_hypergeom(None, 1, 27_777, None)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
 
 
-def test_worker_pool_is_semantically_transparent():
-    sequential = run_suite("multiwinner", jobs=1, n_max=2, m_max=3)
-    pooled = run_suite("multiwinner", jobs=2, n_max=2, m_max=3)
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_worker_pool_is_semantically_transparent(suite):
+    sequential = run_suite(suite, jobs=1, n_max=2, m_max=3, seed=1)
+    pooled = run_suite(suite, jobs=2, n_max=2, m_max=3, seed=1)
     assert sequential.checked == pooled.checked
     assert sequential.violations == pooled.violations
 
@@ -147,6 +160,8 @@ def test_multiset_budget_check_is_the_binomial(budget):
         ("multiwinner", 2, 4, None),
         *((suite, 3, 4, None) for suite in ("opt", "approval", "power", "threshold", "reduction")),
         ("hypergeom", None, 10, 100),
+        # The counting budgets the tests pass, at the largest m_max.
+        *(("hypergeom", None, 12, budget) for budget in (2, 5, 50, 100, 200)),
         ("pvc", 4, 4, 1000),
         # The suites' defaults, and the largest pvc sweep of one candidate.
         *((suite, None, None, None) for suite in SUITE_NAMES),
