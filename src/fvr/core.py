@@ -31,6 +31,7 @@ __all__ = [
     "as_frac",
     "open_unit",
     "int_at_least",
+    "index_in",
     "comb_over",
     "is_numeral",
     "select",
@@ -95,20 +96,20 @@ def _frozen_delattr(self, name: str) -> None:
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen: bool = True):
-    """Class decorator: a plain record over the class's annotated fields, in order.
+def record(cls):
+    """Class decorator: a frozen record over the class's annotated fields, in order.
 
-    Adds what ``@dataclass(frozen=...)`` would: ``__init__`` (positional or
+    Adds what ``@dataclass(frozen=True)`` would: ``__init__`` (positional or
     keyword arguments, class-level defaults, then ``__post_init__`` if
     defined), ``__eq__`` (same class, equal field tuples), ``__repr__`` as
-    ``Name(field=value, ...)``, and, when frozen, ``__hash__`` of the field
-    tuple and read-only fields.  Instances keep a ``__dict__``, so they
+    ``Name(field=value, ...)``, ``__hash__`` of the field tuple, and
+    read-only fields: assigning or deleting one raises
+    :class:`FrozenRecordError`, so ``__post_init__`` normalises a field
+    through ``object.__setattr__``.  Instances keep a ``__dict__``, so they
     pickle.  ``dataclasses`` is not used because importing it pulls in
     ``inspect`` and half a dozen more modules, which cost more start-up time
     than the rest of this package when no bytecode is cached.
     """
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
     fields = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {f"_default_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
     params = "".join(f", {f}=_default_{f}" if f in cls.__dict__ else f", {f}" for f in fields)
@@ -135,14 +136,11 @@ def record(cls=None, /, *, frozen: bool = True):
     ])
     namespace = {"_set": object.__setattr__, **defaults}
     exec(source, namespace)
-    methods = {name: namespace[name] for name in ("__init__", "__eq__", "__hash__", "__repr__")}
-    if frozen:
-        methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-    for name, method in methods.items():
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        method = namespace[name]
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
-    if not frozen:
-        cls.__hash__ = None  # equal mutable records must not share a hash
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
     cls.__match_args__ = fields
     return cls
 
@@ -183,13 +181,22 @@ def open_unit(x: object, what: str = "threshold") -> Frac:
     return value
 
 
-def int_at_least(x: object, what: str, low: int = 0) -> int:
-    """``x``, checked to be an int (not a bool) of at least ``low``; ``what`` names it."""
-    if isinstance(x, bool) or not isinstance(x, int) or x < low:
-        kinds = {0: "a nonnegative integer", 1: "a positive integer"}
+def int_at_least(x: object, what: str, low: int | None = 0) -> int:
+    """``x``, checked to be an int (not a bool) of at least ``low``, or any int when
+    ``low`` is None (a seed); ``what`` names it."""
+    if isinstance(x, bool) or not isinstance(x, int) or (low is not None and x < low):
+        kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
         kind = kinds.get(low, f"an integer >= {low}")
         raise ValidationError(f"{what} must be {kind}, got {x!r}")
     return x
+
+
+def index_in(x: object, size: int, what: str) -> int:
+    """``x``, checked to be an int (not a bool) in 0..size-1; ``what`` names it.  Hot loops
+    inline the test ``type(x) is int and 0 <= x < size`` and call this only on a failure."""
+    if type(x) is int and 0 <= x < size:
+        return x
+    raise ValidationError(f"{what} must be an integer in 0..{size - 1}, got {x!r}")
 
 
 def comb_over(total: int, chosen: int, budget: int) -> bool:
@@ -258,8 +265,11 @@ class Instance:
     per approval size.  Equality, hashing, ``repr`` and pickling are those
     of a frozen record with fields ``m`` and ``approvals``.
 
-    The constructor checks that m is a positive int and that every index is
-    an int in 0..m-1; :meth:`from_masks` trusts its masks.
+    An instance has at least one voter: both constructors refuse an empty
+    profile, so every audit's share over the n voters is defined.  The
+    constructor also checks that m is a positive int and that every index
+    is an int in 0..m-1 (:func:`index_in`); :meth:`from_masks` trusts its
+    masks to lie below 2**m.
     """
 
     __slots__ = ("m", "masks", "n", "_approvals", "_views")
@@ -271,12 +281,9 @@ class Instance:
         int_at_least(m, "m", 1)
         rows = tuple(map(frozenset, approvals))
         for i, row in enumerate(rows):
-            what = f"voter {i}: candidate index"
             for a in row:
-                if int_at_least(a, what) >= m:
-                    raise ValidationError(
-                        f"voter {i} approves candidate {a}, outside the range 0..{m - 1}"
-                    )
+                if not (type(a) is int and 0 <= a < m):
+                    index_in(a, m, f"voter {i}: candidate index")
         _fill(self, m, tuple(encode_row(row, m) for row in rows))
         _set(self, "_approvals", rows)
 
@@ -336,6 +343,8 @@ _set = object.__setattr__
 
 
 def _fill(inst: Instance, m: int, masks: tuple[int, ...]) -> None:
+    if not masks:
+        raise ValidationError("need at least one voter")
     _set(inst, "m", m)
     _set(inst, "masks", masks)
     _set(inst, "n", len(masks))
@@ -403,12 +412,9 @@ def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
     """Validate and freeze an approval profile of at least one voter.
 
     Voter order is preserved.  Each approval set is deduplicated; indices
-    must lie in ``0..m-1`` (checked by :class:`Instance`).
+    must lie in ``0..m-1``.  :class:`Instance` checks both.
     """
-    inst = Instance(m, approvals)
-    if not inst.n:
-        raise ValidationError("need at least one voter")
-    return inst
+    return Instance(m, approvals)
 
 
 @record
@@ -439,9 +445,7 @@ def build_ranked_profile(m: int, rankings: object) -> RankedProfile:
 
 def flexibility(inst: Instance, i: int) -> Frac:
     """The share of all candidates voter ``i`` approves, in lowest terms."""
-    if not 0 <= i < inst.n:
-        raise ValidationError(f"no voter {i}: instance has {inst.n} voters")
-    return Frac(inst.masks[i].bit_count(), inst.m)
+    return Frac(inst.masks[index_in(i, inst.n, "voter")].bit_count(), inst.m)
 
 
 def flexible_size(s: Frac, m: int) -> int:
@@ -543,47 +547,37 @@ class Optimal:
         return 1 - s
 
 
+@record
 class Table:
     """Finite weight table: an explicit nonnegative weight per listed flexibility.
 
+    Built from a mapping or an iterable of ``(flexibility, weight)`` pairs,
+    stored as ``entries``, those pairs as Fractions sorted by flexibility.
     Must be nontrivial (at least one positive weight).  Evaluation outside
     the listed flexibilities is an error, and there is no closed-form
     guarantee: ``fvr.single_winner.grid_theoretical_fvr`` evaluates one.
     """
 
-    __slots__ = ("entries", "_by_flex")
-
     entries: tuple[tuple[Frac, Frac], ...]
 
-    def __init__(self, weights: Mapping[object, object] | Iterable[tuple[object, object]]):
+    def __post_init__(self) -> None:
+        weights = self.entries
         items = weights.items() if isinstance(weights, Mapping) else weights
-        pairs: list[tuple[Frac, Frac]] = []
-        seen: set[Frac] = set()
+        by_flex: dict[Frac, Frac] = {}
         for key, value in items:
             f = open_unit(key, "table flexibility")
             wv = as_frac(value)
             if wv < 0:
                 raise ValidationError(f"table weight for flexibility {f} is negative: {wv}")
-            if f in seen:
+            if f in by_flex:
                 raise ValidationError(f"duplicate table flexibility {f}")
-            seen.add(f)
-            pairs.append((f, wv))
-        if not pairs:
+            by_flex[f] = wv
+        if not by_flex:
             raise ValidationError("weight table is empty")
-        if all(wv == 0 for _, wv in pairs):
+        if not any(by_flex.values()):
             raise ValidationError("weight table is trivial: some flexibility needs w(f) > 0")
-        self.entries = tuple(sorted(pairs))
-        self._by_flex = dict(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Table) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("Table", self.entries))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{f}: {w}" for f, w in self.entries)
-        return f"Table({{{inner}}})"
+        object.__setattr__(self, "entries", tuple(sorted(by_flex.items())))
+        object.__setattr__(self, "_by_flex", by_flex)
 
     def ratio(self, size: int, m: int) -> tuple[int, int]:
         flex = Fraction(size, m)
@@ -639,10 +633,11 @@ class Committee:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ms = tuple(sorted(set(self.members)))
-        for a in ms:
+        # Each member is checked before duplicates merge, as 1.0 and True equal 1.
+        members = tuple(self.members)
+        for a in members:
             int_at_least(a, "candidate index")
-        object.__setattr__(self, "members", ms)
+        object.__setattr__(self, "members", tuple(sorted(set(members))))
 
     @property
     def k(self) -> int:

@@ -21,9 +21,12 @@ from .core import (
     SizeLimitError,
     ValidationError,
     comb_over,
+    encode_row,
+    index_in,
     int_at_least,
     open_unit,
     record,
+    select,
 )
 from .hypergeom import miss_prob
 from .single_winner import argmax, common_units, group_audit, group_audit_curve, weighted_counts
@@ -74,9 +77,8 @@ def _check_committee(inst: Instance, committee: Committee, t: int) -> frozenset[
     if not members:
         raise ValidationError("committee is empty")
     for a in members:
-        if a >= inst.m:
-            raise ValidationError(f"committee member {a} outside 0..{inst.m - 1}")
-    if not 1 <= t <= len(members):
+        index_in(a, inst.m, "committee member")
+    if int_at_least(t, "t", 1) > len(members):
         raise ValidationError(f"need 1 <= t <= {len(members)}, got t={t}")
     return members
 
@@ -84,9 +86,8 @@ def _check_committee(inst: Instance, committee: Committee, t: int) -> frozenset[
 def t_approves(inst: Instance, i: int, committee: Committee, t: int) -> bool:
     """Whether voter ``i`` approves at least ``t`` members of the committee."""
     members = _check_committee(inst, committee, t)
-    if not 0 <= i < inst.n:
-        raise ValidationError(f"no voter {i}: instance has {inst.n} voters")
-    return len(inst.approvals[i] & members) >= t
+    approved = inst.masks[index_in(i, inst.n, "voter")]
+    return (approved & encode_row(members, inst.m)).bit_count() >= t
 
 
 @record
@@ -337,12 +338,13 @@ def jr_check(inst: Instance, committee: Committee) -> JrResult:
     The n/k comparison is exact (no integer division).
     """
     members = _check_committee(inst, committee, 1)
-    k = len(members)
-    unrepresented = [i for i in range(inst.n) if not inst.approvals[i] & members]
-    for c in range(inst.m):
-        group = tuple(i for i in unrepresented if c in inst.approvals[i])
-        if len(group) * k >= inst.n:
-            return JrResult(satisfied=False, blocking_candidate=c, blocking_voters=group)
+    k, n = len(members), inst.n
+    unrepresented = ~_reaching(inst.columns, members, 1)
+    for c, approvers in enumerate(inst.columns):
+        group = approvers & unrepresented
+        if group.bit_count() * k >= n:
+            voters = tuple(select(range(n), group))
+            return JrResult(satisfied=False, blocking_candidate=c, blocking_voters=voters)
     return JrResult(satisfied=True)
 
 

@@ -29,6 +29,7 @@ from .core import (
     build_instance,
     comb_over,
     eval_weight,
+    index_in,
     int_at_least,
     open_unit,
 )
@@ -86,13 +87,6 @@ APPROVAL_LIMIT = 10**6
 # ---------------------------------------------------------------------------
 
 
-def _require_ints(**values: object) -> None:
-    """Reject a non-integer count or seed, such as ``--param L=1/2`` on the command line."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be an integer, got {value}")
-
-
 def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     """Voters take turns approving the ``per_voter`` least-approved candidates.
 
@@ -105,9 +99,9 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     i*per_voter mod m, then onward cyclically, so voter i approves the
     ``per_voter`` candidates from there.  Cost: O(n*per_voter).
     """
-    _require_ints(n=n, m=m, per_voter=per_voter)
+    int_at_least(n, "n", 1)
     int_at_least(m, "m", 1)
-    if not 0 <= per_voter <= m:
+    if int_at_least(per_voter, "per-voter approvals") > m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
     _check_budget(n, m, n * per_voter)
     window = range(per_voter)
@@ -138,7 +132,8 @@ def _family_gap(
     wins while the whole bloc is s-flexible and disapproves it.  Returns the
     instance and the special candidate (index 0).
     """
-    _require_ints(n=n, m=m)
+    int_at_least(n, "n", 2)
+    int_at_least(m, "m", 2)
     _check_budget(n, m)
     sv, rv = open_unit(s), as_frac(r)
     if not 0 < rv < family.guarantee(sv):
@@ -180,7 +175,7 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     at threshold f' is the bloc share, which approaches g from below.
     Returns the instance and the special candidate (index 0).
     """
-    _require_ints(n=n)
+    int_at_least(n, "n", 1)
     fv, fpv = as_frac(f), as_frac(fprime)
     m = lcm(fv.denominator, fpv.denominator)
     _check_budget(n)
@@ -210,8 +205,8 @@ def gen_symmetric(m: int, per_voter: int) -> Instance:
     Fully symmetric, so every committee of a given size is t-disapproved by
     exactly the same number of voters.
     """
-    _require_ints(m=m, per_voter=per_voter)
-    if not 0 <= per_voter <= m:
+    int_at_least(m, "m", 1)
+    if int_at_least(per_voter, "per-voter approvals") > m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
     _check_budget(0, m)  # before C(m, per_voter), which is slow for a huge m
     if comb_over(m, per_voter, COMMITTEE_LIMIT):  # C(m, m/2) may be too long to print
@@ -286,11 +281,10 @@ def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
 
     n*m, the most approvals the rows can hold, is at most ``APPROVAL_LIMIT``.
     """
-    _require_ints(n=n, m=m, seed=seed)
+    int_at_least(n, "n", 1)
     int_at_least(m, "m", 1)
+    int_at_least(seed, "seed", None)
     _check_budget(n, m, n * m)
-    if n < 1:
-        raise ValidationError("need at least one voter")
     rng = random.Random(seed)
     # Bit 2**c of a voter's mask is set when she approves candidate c.
     return Instance.from_masks(m, [rng.getrandbits(m) for _ in range(n)])
@@ -357,7 +351,7 @@ def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Ite
     the last voter's set varying fastest.  The budget is checked at the call:
     (2**m)**n > budget exactly when m*n >= budget.bit_length().
     """
-    if m * n >= budget.bit_length():
+    if int_at_least(n, "n", 1) * int_at_least(m, "m", 1) >= budget.bit_length():
         raise SizeLimitError(f"n={n}, m={m} would enumerate more than {budget} profiles")
     return (Instance.from_masks(m, masks) for masks in product(range(2**m), repeat=n))
 
@@ -377,7 +371,7 @@ def enumerate_voter_multisets(
     permuting voters, so sweeping these representatives checks every
     ordered profile while enumerating far fewer instances.
     """
-    if _multisets_over(int_at_least(n, "n", 1), m, budget):
+    if _multisets_over(int_at_least(n, "n", 1), int_at_least(m, "m", 1), budget):
         raise SizeLimitError(f"n={n}, m={m} would enumerate more than {budget} voter multisets")
     return (Instance.from_masks(m, masks) for masks in combinations_with_replacement(range(2**m), n))
 
@@ -397,8 +391,7 @@ def conditional_expected_scores(inst: Instance, params: MultiParams, picks: obje
     _check_expansion(inst, params)
     picks = tuple(dict.fromkeys(picks))
     for a in picks:
-        if int_at_least(a, "partial committee member") >= inst.m:
-            raise ValidationError(f"partial committee member {a!r} outside 0..{inst.m - 1}")
+        index_in(a, inst.m, "partial committee member")
     m, k, t = inst.m, params.k, params.t
     if len(picks) > k:
         raise ValidationError(f"partial committee has {len(picks)} members, more than k={k}")

@@ -28,6 +28,7 @@ from .core import (
     eval_weight,
     flexibility_grid,
     flexible_size,
+    index_in,
     int_at_least,
     open_unit,
     record,
@@ -144,9 +145,7 @@ def ropt_winner(inst: Instance) -> int:
 
 def _disapprovers(inst: Instance, a: int) -> int:
     """The voters disapproving candidate ``a`` (as for :func:`group_audit`), once ``a`` is valid."""
-    if not 0 <= a < inst.m:
-        raise ValidationError(f"no candidate {a}: instance has m={inst.m}")
-    return ~inst.columns[a]
+    return ~inst.columns[index_in(a, inst.m, "candidate")]
 
 
 def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:

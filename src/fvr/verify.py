@@ -16,7 +16,8 @@ Suite parameter conventions (all optional, suite-specific defaults):
   ``m_max`` >= 6), for ``pvc`` the number of sampled profiles per shape.
 - ``seed``: seed for sampled checks.
 
-``n_max``, ``m_max`` and ``budget`` must be positive integers when given.
+``n_max``, ``m_max`` and ``budget`` must be positive integers when given,
+and ``seed`` any integer.
 
 Each oracle walks its universe once, counts in ints and calls none of the
 kernels it checks: a sweep reads one ``flexible_counts`` list per winner or
@@ -87,11 +88,13 @@ __all__ = [
 MAX_VIOLATIONS_KEPT = 50
 
 
-@record(frozen=False)
+@record
 class VerifyResult:
+    """A suite's check count and its first ``MAX_VIOLATIONS_KEPT`` violation messages."""
+
     suite: str
     checked: int
-    violations: list[str]
+    violations: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -483,11 +486,12 @@ def run_suite(
         known = ", ".join(SUITE_NAMES)
         raise ValidationError(f"unknown suite {name!r}; known: {known}") from None
     int_at_least(jobs, "jobs", 1)
-    # None selects the suite's default; any other value must be a usable size,
-    # so the builders' ``or`` defaults never see a 0.
-    for key, value in (("n_max", n_max), ("m_max", m_max), ("budget", budget)):
+    # None selects the suite's default; any other size must be usable, so the
+    # builders' ``or`` defaults never see a 0, and a seed may be any int.
+    given = (("n_max", n_max, 1), ("m_max", m_max, 1), ("budget", budget, 1), ("seed", seed, None))
+    for key, value, low in given:
         if value is not None:
-            int_at_least(value, key, 1)
+            int_at_least(value, key, low)
     tasks = builder(n_max, m_max, budget, seed)
     workers = _pool_size(jobs, len(tasks), os.cpu_count())
     if workers > 1:
@@ -498,5 +502,5 @@ def run_suite(
     else:
         outcomes = [_dispatch(task) for task in tasks]
     checked = sum(c for c, _ in outcomes)
-    violations = [v for _, vs in outcomes for v in vs][:MAX_VIOLATIONS_KEPT]
+    violations = tuple(v for _, vs in outcomes for v in vs)[:MAX_VIOLATIONS_KEPT]
     return VerifyResult(name, checked, violations)

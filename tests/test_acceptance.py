@@ -82,7 +82,7 @@ def test_criterion_2_exhaustive_single_winner_guarantees():
     totals = 0
     for suite in ("threshold", "approval", "power", "opt"):
         result = run_suite(suite, n_max=4, m_max=4)
-        assert result.violations == [], result.violations[:3]
+        assert result.violations == (), result.violations[:3]
         totals += result.checked
     assert totals > 90_000
     _report(2, f"single-winner guarantees, {totals} audits, zero violations")
@@ -158,7 +158,7 @@ def test_criterion_3_weight_gap():
 
 def test_criterion_4_hypergeometric_exactness():
     result = run_suite("hypergeom", m_max=8, budget=200, seed=7)
-    assert result.violations == [], result.violations[:3]
+    assert result.violations == (), result.violations[:3]
     assert result.checked > 10_000
     _report(4, f"hypergeometric exactness, {result.checked} checks")
 
@@ -170,7 +170,7 @@ def test_criterion_4_hypergeometric_exactness():
 
 def test_criterion_5_multiwinner_guarantees():
     result = run_suite("multiwinner", n_max=3, m_max=5)
-    assert result.violations == [], result.violations[:3]
+    assert result.violations == (), result.violations[:3]
     assert result.checked > 500_000
     _report(5, f"multi-winner guarantees, {result.checked} checks, zero violations")
 
@@ -182,7 +182,7 @@ def test_criterion_5_multiwinner_guarantees():
 
 def test_criterion_6_single_seat_reduction():
     result = run_suite("reduction", n_max=4, m_max=4)
-    assert result.violations == [], result.violations[:3]
+    assert result.violations == (), result.violations[:3]
     assert result.checked > 10_000
     _report(6, f"single-seat reduction, {result.checked} comparisons")
 
@@ -240,7 +240,7 @@ def test_criterion_8_veto_core():
     two_voters = build_ranked_profile(3, [(0, 1, 2), (2, 1, 0)])
     assert strong_pvc(two_voters) == frozenset()
     result = run_suite("pvc", n_max=4, m_max=4, budget=2000, seed=0)
-    assert result.violations == [], result.violations[:3]
+    assert result.violations == (), result.violations[:3]
     assert result.checked > 5_000
     _report(8, f"veto core vs subset oracle, {result.checked} profiles")
 

@@ -26,12 +26,15 @@ from fvr.core import (
 from fvr.formats import parse_instance, serialize_instance
 from fvr.multi_winner import (
     COMMITTEE_LIMIT,
+    JrResult,
     MultiParams,
     committee_score,
     empirical_fvr_committee,
     empirical_fvr_committee_curve,
     expanded_rule,
+    jr_check,
     sequential_picks,
+    t_approves,
 )
 from fvr.single_winner import empirical_fvr_curve, empirical_fvr_point, score_all, winner
 
@@ -121,9 +124,9 @@ def test_equality_compares_the_candidate_count_as_well():
 @pytest.mark.parametrize(
     "m, rows, message",
     [
-        (3, [[-1]], "voter 0: candidate index must be a nonnegative integer, got -1"),
-        (3, [[0], [5]], r"voter 1 approves candidate 5, outside the range 0\.\.2"),
-        (3, [[3]], r"voter 0 approves candidate 3, outside the range 0\.\.2"),
+        (3, [[-1]], r"voter 0: candidate index must be an integer in 0\.\.2, got -1"),
+        (3, [[0], [5]], r"voter 1: candidate index must be an integer in 0\.\.2, got 5"),
+        (3, [[3]], r"voter 0: candidate index must be an integer in 0\.\.2, got 3"),
         (3, [[True]], "got True"),
         (3, [[1.0]], "got 1.0"),
         (3, [["1"]], "got '1'"),
@@ -165,5 +168,30 @@ def test_kernels_never_decode_the_approvals():
     committee_score(inst, committee, 2)
     empirical_fvr_committee(inst, committee, half, 2)
     empirical_fvr_committee_curve(inst, committee, 2)
+    jr_check(inst, committee)
+    t_approves(inst, 3, committee, 2)
     # The approvals slot is set on the first decode.
     assert not hasattr(inst, "_approvals")
+
+
+def jr_by_sets(inst, members):
+    """Justified representation over the approval sets: the lowest candidate
+    approved by at least n/k voters who approve no member, with those voters."""
+    unrepresented = [i for i in range(inst.n) if not inst.approvals[i] & members]
+    for c in range(inst.m):
+        group = tuple(i for i in unrepresented if c in inst.approvals[i])
+        if len(group) * len(members) >= inst.n:
+            return JrResult(satisfied=False, blocking_candidate=c, blocking_voters=group)
+    return JrResult(satisfied=True)
+
+
+@given(masked_profiles(m_max=12), st.data())
+def test_jr_check_and_t_approves_match_their_set_definitions(case, data):
+    m, masks = case
+    inst = Instance.from_masks(m, masks)
+    members = frozenset(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    committee = Committee(tuple(members))
+    assert jr_check(inst, committee) == jr_by_sets(inst, members)
+    for t in range(1, len(members) + 1):
+        for i, approved in enumerate(inst.approvals):
+            assert t_approves(inst, i, committee, t) == (len(approved & members) >= t)

@@ -389,7 +389,7 @@ def test_verify_exits_1_on_violations(capsys, monkeypatch):
     from fvr.verify import VerifyResult
 
     def fake_run_suite(name, **_):
-        return VerifyResult(name, 3, ["fabricated counterexample"])
+        return VerifyResult(name, 3, ("fabricated counterexample",))
 
     monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
     code, out, _ = run(capsys, "verify", "opt")

@@ -224,7 +224,7 @@ def argvs(draw, files, outs):
 
 
 def fake_run_suite(name, **_):
-    return VerifyResult(name, 1, ["fabricated"] if name == "pvc" else [])
+    return VerifyResult(name, 1, ("fabricated",) if name == "pvc" else ())
 
 
 def fake_run_generator(name, params):

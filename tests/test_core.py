@@ -1,18 +1,23 @@
 """Core types: exact arithmetic, instance validation, weight families."""
 
+import ast
+import re
 import time
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fvr
 from fvr.core import (
     NUMERAL_LIMIT,
     AuditCurve,
     Committee,
     Constant,
+    Instance,
     Optimal,
     Power,
     SizeLimitError,
@@ -28,16 +33,35 @@ from fvr.core import (
     flexibility_grid,
 )
 from fvr.hypergeom import HypParams
-from fvr.multi_winner import MultiParams, expand_instance
+from fvr.multi_winner import (
+    MultiParams,
+    committee_score,
+    empirical_fvr_committee,
+    expand_instance,
+    jr_check,
+    t_approves,
+)
 from fvr.oracles import (
     conditional_expected_score,
     enumerate_instances,
     enumerate_voter_multisets,
+    gen_approval_gap,
     gen_jr_hard,
     gen_party_split,
+    gen_power_gap,
+    gen_random_instance,
+    gen_spread,
+    gen_symmetric,
+    gen_weight_gap,
     run_generator,
 )
-from fvr.single_winner import closed_form_fvr, grid_theoretical_fvr, score_all
+from fvr.single_winner import (
+    closed_form_fvr,
+    empirical_fvr_curve,
+    empirical_fvr_point,
+    grid_theoretical_fvr,
+    score_all,
+)
 from fvr.verify import run_suite
 
 INTRO = build_instance(4, [{1, 2}, {1, 3}, {2, 3}])
@@ -121,6 +145,14 @@ def test_build_instance_rejects_zero_candidates_and_zero_voters():
         build_instance(0, [set()])
     with pytest.raises(ValidationError):
         build_instance(2, [])
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: Instance(3, []), lambda: Instance.from_masks(3, [])], ids=["Instance", "from_masks"]
+)
+def test_every_constructor_refuses_an_instance_without_voters(build):
+    with pytest.raises(ValidationError, match="^need at least one voter$"):
+        build()
 
 
 def test_flexibility_examples():
@@ -260,8 +292,12 @@ def test_audit_curve_evaluation_and_validation():
         AuditCurve(((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 2))))
 
 
-# Every integer input, with a value just below its bound; each goes through
-# core.int_at_least, so each raises its "must be ... integer" message.
+WEIGHT_TABLE = Table({Fraction(1, 4): 1, Fraction(1, 2): 1})
+
+# Every integer input, with a value just below its bound (seeds take any int,
+# so theirs is a non-int).  Each also refuses a bool and a Fraction, which is
+# what ``fvr gen --param L=1/2`` passes.  Each goes through core.int_at_least,
+# or core.index_in for an index, so each raises a "must be ... integer" message.
 INTEGER_SITES = {
     "build_instance m": (lambda x: build_instance(x, [set()]), 0),
     "build_instance index": (lambda x: build_instance(3, [{x}]), -1),
@@ -270,6 +306,7 @@ INTEGER_SITES = {
     "Committee": (lambda x: Committee((x,)), -1),
     "MultiParams k": (lambda x: MultiParams(x, 1), 0),
     "MultiParams t": (lambda x: MultiParams(2, x), 0),
+    "committee_score t": (lambda x: committee_score(INTRO, Committee((1, 2)), x), 0),
     "HypParams population": (lambda x: HypParams(x, 0, 0), -1),
     "HypParams successes": (lambda x: HypParams(3, x, 0), -1),
     "HypParams draws": (lambda x: HypParams(3, 0, x), -1),
@@ -278,6 +315,23 @@ INTEGER_SITES = {
     "gen_party_split reps": (lambda x: gen_party_split(2, x), 0),
     "gen_jr_hard k": (lambda x: gen_jr_hard(6, x), 1),
     "gen_jr_hard m": (lambda x: gen_jr_hard(x, 2), -1),
+    "gen_spread n": (lambda x: gen_spread(x, 4, 1), 0),
+    "gen_spread m": (lambda x: gen_spread(2, x, 0), 0),
+    "gen_spread per_voter": (lambda x: gen_spread(2, 4, x), -1),
+    "gen_approval_gap n": (lambda x: gen_approval_gap(x, 10, Fraction(1, 2), Fraction(1, 2)), 1),
+    "gen_approval_gap m": (lambda x: gen_approval_gap(12, x, Fraction(1, 2), Fraction(1, 2)), 1),
+    "gen_power_gap n": (lambda x: gen_power_gap(x, 20, Fraction(1, 2), Fraction(9, 20), 1), 1),
+    "gen_power_gap m": (lambda x: gen_power_gap(40, x, Fraction(1, 2), Fraction(9, 20), 1), 1),
+    "gen_weight_gap n": (lambda x: gen_weight_gap(WEIGHT_TABLE, Fraction(1, 4), Fraction(1, 2), x), 0),
+    "gen_symmetric m": (lambda x: gen_symmetric(x, 0), 0),
+    "gen_symmetric per_voter": (lambda x: gen_symmetric(4, x), -1),
+    "gen_random_instance n": (lambda x: gen_random_instance(x, 3), 0),
+    "gen_random_instance m": (lambda x: gen_random_instance(2, x), 0),
+    "gen_random_instance seed": (lambda x: gen_random_instance(2, 3, x), "x"),
+    "enumerate_instances n": (lambda x: enumerate_instances(x, 2), 0),  # no voters: refused at the call
+    "enumerate_instances m": (lambda x: enumerate_instances(2, x), 0),
+    "enumerate_voter_multisets n": (lambda x: enumerate_voter_multisets(x, 2), 0),
+    "enumerate_voter_multisets m": (lambda x: enumerate_voter_multisets(2, x), 0),
     "conditional_expected_score": (
         lambda x: conditional_expected_score(INTRO, MultiParams(1, 1), (x,)),
         -1,
@@ -286,17 +340,83 @@ INTEGER_SITES = {
     "run_suite n_max": (lambda x: run_suite("opt", n_max=x), 0),
     "run_suite m_max": (lambda x: run_suite("opt", m_max=x), 0),
     "run_suite budget": (lambda x: run_suite("opt", budget=x), 0),
+    "run_suite seed": (lambda x: run_suite("pvc", seed=x), "x"),
 }
 
 
 @pytest.mark.parametrize("site", INTEGER_SITES)
-@pytest.mark.parametrize("bad", ["bool", "below"])
+@pytest.mark.parametrize("bad", ["bool", "fraction", "below"])
 def test_integer_inputs_reject_bools_and_values_below_their_bound(site, bad):
     call, below = INTEGER_SITES[site]
-    value = True if bad == "bool" else below
-    message = rf"must be (a nonnegative|a positive|an) integer.*, got {value!r}$"
+    value = {"bool": True, "fraction": Fraction(1, 2), "below": below}[bad]
+    message = rf"must be (a nonnegative|a positive|an) integer.*, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=message):
         call(value)
+
+
+def test_seeds_take_any_int():
+    assert gen_random_instance(2, 3, -5).n == 2
+    assert run_suite("pvc", n_max=2, m_max=2, seed=-5).passed
+
+
+# Every index input, with the number of things it indexes.  A float, a bool,
+# -1 and that number each raise a ValidationError naming the value; a
+# committee member is first checked by Committee itself.
+INDEX_SITES = {
+    "empirical_fvr_point candidate": (lambda x: empirical_fvr_point(INTRO, x, "1/2"), 4),
+    "empirical_fvr_curve candidate": (lambda x: empirical_fvr_curve(INTRO, x), 4),
+    "flexibility voter": (lambda x: flexibility(INTRO, x), 3),
+    "t_approves voter": (lambda x: t_approves(INTRO, x, Committee((1, 2)), 1), 3),
+    "t_approves member": (lambda x: t_approves(INTRO, 0, Committee((1, x)), 1), 4),
+    "committee_score member": (lambda x: committee_score(INTRO, Committee((x,)), 1), 4),
+    "empirical_fvr_committee member": (
+        lambda x: empirical_fvr_committee(INTRO, Committee((x,)), "1/2", 1),
+        4,
+    ),
+    "jr_check member": (lambda x: jr_check(INTRO, Committee((x,))), 4),
+    "conditional_expected_score member": (
+        lambda x: conditional_expected_score(INTRO, MultiParams(1, 1), (x,)),
+        4,
+    ),
+    "Instance candidate": (lambda x: Instance(4, [{0}, {x}]), 4),
+}
+
+
+@pytest.mark.parametrize("site", INDEX_SITES)
+@pytest.mark.parametrize("bad", ["float", "bool", "negative", "size"])
+def test_index_inputs_reject_floats_bools_and_values_out_of_range(site, bad):
+    call, size = INDEX_SITES[site]
+    value = {"float": 1.0, "bool": True, "negative": -1, "size": size}[bad]
+    with pytest.raises(ValidationError, match=rf", got {re.escape(repr(value))}$"):
+        call(value)
+
+
+def bool_tests(tree, where="<module>"):
+    """The innermost enclosing def or class of each ``isinstance(..., bool)`` call."""
+    for child in ast.iter_child_nodes(tree):
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "isinstance"
+            and len(child.args) == 2
+            and any(isinstance(node, ast.Name) and node.id == "bool" for node in ast.walk(child.args[1]))
+        ):
+            yield where
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from bool_tests(child, child.name if scope else where)
+
+
+def test_only_the_integer_and_rational_validators_tell_bools_from_ints():
+    # A second place that refuses bools is a second integer validator: every
+    # integer goes through core.int_at_least, and as_frac refuses a bool as a
+    # rational.
+    found = {
+        (path.stem, where)
+        for path in Path(fvr.__file__).parent.glob("*.py")
+        for where in bool_tests(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert ("core", "int_at_least") in found
+    assert found <= {("core", "int_at_least"), ("core", "as_frac")}
 
 
 # Every size input, with a value far above its budget.  Each is refused at the

@@ -294,7 +294,7 @@ def test_mask_decoder_sets_candidate_c_for_bit_c(m):
 
 @pytest.mark.parametrize("n", [0, -2])
 def test_gen_random_instance_needs_a_voter(n):
-    with pytest.raises(ValidationError, match="^need at least one voter$"):
+    with pytest.raises(ValidationError, match=f"^n must be a positive integer, got {n}$"):
         gen_random_instance(n, 3)
 
 

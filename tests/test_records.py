@@ -19,6 +19,7 @@ from fvr.core import (
     Optimal,
     Power,
     RankedProfile,
+    Table,
     Threshold,
     build_instance,
 )
@@ -40,6 +41,7 @@ CASES = [
     (Threshold, (HALF,)),
     (Power, (2,)),
     (Optimal, (Fraction(3, 2),)),
+    (Table, (((Fraction(1, 4), Fraction(2)), (HALF, Fraction(0))),)),
     (Committee, ((0, 2),)),
     (AuditCurve, (((HALF, Fraction(1, 3)), (Fraction(1), Fraction(0))),)),
     (HypParams, (5, 2, 3)),
@@ -47,15 +49,14 @@ CASES = [
     (MultiParams, (3, 2)),
     (ExpandedInstance, (BASE, MultiParams(2, 1), EXPANSION.committees, EXPANSION.expanded)),
     (JrResult, (False, 1, (0, 2))),
-    (VerifyResult, ("opt", 3, ["a violation"])),
+    (VerifyResult, ("opt", 3, ("a violation",))),
 ]
 IDS = [cls.__name__ for cls, _ in CASES]
 
 
 def dataclass_twin(cls, values):
-    """The same fields as a ``@dataclass``, as the class was declared before records."""
-    frozen = cls is not VerifyResult
-    twin = dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=frozen)
+    """The same fields as a frozen ``@dataclass``, as the class was declared before records."""
+    twin = dataclasses.make_dataclass(cls.__name__, cls.__match_args__, frozen=True)
     twin.__qualname__ = cls.__qualname__
     return twin(*values)
 
@@ -76,12 +77,6 @@ def test_record_construction_equality_and_repr(cls, values):
 def test_record_hash_and_assignment(cls, values):
     rec = cls(*values)
     name = cls.__match_args__[0] if cls.__match_args__ else "extra"
-    if cls is VerifyResult:
-        with pytest.raises(TypeError):
-            hash(rec)
-        rec.checked = 4
-        assert rec.checked == 4
-        return
     assert hash(rec) == hash(dataclass_twin(cls, values)) == hash(cls(*values))
     with pytest.raises(FrozenRecordError):
         setattr(rec, name, None)
