@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from typing import TypeVar
 
 Frac = Fraction
@@ -419,28 +419,38 @@ def build_instance(m: int, approvals: Iterable[Iterable[int]]) -> Instance:
 
 @record
 class RankedProfile:
-    """Strict rankings: one permutation of 0..m-1 per voter, best first."""
+    """Strict rankings, best first: at least one voter, each ranking a permutation of the
+    ints 0..m-1, stored as a tuple.  :func:`index_in` words an entry that is not one of them."""
 
     m: int
     rankings: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        m = int_at_least(self.m, "m", 1)
+        rows = tuple(map(tuple, self.rankings))
+        candidates = set(range(m))
+        # Valid rankings pass a length and a set compare each, then one pass over the types.
+        if not (
+            rows
+            and all(len(row) == m and set(row) == candidates for row in rows)
+            and set(map(type, chain.from_iterable(rows))) == {int}
+        ):  # the checks below only word what is wrong
+            for i, row in enumerate(rows):
+                for a in row:
+                    index_in(a, m, f"voter {i}: ranking entry")
+                if len(row) != m or set(row) != candidates:
+                    raise ValidationError(f"voter {i}: ranking {row!r} is not a permutation of 0..{m - 1}")
+            raise ValidationError("need at least one voter")
+        _set(self, "rankings", rows)
 
     @property
     def n(self) -> int:
         return len(self.rankings)
 
 
-def build_ranked_profile(m: int, rankings: object) -> RankedProfile:
-    """Validate and freeze a ranked profile."""
-    int_at_least(m, "m", 1)
-    rows = []
-    for i, ranking in enumerate(rankings):
-        row = tuple(ranking)
-        if sorted(row) != list(range(m)):
-            raise ValidationError(f"voter {i}: ranking {row!r} is not a permutation of 0..{m - 1}")
-        rows.append(row)
-    if not rows:
-        raise ValidationError("need at least one voter")
-    return RankedProfile(m, tuple(rows))
+def build_ranked_profile(m: int, rankings: Iterable[Iterable[int]]) -> RankedProfile:
+    """Validate and freeze a ranked profile; :class:`RankedProfile` checks it."""
+    return RankedProfile(m, rankings)
 
 
 def flexibility(inst: Instance, i: int) -> Frac:

@@ -70,13 +70,17 @@ def hyp_pmf(params: HypParams, t: int) -> Frac:
     Callers rely on that: the reference loop of the sequential committee
     rule probes the mass function at shifted arguments that go negative
     once a voter is already satisfied, and those probes must vanish rather
-    than fail.
+    than fail.  A ``t`` that is not an int, a bool among them, is refused.
     """
+    if type(t) is not int:
+        int_at_least(t, "t", None)
     return _pmf(params.population, params.successes, params.draws, t)
 
 
 def hyp_cdf(params: HypParams, t: int) -> Frac:
-    """Probability of drawing at most ``t`` successes (0 for t < 0, 1 at full support)."""
+    """Probability of drawing at most ``t`` successes (0 for t < 0, 1 at full support); any int ``t``."""
+    if type(t) is not int:
+        int_at_least(t, "t", None)
     if t < 0:
         return Fraction(0)
     upper = min(t, params.successes, params.draws)
@@ -107,6 +111,8 @@ def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
     in this package meet it.
     """
     sv = open_unit(s)
+    int_at_least(k, "k", 1)
+    int_at_least(t, "t", 1)
     if not 1 <= k < m:
         raise ValidationError(f"need 1 <= k < m, got k={k}, m={m}")
     if not 1 <= t <= k:

@@ -6,6 +6,12 @@ Suites are pure and deterministic; blocks of work are independent, so they
 can run on a process pool, with results collected before printing to keep
 output deterministic.
 
+Each block is a generator that yields one item per check: a false value
+when the check passes, or its violation message when it fails, built only
+then (``failed and f"..."``).  ``_dispatch`` alone counts a block's checks
+and keeps its first ``MAX_VIOLATIONS_KEPT`` messages, so no block holds a
+counter or a list of violations.
+
 Suite parameter conventions (all optional, suite-specific defaults):
 
 - ``n_max``/``m_max``: sweep ceilings for voters/candidates (for the
@@ -40,7 +46,7 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -156,7 +162,7 @@ def _thresholds(m: int, bounds: Iterable[tuple[Frac, Frac]]) -> list[tuple]:
     return [(s, b, flexible_size(s, m), b.numerator, b.denominator) for s, b in bounds]
 
 
-def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, list[str]]:
+def _single_winner_block(suite: str, n: int, m: int, budget: int) -> Iterator[str | bool]:
     grid = flexibility_grid(m)
     # (rule spec, thresholds to audit its winner at); a threshold rule is
     # tailored to one s, so each s gets its own rule.
@@ -171,8 +177,6 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
         family = parse_family(label)
         bounds = _thresholds(m, ((s, closed_form_fvr(family, s).value) for s in thresholds))
         bounded.append((label, family, bounds))
-    checked = 0
-    bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
         audited: dict[int, list[int]] = {}  # rules often share a winner: count it once
         for label, family, bounds in bounded:
@@ -181,24 +185,19 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> tuple[int, 
                 audited[a] = flexible_counts(inst, _disapprovers(inst, a))
             counts = audited[a]
             for s, bound, need, p, q in bounds:
-                checked += 1
-                if counts[need] * q > p * n:
-                    bad.append(
-                        f"{label} n={n} m={m} approvals={_profile(inst)} "
-                        f"s={s}: audit {Fraction(counts[need], n)} exceeds {bound}"
-                    )
-    return checked, bad
+                yield counts[need] * q > p * n and (
+                    f"{label} n={n} m={m} approvals={_profile(inst)} "
+                    f"s={s}: audit {Fraction(counts[need], n)} exceeds {bound}"
+                )
 
 
-def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
+def _multiwinner_block(n: int, m: int, budget: int) -> Iterator[str | bool]:
     # The bounds depend on (k, t, s) only, not on the instance.
     bounds = {
         (k, t): _thresholds(m, ((s, multiwinner_bound(m, s, k, t)) for s in flexibility_grid(m)))
         for k in range(1, m)
         for t in range(1, k + 1)
     }
-    checked = 0
-    bad: list[str] = []
     for inst in enumerate_voter_multisets(n, m, budget):
         for k in range(1, m):
             for t in range(1, k + 1):
@@ -206,63 +205,48 @@ def _multiwinner_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
                 picks = sequential_picks(inst, params)
                 seq_committee = Committee(picks)
                 score = committee_score(inst, seq_committee, t)
-                checked += 1
-                if score > n:
-                    bad.append(
-                        f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: "
-                        f"sequential committee {picks} scores {score} > n"
-                    )
+                yield score > n and (
+                    f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: "
+                    f"sequential committee {picks} scores {score} > n"
+                )
                 expected = conditional_expected_scores(inst, params, picks)
                 includable = sum(1 for A in inst.approvals if miss_prob(m, len(A), k, t))
-                checked += 1
-                if expected[0] != includable:
-                    bad.append(
-                        f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: average penalty "
-                        f"over all committees is {expected[0]}, not the {includable} includable voters"
-                    )
+                yield expected[0] != includable and (
+                    f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: average penalty "
+                    f"over all committees is {expected[0]}, not the {includable} includable voters"
+                )
                 for j in range(1, k + 1):
-                    checked += 1
-                    if expected[j] > expected[j - 1]:
-                        bad.append(
-                            f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: conditional "
-                            f"expectation rose from {expected[j - 1]} to {expected[j]} at pick {j}"
-                        )
+                    yield expected[j] > expected[j - 1] and (
+                        f"n={n} m={m} k={k} t={t} approvals={_profile(inst)}: conditional "
+                        f"expectation rose from {expected[j - 1]} to {expected[j]} at pick {j}"
+                    )
                 committees = (("seq", seq_committee), ("expanded", expanded_rule(inst, params)))
                 counted = [
                     (name, flexible_counts(inst, _short_voters(inst, c, t)[1])) for name, c in committees
                 ]
                 for s, bound, need, p, q in bounds[k, t]:
                     for name, counts in counted:
-                        checked += 1
-                        if counts[need] * q > p * n:
-                            bad.append(
-                                f"{name} n={n} m={m} k={k} t={t} s={s} approvals={_profile(inst)}: "
-                                f"audit {Fraction(counts[need], n)} exceeds {bound}"
-                            )
-    return checked, bad
+                        yield counts[need] * q > p * n and (
+                            f"{name} n={n} m={m} k={k} t={t} s={s} approvals={_profile(inst)}: "
+                            f"audit {Fraction(counts[need], n)} exceeds {bound}"
+                        )
 
 
-def _reduction_block(n: int, m: int, budget: int) -> tuple[int, list[str]]:
-    checked = 0
-    bad: list[str] = []
+def _reduction_block(n: int, m: int, budget: int) -> Iterator[str | bool]:
     params = MultiParams(1, 1)
     for inst in enumerate_voter_multisets(n, m, budget):
         expected = ropt_winner(inst)
-        seq = sequential_picks(inst, params)
-        exp = expanded_rule(inst, params)
-        checked += 2
-        if seq != (expected,):
-            bad.append(f"n={n} m={m} approvals={_profile(inst)}: "
-                       f"sequential gave {seq}, single-winner rule gives {expected}")
-        if exp.members != (expected,):
-            bad.append(f"n={n} m={m} approvals={_profile(inst)}: "
-                       f"expanded gave {exp.members}, single-winner rule gives {expected}")
-    return checked, bad
+        seq, exp = sequential_picks(inst, params), expanded_rule(inst, params).members
+        for rule, members in (("sequential", seq), ("expanded", exp)):
+            yield members != (expected,) and (
+                f"n={n} m={m} approvals={_profile(inst)}: "
+                f"{rule} gave {members}, single-winner rule gives {expected}"
+            )
 
 
-def _hyp_enum_block(population: int) -> tuple[int, list[str]]:
-    checked = 0
-    bad: list[str] = []
+def _hyp_enum_block(population: int) -> Iterator[str | bool]:
+    """One check per probe t of (population, s, d), covering its pmf and its cdf; when
+    both fail, one message joins the two with ``"; "``."""
     for successes in range(population + 1):
         for draws in range(population + 1):
             params = HypParams(population, successes, draws)
@@ -272,38 +256,33 @@ def _hyp_enum_block(population: int) -> tuple[int, list[str]]:
                 hits = counts[t] if 0 <= t <= draws else 0
                 running += hits
                 actual = hyp_pmf(params, t)
-                checked += 1
-                if _off(actual, hits, total):
-                    expected = Fraction(hits, total)
-                    bad.append(f"pmf({population},{successes},{draws};{t}) = {actual} != {expected}")
-                if _off(hyp_cdf(params, t), running, total):
-                    bad.append(f"cdf({population},{successes},{draws};{t}) != enumerated cumulative")
-    return checked, bad
+                pmf = _off(actual, hits, total) and (
+                    f"pmf({population},{successes},{draws};{t}) = {actual} != {Fraction(hits, total)}"
+                )
+                cdf = _off(hyp_cdf(params, t), running, total) and (
+                    f"cdf({population},{successes},{draws};{t}) != enumerated cumulative"
+                )
+                yield (pmf or cdf) and "; ".join(filter(None, (pmf, cdf)))
 
 
-def _hyp_sum_block(population: int) -> tuple[int, list[str]]:
-    checked = 0
-    bad: list[str] = []
+def _hyp_sum_block(population: int) -> Iterator[str | bool]:
     for successes in range(population + 1):
         for draws in range(population + 1):
             params = HypParams(population, successes, draws)
             pmf = [hyp_pmf(params, t) for t in range(draws + 1)]
             scale = lcm(*(value.denominator for value in pmf))  # C(p, d) or a divisor of it
-            checked += 1
-            if sum(value.numerator * (scale // value.denominator) for value in pmf) != scale:
-                bad.append(f"pmf over ({population},{successes},{draws}) sums to {sum(pmf)}")
+            yield sum(value.numerator * (scale // value.denominator) for value in pmf) != scale and (
+                f"pmf over ({population},{successes},{draws}) sums to {sum(pmf)}"
+            )
             flipped = HypParams(population, draws, successes)
             for t in range(population + 1):
-                checked += 1
-                if hyp_pmf(params, t) != hyp_pmf(flipped, t):
-                    bad.append(f"symmetry broken at ({population},{successes},{draws};{t})")
-    return checked, bad
+                yield hyp_pmf(params, t) != hyp_pmf(flipped, t) and (
+                    f"symmetry broken at ({population},{successes},{draws};{t})"
+                )
 
 
-def _hyp_counting_block(seed: int, count: int, m_max: int) -> tuple[int, list[str]]:
+def _hyp_counting_block(seed: int, count: int, m_max: int) -> Iterator[str | bool]:
     rng = random.Random(seed)
-    checked = 0
-    bad: list[str] = []
     # Every k-committee of m candidates as a bitmask, enumerated once per block.
     committees = {
         (m, k): [sum(chosen) for chosen in combinations([1 << c for c in range(m)], k)]
@@ -323,18 +302,13 @@ def _hyp_counting_block(seed: int, count: int, m_max: int) -> tuple[int, list[st
                 for t in range(1, k + 1):
                     reached -= histogram[t - 1]
                     miss = hyp_cdf(HypParams(m, size, k), t - 1)
-                    checked += 1
-                    if _off(miss, total - reached, total):
-                        bad.append(
-                            f"m={m} k={k} t={t} |A|={size}: {reached} committees reach the "
-                            f"target but the distribution predicts {(1 - miss) * total}"
-                        )
-    return checked, bad
+                    yield _off(miss, total - reached, total) and (
+                        f"m={m} k={k} t={t} |A|={size}: {reached} committees reach the "
+                        f"target but the distribution predicts {(1 - miss) * total}"
+                    )
 
 
-def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
-    checked = 0
-    bad: list[str] = []
+def _pvc_block(n: int, m: int, sample: int, seed: int) -> Iterator[str | bool]:
     if _all_profiles(n, m, sample) is not None:
         profiles = product(permutations(range(m)), repeat=n)
     else:
@@ -342,10 +316,9 @@ def _pvc_block(n: int, m: int, sample: int, seed: int) -> tuple[int, list[str]]:
         profiles = [tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(sample)]
     for rankings in profiles:
         profile = RankedProfile(m, rankings)
-        checked += 1
-        if strong_pvc(profile) != strong_pvc_by_subsets(profile):
-            bad.append(f"m={m} rankings={rankings}: scan and subset oracle disagree")
-    return checked, bad
+        yield strong_pvc(profile) != strong_pvc_by_subsets(profile) and (
+            f"m={m} rankings={rankings}: scan and subset oracle disagree"
+        )
 
 
 def _all_profiles(n: int, m: int, sample: int) -> int | None:
@@ -362,8 +335,15 @@ def _all_profiles(n: int, m: int, sample: int) -> int | None:
 
 
 def _dispatch(task: tuple) -> tuple[int, list[str]]:
+    """Run one block: the number of checks it yields and its first
+    ``MAX_VIOLATIONS_KEPT`` violation messages."""
     block, args = task
-    return block(*args)
+    checked = 0
+    bad: list[str] = []
+    for checked, failure in enumerate(block(*args), 1):
+        if failure and len(bad) < MAX_VIOLATIONS_KEPT:
+            bad.append(failure)
+    return checked, bad
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +351,7 @@ def _dispatch(task: tuple) -> tuple[int, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(block: Callable[..., tuple[int, list[str]]], n_default: int, m_default: int, *lead):
+def _sweep(block: Callable[..., Iterator[str | bool]], n_default: int, m_default: int, *lead):
     """Suite builder: one ``block(*lead, n, m, budget)`` task per (n, m) of the sweep.
 
     A block with one candidate has no threshold and no committee to check,
@@ -382,7 +362,7 @@ def _sweep(block: Callable[..., tuple[int, list[str]]], n_default: int, m_defaul
     def build(n_max, m_max, budget, seed):
         n_max = n_max or n_default
         m_max = m_max or m_default
-        budget = budget or 10**6
+        budget = budget or ENUMERATION_BUDGET
         if m_max > 1 and _multisets_over(n_max, m_max, budget):
             raise SizeLimitError(
                 f"n_max={n_max}, m_max={m_max} would enumerate more than {budget} "

@@ -20,6 +20,7 @@ from fvr.core import (
     Instance,
     Optimal,
     Power,
+    RankedProfile,
     SizeLimitError,
     Table,
     Threshold,
@@ -32,7 +33,7 @@ from fvr.core import (
     flexibility,
     flexibility_grid,
 )
-from fvr.hypergeom import HypParams
+from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import (
     MultiParams,
     committee_score,
@@ -153,6 +154,30 @@ def test_build_instance_rejects_zero_candidates_and_zero_voters():
 def test_every_constructor_refuses_an_instance_without_voters(build):
     with pytest.raises(ValidationError, match="^need at least one voter$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "rankings, message",
+    [
+        ((), "^need at least one voter$"),
+        (((0, 1),), r"^voter 0: ranking \(0, 1\) is not a permutation of 0\.\.2$"),
+        (((0, 1, 2), (0, 1, 1)), r"^voter 1: ranking \(0, 1, 1\) is not a permutation of 0\.\.2$"),
+        (((0, 1, 2), (0, 1, 2, 0)), r"^voter 1: ranking \(0, 1, 2, 0\) is not a permutation"),
+        (((0.0, True, 2),), r"^voter 0: ranking entry must be an integer in 0\.\.2, got 0\.0$"),
+        (((0, "a", 1),), r"^voter 0: ranking entry must be an integer in 0\.\.2, got 'a'$"),
+    ],
+)
+def test_ranked_profile_refuses_an_empty_profile_and_non_permutations(rankings, message):
+    with pytest.raises(ValidationError, match=message):
+        RankedProfile(3, rankings)
+    with pytest.raises(ValidationError, match=message):
+        build_ranked_profile(3, rankings)
+
+
+def test_ranked_profile_stores_its_rankings_as_tuples():
+    profile = RankedProfile(2, [[1, 0], (0, 1)])
+    assert profile.rankings == ((1, 0), (0, 1))
+    assert profile == build_ranked_profile(2, iter([(1, 0), [0, 1]]))
 
 
 def test_flexibility_examples():
@@ -294,14 +319,15 @@ def test_audit_curve_evaluation_and_validation():
 
 WEIGHT_TABLE = Table({Fraction(1, 4): 1, Fraction(1, 2): 1})
 
-# Every integer input, with a value just below its bound (seeds take any int,
-# so theirs is a non-int).  Each also refuses a bool and a Fraction, which is
+# Every integer input, with a value just below its bound (seeds and the probe t
+# of hyp_pmf/hyp_cdf take any int, so theirs is a non-int).  Each also refuses a bool and a Fraction, which is
 # what ``fvr gen --param L=1/2`` passes.  Each goes through core.int_at_least,
 # or core.index_in for an index, so each raises a "must be ... integer" message.
 INTEGER_SITES = {
     "build_instance m": (lambda x: build_instance(x, [set()]), 0),
     "build_instance index": (lambda x: build_instance(3, [{x}]), -1),
     "build_ranked_profile m": (lambda x: build_ranked_profile(x, [[0]]), 0),
+    "RankedProfile m": (lambda x: RankedProfile(x, ((0,),)), 0),
     "Power": (Power, 0),
     "Committee": (lambda x: Committee((x,)), -1),
     "MultiParams k": (lambda x: MultiParams(x, 1), 0),
@@ -310,6 +336,10 @@ INTEGER_SITES = {
     "HypParams population": (lambda x: HypParams(x, 0, 0), -1),
     "HypParams successes": (lambda x: HypParams(3, x, 0), -1),
     "HypParams draws": (lambda x: HypParams(3, 0, x), -1),
+    "hyp_pmf t": (lambda x: hyp_pmf(HypParams(5, 2, 3), x), "x"),
+    "hyp_cdf t": (lambda x: hyp_cdf(HypParams(5, 2, 3), x), "x"),
+    "multiwinner_bound k": (lambda x: multiwinner_bound(5, "1/2", x, 1), 0),
+    "multiwinner_bound t": (lambda x: multiwinner_bound(5, "1/2", 2, x), 0),
     "grid_theoretical_fvr": (lambda x: grid_theoretical_fvr(Constant(), Fraction(1, 2), x), 1),
     "gen_party_split k": (gen_party_split, 1),
     "gen_party_split reps": (lambda x: gen_party_split(2, x), 0),
@@ -379,6 +409,7 @@ INDEX_SITES = {
         4,
     ),
     "Instance candidate": (lambda x: Instance(4, [{0}, {x}]), 4),
+    "RankedProfile entry": (lambda x: RankedProfile(2, ((0, 1), (x, 0))), 2),
 }
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,9 @@ from fvr.oracles import (
 from fvr.single_winner import closed_form_fvr, empirical_fvr_point, ropt_winner, score_all
 from fvr.verify import (
     _SUITES,
+    MAX_VIOLATIONS_KEPT,
     SUITE_NAMES,
+    _dispatch,
     _pool_size,
     _pvc_block,
     pmf_by_enumeration,
@@ -54,7 +57,7 @@ def test_pvc_block_over_budget_lists_no_rankings():
     # 8! rankings would take about 4.5 MB as a list; one sampled profile needs almost none.
     tracemalloc.start()
     try:
-        checked, bad = _pvc_block(1, 8, 1, 0)
+        checked, bad = _dispatch((_pvc_block, (1, 8, 1, 0)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -275,7 +278,7 @@ def test_hypergeom_suite_catches_off_by_one_pmf_and_cdf(monkeypatch):
     assert any(message.endswith("!= enumerated cumulative") for message in result.violations)
     # The counting block's messages come after the enumeration's, past the
     # ones a suite keeps, so its block runs alone.
-    checked, bad = verify._hyp_counting_block(0, 5, 4)
+    checked, bad = _dispatch((verify._hyp_counting_block, (0, 5, 4)))
     assert checked and bad
     pattern = re.compile(
         r"m=(\d+) k=(\d+) t=(\d+) \|A\|=(\d+): (\d+) committees reach the "
@@ -287,6 +290,48 @@ def test_hypergeom_suite_catches_off_by_one_pmf_and_cdf(monkeypatch):
         predicted = Fraction(predicted)
         assert reached == sum(comb(size, o) * comb(m - size, k - o) for o in range(t, k + 1))
         assert predicted == (1 - hyp_cdf(HypParams(m, size, k), t)) * comb(m, k) != reached
+
+
+def test_hypergeom_reports_one_check_per_probe_with_both_its_failures(monkeypatch):
+    monkeypatch.setattr(verify, "hyp_pmf", lambda params, t: hyp_pmf(params, t - 1))
+    monkeypatch.setattr(verify, "hyp_cdf", lambda params, t: hyp_cdf(params, t + 1))
+    expected = []
+    probes = [(s, d, t) for s in range(3) for d in range(3) for t in range(-1, d + 2)]
+    for s, d, t in probes:
+        params = HypParams(2, s, d)
+        pmf = pmf_by_enumeration(2, s, d, t)
+        cdf = sum((pmf_by_enumeration(2, s, d, u) for u in range(t + 1)), Fraction(0))
+        failures = []
+        if hyp_pmf(params, t - 1) != pmf:
+            failures.append(f"pmf(2,{s},{d};{t}) = {hyp_pmf(params, t - 1)} != {pmf}")
+        if hyp_cdf(params, t + 1) != cdf:
+            failures.append(f"cdf(2,{s},{d};{t}) != enumerated cumulative")
+        if failures:
+            expected.append("; ".join(failures))
+    assert any("; " in message for message in expected)
+    assert _dispatch((verify._hyp_enum_block, (2,))) == (len(probes), expected)
+
+
+def test_dispatch_counts_every_check_and_keeps_the_first_violations():
+    def block(count):
+        for i in range(count):
+            yield i % 2 and f"check {i}"
+
+    checked, bad = _dispatch((block, (4 * MAX_VIOLATIONS_KEPT,)))
+    assert checked == 4 * MAX_VIOLATIONS_KEPT
+    assert bad == [f"check {i}" for i in range(1, 2 * MAX_VIOLATIONS_KEPT, 2)]
+    assert _dispatch((block, (0,))) == (0, [])
+
+
+def test_every_block_is_a_generator_that_returns_nothing():
+    # A block yields its checks; _dispatch alone counts them and keeps the violations.
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    blocks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.endswith("_block")]
+    assert blocks
+    for block in blocks:
+        nodes = list(ast.walk(block))
+        assert any(isinstance(node, ast.Yield) for node in nodes), block.name
+        assert not any(isinstance(node, ast.Return) and node.value for node in nodes), block.name
 
 
 def test_pvc_suite_catches_a_planted_full_core(monkeypatch):
