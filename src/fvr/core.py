@@ -279,7 +279,10 @@ class Instance:
 
     def __init__(self, m: int, approvals: Iterable[Iterable[int]]):
         int_at_least(m, "m", 1)
-        rows = tuple(map(frozenset, approvals))
+        try:
+            rows = tuple(map(frozenset, approvals))
+        except TypeError as exc:
+            raise ValidationError(f"approvals must be rows of candidate indices ({exc})") from None
         for i, row in enumerate(rows):
             for a in row:
                 if not (type(a) is int and 0 <= a < m):
@@ -427,7 +430,10 @@ class RankedProfile:
 
     def __post_init__(self) -> None:
         m = int_at_least(self.m, "m", 1)
-        rows = tuple(map(tuple, self.rankings))
+        try:
+            rows = tuple(map(tuple, self.rankings))
+        except TypeError as exc:
+            raise ValidationError(f"rankings must be rows of candidate indices ({exc})") from None
         candidates = set(range(m))
         # Valid rankings pass a length and a set compare each, then one pass over the types.
         if not (
@@ -573,8 +579,12 @@ class Table:
     def __post_init__(self) -> None:
         weights = self.entries
         items = weights.items() if isinstance(weights, Mapping) else weights
+        try:
+            pairs = [(key, value) for key, value in items]
+        except (TypeError, ValueError):
+            raise ValidationError(f"table must hold (flexibility, weight) pairs, got {weights!r}") from None
         by_flex: dict[Frac, Frac] = {}
-        for key, value in items:
+        for key, value in pairs:
             f = open_unit(key, "table flexibility")
             wv = as_frac(value)
             if wv < 0:
@@ -614,6 +624,8 @@ def as_family(w: object) -> WeightFn:
 
 def parse_family(spec: str) -> WeightFn:
     """The weight function a rule spec names: approval, opt, threshold:<s0> or power:<p>."""
+    if not isinstance(spec, str):
+        raise ValidationError(f"a rule spec must be a string, got {spec!r}")
     if spec == "approval":
         return Constant()
     if spec == "opt":
@@ -644,7 +656,10 @@ class Committee:
 
     def __post_init__(self) -> None:
         # Each member is checked before duplicates merge, as 1.0 and True equal 1.
-        members = tuple(self.members)
+        try:
+            members = tuple(self.members)
+        except TypeError:
+            raise ValidationError(f"committee must hold candidate indices, got {self.members!r}") from None
         for a in members:
             int_at_least(a, "candidate index")
         object.__setattr__(self, "members", tuple(sorted(set(members))))
@@ -672,14 +687,19 @@ class AuditCurve:
     breakpoints: tuple[tuple[Frac, Frac], ...]
 
     def __post_init__(self) -> None:
+        try:
+            pairs = tuple((s, v) for s, v in self.breakpoints)
+        except (TypeError, ValueError):
+            raise ValidationError(f"curve must hold (s, value) pairs, got {self.breakpoints!r}") from None
         prev_s = Frac(0)
         prev_v = Frac(1)
-        for s, v in self.breakpoints:
+        for s, v in pairs:
             if not prev_s < s <= 1:
                 raise ValidationError(f"breakpoint {s} out of order or outside (0,1]")
             if not Frac(0) <= v <= 1 or v > prev_v:
                 raise ValidationError(f"curve values must be non-increasing within [0,1], got {v}")
             prev_s, prev_v = s, v
+        _set(self, "breakpoints", pairs)
 
     def value_at(self, s: object) -> Frac:
         """Evaluate the step function at any s in (0, 1)."""
@@ -694,7 +714,7 @@ class AuditCurve:
         """The curve at every threshold of ``flexibility_grid(m)``, in one merge walk."""
         values = []
         j = 0
-        for s in flexibility_grid(m):
+        for s in flexibility_grid(int_at_least(m, "m", 1)):
             while j < len(self.breakpoints) and self.breakpoints[j][0] < s:
                 j += 1
             values.append(self.breakpoints[j][1] if j < len(self.breakpoints) else Fraction(0))

@@ -111,6 +111,7 @@ def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
     in this package meet it.
     """
     sv = open_unit(s)
+    int_at_least(m, "m", 2)
     int_at_least(k, "k", 1)
     int_at_least(t, "t", 1)
     if not 1 <= k < m:

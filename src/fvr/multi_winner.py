@@ -22,6 +22,7 @@ from .core import (
     ValidationError,
     comb_over,
     encode_row,
+    flexible_size,
     index_in,
     int_at_least,
     open_unit,
@@ -139,18 +140,20 @@ def expand_instance(inst: Instance, params: MultiParams) -> ExpandedInstance:
     return ExpandedInstance(base=inst, params=params, committees=committees, expanded=expanded)
 
 
-def _reaching(columns: Sequence[int], members: Collection[int], t: int) -> int:
-    """The voters approving at least ``t`` of ``members``, as a voter bitset.
+def _advance(at_least: list[int], approvers: int) -> None:
+    """One step of the bit-sliced counter ``at_least``, where ``at_least[c]`` holds
+    the voters approving at least c of the members counted so far (``at_least[0]``
+    is -1, every bit set): count one more member, approved by ``approvers``."""
+    for c in range(len(at_least) - 1, 0, -1):
+        at_least[c] |= at_least[c - 1] & approvers
 
-    A bit-sliced counter: ``at_least[c]`` holds the voters approving at
-    least c of the members seen so far (``at_least[0]`` is -1, every bit
-    set), so each member costs t ANDs and ORs of n-bit ints.
-    """
+
+def _reaching(columns: Sequence[int], members: Collection[int], t: int) -> int:
+    """The voters approving at least ``t`` of ``members``, as a voter bitset:
+    the counter up to t after one :func:`_advance` per member."""
     at_least = [-1] + [0] * t
     for a in members:
-        approved_a = columns[a]
-        for c in range(t, 0, -1):
-            at_least[c] |= at_least[c - 1] & approved_a
+        _advance(at_least, columns[a])
     return at_least[t]
 
 
@@ -248,53 +251,43 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     The weight depends only on a voter's class (approval size, overlap with
     the picks so far), so it is evaluated once per class, and each class is
     a voter bitset whose approvals are counted by popcount
-    (:func:`weighted_counts`).  At pick j, for a voter with r approved
-    candidates left who needs x = t-1-overlap more of them besides the next
+    (:func:`weighted_counts`).  The picks :func:`_advance` a counter, so the
+    voters of overlap o among a size's voters are those in ``at_least[o]``
+    and not in ``at_least[o+1]``.  At pick j, for a voter with r approved
+    candidates left who needs x = t-1-o more of them besides the next
     pick, the weight is C(r-1, x) * C(m-j-r, k-j-x) / C(m-j-1, k-j) divided
     by her miss probability.  The denominator is the same for every class
     and the reciprocal miss probabilities are the int units of
     :func:`_penalty`, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
-    with the same argmax.  After each pick, a class's voters who approve it
-    (its bitset AND the pick's column) move up one overlap.
+    with the same argmax.
     """
     _check_k(inst, params.k)
     m, k, t = inst.m, params.k, params.t
     columns = inst.columns
     table, _ = _penalty(inst, k, t)
-    unit = {size: u for size, _, u in table}
-    # Only voters who approve someone and can miss the target ever carry weight.
-    classes = {(size, 0): voters for size, voters, _ in table if size}
+    at_least = [-1] + [0] * t
     chosen: list[int] = []
     for j in range(1, k + 1):
         weighted = []
-        for (size, overlap), voters in classes.items():
-            remaining = size - overlap
-            needed = t - 1 - overlap
-            if remaining > m - j:
-                # She approves every candidate still available, so her weight
-                # would raise all of them equally; the argmax cannot move.
-                continue
-            if needed > k - j:
-                continue  # too few seats left to reach the target: weight 0
-            # Defined by construction: 1 <= remaining <= m - j, 0 <= needed <= k - j.
-            weight = comb(remaining - 1, needed) * comb(m - j - remaining, k - j - needed)
-            weighted.append((weight * unit[size], voters))
+        for size, voters, unit in table:
+            # Voters at the target, or with no approved candidate left, weigh 0.
+            for overlap in range(min(t, size, j)):
+                remaining = size - overlap
+                needed = t - 1 - overlap
+                if remaining > m - j:
+                    # She approves every candidate still available, so her weight
+                    # would raise all of them equally; the argmax cannot move.
+                    continue
+                if needed > k - j:
+                    continue  # too few seats left to reach the target: weight 0
+                group = voters & at_least[overlap] & ~at_least[overlap + 1]
+                if group:
+                    # Defined by construction: 1 <= remaining <= m - j, 0 <= needed <= k - j.
+                    weight = comb(remaining - 1, needed) * comb(m - j - remaining, k - j - needed)
+                    weighted.append((weight * unit, group))
         best = argmax(weighted_counts(columns, weighted), skip=chosen)
         chosen.append(best)
-        if j < k:
-            # Voters approving ``best`` move up one overlap.  Those who then
-            # reach the target, or have no approved candidate left, weigh 0
-            # at every later pick and are dropped.
-            regrouped: dict[tuple[int, int], int] = {}
-            for (size, overlap), voters in classes.items():
-                moved = voters & columns[best]
-                if voters != moved:
-                    key = (size, overlap)
-                    regrouped[key] = regrouped.get(key, 0) | (voters ^ moved)
-                if moved and overlap + 1 < min(t, size):
-                    key = (size, overlap + 1)
-                    regrouped[key] = regrouped.get(key, 0) | moved
-            classes = regrouped
+        _advance(at_least, columns[best])
     return tuple(chosen)
 
 
@@ -356,14 +349,13 @@ def brute_best_committee(inst: Instance, params: MultiParams, s: object) -> Comm
     """
     sv = open_unit(s)
     _check_expansion(inst, params)
-    threshold_size = sv * inst.m
-    flexible = [A for A in inst.approvals if len(A) >= threshold_size]
-    best: tuple[int, ...] | None = None
-    best_count = -1
-    for members in combinations(range(inst.m), params.k):
-        mset = frozenset(members)
-        count = sum(1 for A in flexible if len(A & mset) >= params.t)
-        if count > best_count:
-            best, best_count = members, count
-    assert best is not None
-    return Committee(best)
+    need = flexible_size(sv, inst.m)
+    # The size masks are disjoint, so their sum is their union.
+    flexible = sum(voters for size, voters in inst.size_masks.items() if size >= need)
+    columns, t = inst.columns, params.t
+    return Committee(
+        max(
+            combinations(range(inst.m), params.k),
+            key=lambda members: (_reaching(columns, members, t) & flexible).bit_count(),
+        )
+    )

@@ -389,7 +389,10 @@ def conditional_expected_scores(inst: Instance, params: MultiParams, picks: obje
     approval sets are read, never the committee kernels.
     """
     _check_expansion(inst, params)
-    picks = tuple(dict.fromkeys(picks))
+    try:
+        picks = tuple(dict.fromkeys(picks))
+    except TypeError:
+        raise ValidationError(f"partial committee must hold candidate indices, got {picks!r}") from None
     for a in picks:
         index_in(a, inst.m, "partial committee member")
     m, k, t = inst.m, params.k, params.t

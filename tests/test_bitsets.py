@@ -7,13 +7,16 @@ must match a count made voter by voter, and the kernels read only those
 views, never the decoded approval sets.
 """
 
+import ast
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import fvr
 from fvr.core import (
     Committee,
     Instance,
@@ -28,6 +31,7 @@ from fvr.multi_winner import (
     COMMITTEE_LIMIT,
     JrResult,
     MultiParams,
+    brute_best_committee,
     committee_score,
     empirical_fvr_committee,
     empirical_fvr_committee_curve,
@@ -170,8 +174,30 @@ def test_kernels_never_decode_the_approvals():
     empirical_fvr_committee_curve(inst, committee, 2)
     jr_check(inst, committee)
     t_approves(inst, 3, committee, 2)
+    brute_best_committee(inst, params, half)
     # The approvals slot is set on the first decode.
     assert not hasattr(inst, "_approvals")
+
+
+def approvals_readers(tree, where="<module>"):
+    """The innermost enclosing def of each read of an ``.approvals`` attribute."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Attribute) and child.attr == "approvals":
+            yield where
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from approvals_readers(child, child.name if scope else where)
+
+
+def test_only_the_explicit_expansion_reads_the_approval_sets():
+    # The rules and audits run on the masks and the cached voter bitsets; a
+    # new read of ``approvals`` in them is a voter loop over frozensets.
+    package = Path(fvr.__file__).parent
+    found = {
+        (name, where)
+        for name in ("single_winner", "multi_winner")
+        for where in approvals_readers(ast.parse((package / f"{name}.py").read_text(encoding="utf-8")))
+    }
+    assert found == {("multi_winner", "expand_instance")}
 
 
 def jr_by_sets(inst, members):

@@ -32,6 +32,7 @@ from fvr.core import (
     eval_weight,
     flexibility,
     flexibility_grid,
+    parse_family,
 )
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import (
@@ -318,6 +319,7 @@ def test_audit_curve_evaluation_and_validation():
 
 
 WEIGHT_TABLE = Table({Fraction(1, 4): 1, Fraction(1, 2): 1})
+CURVE = AuditCurve(((Fraction(1, 2), Fraction(1, 3)),))
 
 # Every integer input, with a value just below its bound (seeds and the probe t
 # of hyp_pmf/hyp_cdf take any int, so theirs is a non-int).  Each also refuses a bool and a Fraction, which is
@@ -338,9 +340,11 @@ INTEGER_SITES = {
     "HypParams draws": (lambda x: HypParams(3, 0, x), -1),
     "hyp_pmf t": (lambda x: hyp_pmf(HypParams(5, 2, 3), x), "x"),
     "hyp_cdf t": (lambda x: hyp_cdf(HypParams(5, 2, 3), x), "x"),
+    "multiwinner_bound m": (lambda x: multiwinner_bound(x, "1/2", 1, 1), 1),
     "multiwinner_bound k": (lambda x: multiwinner_bound(5, "1/2", x, 1), 0),
     "multiwinner_bound t": (lambda x: multiwinner_bound(5, "1/2", 2, x), 0),
     "grid_theoretical_fvr": (lambda x: grid_theoretical_fvr(Constant(), Fraction(1, 2), x), 1),
+    "AuditCurve.values_on_grid m": (lambda x: CURVE.values_on_grid(x), 0),
     "gen_party_split k": (gen_party_split, 1),
     "gen_party_split reps": (lambda x: gen_party_split(2, x), 0),
     "gen_jr_hard k": (lambda x: gen_jr_hard(6, x), 1),
@@ -387,6 +391,38 @@ def test_integer_inputs_reject_bools_and_values_below_their_bound(site, bad):
 def test_seeds_take_any_int():
     assert gen_random_instance(2, 3, -5).n == 2
     assert run_suite("pvc", n_max=2, m_max=2, seed=-5).passed
+
+
+# Every collection input given in the wrong shape (a scalar where a collection
+# belongs, or a pair of the wrong length), with the ValidationError it raises.
+SHAPE_SITES = {
+    "Instance rows": (lambda: Instance(2, 5), r"^approvals must be rows of candidate indices \(.*\)$"),
+    "Instance row": (lambda: Instance(2, [5]), r"^approvals must be rows of candidate indices \(.*\)$"),
+    "RankedProfile rows": (lambda: RankedProfile(2, 5), r"^rankings must be rows of candidate indices \(.*\)$"),
+    "RankedProfile row": (lambda: RankedProfile(2, [5]), r"^rankings must be rows of candidate indices \(.*\)$"),
+    "Committee": (lambda: Committee(5), r"^committee must hold candidate indices, got 5$"),
+    "AuditCurve": (lambda: AuditCurve(5), r"^curve must hold \(s, value\) pairs, got 5$"),
+    "AuditCurve pair": (lambda: AuditCurve([(1,)]), r"^curve must hold \(s, value\) pairs, got \[\(1,\)\]$"),
+    "Table": (lambda: Table(5), r"^table must hold \(flexibility, weight\) pairs, got 5$"),
+    "Table pair": (lambda: Table([1]), r"^table must hold \(flexibility, weight\) pairs, got \[1\]$"),
+    "conditional_expected_score partial": (
+        lambda: conditional_expected_score(INTRO, MultiParams(1, 1), 5),
+        r"^partial committee must hold candidate indices, got 5$",
+    ),
+    "parse_family": (lambda: parse_family(5), r"^a rule spec must be a string, got 5$"),
+}
+
+
+@pytest.mark.parametrize("site", SHAPE_SITES)
+def test_collection_inputs_of_the_wrong_shape_raise_a_validation_error(site):
+    call, message = SHAPE_SITES[site]
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_audit_curve_stores_its_breakpoints_as_a_tuple():
+    curve = AuditCurve([[Fraction(1, 2), Fraction(1, 3)]])
+    assert curve == CURVE and hash(curve) == hash(CURVE)
 
 
 # Every index input, with the number of things it indexes.  A float, a bool,

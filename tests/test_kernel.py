@@ -31,6 +31,7 @@ from fvr.core import (
 from fvr.hypergeom import miss_prob
 from fvr.multi_winner import (
     MultiParams,
+    brute_best_committee,
     committee_score,
     empirical_fvr_committee,
     empirical_fvr_committee_curve,
@@ -38,6 +39,7 @@ from fvr.multi_winner import (
     sequential_picks,
 )
 from fvr.oracles import (
+    enumerate_voter_multisets,
     reference_committee_score,
     reference_expanded_rule,
     reference_score_all,
@@ -150,6 +152,42 @@ def test_sequential_picks_match_reference_loop(case):
     assert picks == reference_sequential_picks(inst, params)
     committee = Committee(picks)
     assert committee_score(inst, committee, t) == reference_committee_score(inst, committee, t)
+
+
+def test_sequential_picks_match_reference_loop_on_every_small_profile():
+    # Every voter multiset with n <= 2 and m <= 5, for every (k, t): 6,658 cases.
+    cases = 0
+    for m in range(2, 6):
+        for n in (1, 2):
+            for inst in enumerate_voter_multisets(n, m):
+                for k in range(1, m):
+                    for t in range(1, k + 1):
+                        params = MultiParams(k, t)
+                        assert sequential_picks(inst, params) == reference_sequential_picks(inst, params)
+                        cases += 1
+    assert cases == 6658
+
+
+def best_committee_by_sets(inst, params, s):
+    """The committee t-approved by the most s-flexible voters, over the approval
+    sets and frozensets; the first in lexicographic order among equals."""
+    flexible = [A for A in inst.approvals if len(A) >= s * inst.m]
+    best, best_count = None, -1
+    for members in combinations(range(inst.m), params.k):
+        count = sum(1 for A in flexible if len(A & frozenset(members)) >= params.t)
+        if count > best_count:
+            best, best_count = members, count
+    return Committee(best)
+
+
+# Duplicate voters, and an exact tie between {0, 1} and {2, 3}.
+@example((build_instance(4, [{0, 1}, {2, 3}, {0, 1}, {2, 3}]), MultiParams(2, 2)), Fraction(1, 2))
+# An empty voter, a full voter, and voters with fewer than t approvals.
+@example((build_instance(5, [set(), set(range(5)), {3}, {1, 4}, {1, 4}]), MultiParams(3, 2)), Fraction(2, 5))
+@given(committee_cases(), unit_interval)
+def test_brute_best_committee_matches_its_set_definition(case, s):
+    inst, params = case
+    assert brute_best_committee(inst, params, s) == best_committee_by_sets(inst, params, s)
 
 
 # Duplicate voters, and an exact tie between {0, 1} and {2, 3}.
