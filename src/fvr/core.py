@@ -11,7 +11,7 @@ use from multiple threads without coordination.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, compress
 from typing import TypeVar
@@ -32,6 +32,7 @@ __all__ = [
     "open_unit",
     "int_at_least",
     "index_in",
+    "shown",
     "comb_over",
     "is_numeral",
     "select",
@@ -80,7 +81,8 @@ CANDIDATE_LIMIT = 10_000
 POWER_LIMIT = 100
 
 # Cap on the characters of a numeral read from text: by default ``int`` refuses
-# to read a longer digit string or to print an int of more digits.
+# to read a longer digit string or to print an int of more digits, so an error
+# message words such an int by its size (:func:`shown`).
 NUMERAL_LIMIT = 4300
 
 
@@ -121,7 +123,7 @@ def record(cls):
         return "(" + "".join(f"{obj}.{f}," for f in fields) + ")"
 
     mine, theirs = as_tuple("self"), as_tuple("other")
-    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    fields_shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
     source = "\n".join([
         f"def __init__(self{params}):",
         *(body or ["    pass"]),
@@ -132,7 +134,7 @@ def record(cls):
         "def __hash__(self):",
         f"    return hash({mine})",
         "def __repr__(self):",
-        f"    return f'{{self.__class__.__qualname__}}({shown})'",
+        f"    return f'{{self.__class__.__qualname__}}({fields_shown})'",
     ])
     namespace = {"_set": object.__setattr__, **defaults}
     exec(source, namespace)
@@ -155,7 +157,7 @@ def as_frac(x: object) -> Frac:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise ValidationError(f"expected a rational number, got {x!r}")
+        raise ValidationError(f"expected a rational number, got {shown(x)}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -169,7 +171,7 @@ def as_frac(x: object) -> Frac:
         raise ValidationError(
             f"refusing float {x!r}: pass an exact value such as Fraction(1, 2) or '1/2'"
         )
-    raise ValidationError(f"expected a rational number, got {x!r}")
+    raise ValidationError(f"expected a rational number, got {shown(x)}")
 
 
 def open_unit(x: object, what: str = "threshold") -> Frac:
@@ -177,7 +179,7 @@ def open_unit(x: object, what: str = "threshold") -> Frac:
     value = as_frac(x)
     # A Fraction's denominator is positive, so this is 0 < value < 1 in ints.
     if not 0 < value.numerator < value.denominator:
-        raise ValidationError(f"{what} {value} lies outside (0,1)")
+        raise ValidationError(f"{what} {shown(value, str)} lies outside (0,1)")
     return value
 
 
@@ -187,7 +189,7 @@ def int_at_least(x: object, what: str, low: int | None = 0) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or (low is not None and x < low):
         kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
         kind = kinds.get(low, f"an integer >= {low}")
-        raise ValidationError(f"{what} must be {kind}, got {x!r}")
+        raise ValidationError(f"{what} must be {kind}, got {shown(x)}")
     return x
 
 
@@ -196,7 +198,29 @@ def index_in(x: object, size: int, what: str) -> int:
     inline the test ``type(x) is int and 0 <= x < size`` and call this only on a failure."""
     if type(x) is int and 0 <= x < size:
         return x
-    raise ValidationError(f"{what} must be an integer in 0..{size - 1}, got {x!r}")
+    raise ValidationError(f"{what} must be an integer in 0..{size - 1}, got {shown(x)}")
+
+
+# The least int of over NUMERAL_LIMIT digits: ``str`` refuses to print it.
+_UNPRINTABLE = 10**NUMERAL_LIMIT
+
+
+def shown(x: object, text: Callable[[object], str] = repr) -> str:
+    """``text(x)`` for an error message, except that an int of over ``NUMERAL_LIMIT``
+    digits, or a Fraction with such a numerator or denominator, which ``str``
+    refuses to print, is worded by its bit length instead; it is never converted.
+    A collection holding such an int is named by its type."""
+    if isinstance(x, int) and abs(x) >= _UNPRINTABLE:
+        return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+    if isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) >= _UNPRINTABLE:
+        return (
+            f"{'a negative' if x < 0 else 'a'} fraction with a {x.numerator.bit_length()}-bit "
+            f"numerator and a {x.denominator.bit_length()}-bit denominator"
+        )
+    try:
+        return text(x)
+    except ValueError:  # raised by the repr of an int of over NUMERAL_LIMIT digits inside x
+        return f"a {type(x).__name__} too long to print"
 
 
 def comb_over(total: int, chosen: int, budget: int) -> bool:
@@ -474,7 +498,10 @@ def flexible_size(s: Frac, m: int) -> int:
 
 
 def flexibility_grid(m: int) -> tuple[Frac, ...]:
-    """Every flexibility value strictly inside (0, 1) that ``m`` candidates allow."""
+    """Every flexibility value strictly inside (0, 1) that ``m`` candidates allow,
+    for 1 <= m <= ``CANDIDATE_LIMIT``."""
+    if int_at_least(m, "m", 1) > CANDIDATE_LIMIT:
+        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {shown(m)}")
     return tuple(Frac(i, m) for i in range(1, m))
 
 
@@ -529,7 +556,7 @@ class Power:
 
     def __post_init__(self) -> None:
         if int_at_least(self.p, "power exponent", 1) > POWER_LIMIT:
-            raise SizeLimitError(f"power exponent must be at most {POWER_LIMIT}, got {self.p}")
+            raise SizeLimitError(f"power exponent must be at most {POWER_LIMIT}, got {shown(self.p)}")
 
     def ratio(self, size: int, m: int) -> tuple[int, int]:
         return size**self.p, m**self.p
@@ -553,7 +580,7 @@ class Optimal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", as_frac(self.c))
         if self.c <= 0:
-            raise ValidationError(f"scale must be positive, got {self.c}")
+            raise ValidationError(f"scale must be positive, got {shown(self.c, str)}")
 
     def ratio(self, size: int, m: int) -> tuple[int, int]:
         # c / (1 - size/m) = c * m / (m - size)
@@ -582,15 +609,15 @@ class Table:
         try:
             pairs = [(key, value) for key, value in items]
         except (TypeError, ValueError):
-            raise ValidationError(f"table must hold (flexibility, weight) pairs, got {weights!r}") from None
+            raise ValidationError(f"table must hold (flexibility, weight) pairs, got {shown(weights)}") from None
         by_flex: dict[Frac, Frac] = {}
         for key, value in pairs:
             f = open_unit(key, "table flexibility")
             wv = as_frac(value)
             if wv < 0:
-                raise ValidationError(f"table weight for flexibility {f} is negative: {wv}")
+                raise ValidationError(f"table weight for flexibility {shown(f, str)} is negative: {shown(wv, str)}")
             if f in by_flex:
-                raise ValidationError(f"duplicate table flexibility {f}")
+                raise ValidationError(f"duplicate table flexibility {shown(f, str)}")
             by_flex[f] = wv
         if not by_flex:
             raise ValidationError("weight table is empty")
@@ -618,14 +645,14 @@ WeightFn = Constant | Threshold | Power | Optimal | Table
 def as_family(w: object) -> WeightFn:
     """``w``, checked to be a weight function of one of the families above."""
     if not isinstance(w, WeightFn):
-        raise ValidationError(f"not a weight function: {w!r}")
+        raise ValidationError(f"not a weight function: {shown(w)}")
     return w
 
 
 def parse_family(spec: str) -> WeightFn:
     """The weight function a rule spec names: approval, opt, threshold:<s0> or power:<p>."""
     if not isinstance(spec, str):
-        raise ValidationError(f"a rule spec must be a string, got {spec!r}")
+        raise ValidationError(f"a rule spec must be a string, got {shown(spec)}")
     if spec == "approval":
         return Constant()
     if spec == "opt":
@@ -659,7 +686,7 @@ class Committee:
         try:
             members = tuple(self.members)
         except TypeError:
-            raise ValidationError(f"committee must hold candidate indices, got {self.members!r}") from None
+            raise ValidationError(f"committee must hold candidate indices, got {shown(self.members)}") from None
         for a in members:
             int_at_least(a, "candidate index")
         object.__setattr__(self, "members", tuple(sorted(set(members))))
@@ -681,7 +708,8 @@ class AuditCurve:
 
     ``breakpoints`` is a sorted tuple of ``(s_j, value_j)`` pairs meaning
     the curve equals ``value_j`` on the interval ``(s_{j-1}, s_j]`` (with
-    ``s_0 = 0``) and drops to 0 beyond the last breakpoint.
+    ``s_0 = 0``) and drops to 0 beyond the last breakpoint.  Each s and
+    value is read by :func:`as_frac`.
     """
 
     breakpoints: tuple[tuple[Frac, Frac], ...]
@@ -690,14 +718,15 @@ class AuditCurve:
         try:
             pairs = tuple((s, v) for s, v in self.breakpoints)
         except (TypeError, ValueError):
-            raise ValidationError(f"curve must hold (s, value) pairs, got {self.breakpoints!r}") from None
+            raise ValidationError(f"curve must hold (s, value) pairs, got {shown(self.breakpoints)}") from None
+        pairs = tuple((as_frac(s), as_frac(v)) for s, v in pairs)
         prev_s = Frac(0)
         prev_v = Frac(1)
         for s, v in pairs:
             if not prev_s < s <= 1:
-                raise ValidationError(f"breakpoint {s} out of order or outside (0,1]")
+                raise ValidationError(f"breakpoint {shown(s, str)} out of order or outside (0,1]")
             if not Frac(0) <= v <= 1 or v > prev_v:
-                raise ValidationError(f"curve values must be non-increasing within [0,1], got {v}")
+                raise ValidationError(f"curve values must be non-increasing within [0,1], got {shown(v, str)}")
             prev_s, prev_v = s, v
         _set(self, "breakpoints", pairs)
 
@@ -714,7 +743,7 @@ class AuditCurve:
         """The curve at every threshold of ``flexibility_grid(m)``, in one merge walk."""
         values = []
         j = 0
-        for s in flexibility_grid(int_at_least(m, "m", 1)):
+        for s in flexibility_grid(m):
             while j < len(self.breakpoints) and self.breakpoints[j][0] < s:
                 j += 1
             values.append(self.breakpoints[j][1] if j < len(self.breakpoints) else Fraction(0))

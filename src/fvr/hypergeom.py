@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .core import Frac, ValidationError, flexible_size, int_at_least, open_unit, record
+from .core import Frac, ValidationError, flexible_size, int_at_least, open_unit, record, shown
 
 __all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
@@ -32,9 +32,9 @@ class HypParams:
         for name, v in (("population", p), ("successes", k), ("draws", d)):
             int_at_least(v, name)
         if k > p:
-            raise ValidationError(f"successes {k} cannot exceed population {p}")
+            raise ValidationError(f"successes {shown(k)} cannot exceed population {shown(p)}")
         if d > p:
-            raise ValidationError(f"draws {d} cannot exceed population {p}")
+            raise ValidationError(f"draws {shown(d)} cannot exceed population {shown(p)}")
 
 
 # Each cache holds at most CACHE_SIZE entries, so a long-running process
@@ -115,7 +115,7 @@ def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
     int_at_least(k, "k", 1)
     int_at_least(t, "t", 1)
     if not 1 <= k < m:
-        raise ValidationError(f"need 1 <= k < m, got k={k}, m={m}")
+        raise ValidationError(f"need 1 <= k < m, got k={shown(k)}, m={shown(m)}")
     if not 1 <= t <= k:
-        raise ValidationError(f"need 1 <= t <= k, got t={t}, k={k}")
+        raise ValidationError(f"need 1 <= t <= k, got t={shown(t)}, k={shown(k)}")
     return miss_prob(m, flexible_size(sv, m), k, t)

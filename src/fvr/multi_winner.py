@@ -28,6 +28,7 @@ from .core import (
     open_unit,
     record,
     select,
+    shown,
 )
 from .hypergeom import miss_prob
 from .single_winner import argmax, common_units, group_audit, group_audit_curve, weighted_counts
@@ -65,12 +66,12 @@ class MultiParams:
         for name, v in (("k", self.k), ("t", self.t)):
             int_at_least(v, name, 1)
         if self.t > self.k:
-            raise ValidationError(f"approval target t={self.t} exceeds committee size k={self.k}")
+            raise ValidationError(f"approval target t={shown(self.t)} exceeds committee size k={shown(self.k)}")
 
 
 def _check_k(inst: Instance, k: int) -> None:
     if k >= inst.m:
-        raise ValidationError(f"committee size k={k} must be below m={inst.m}")
+        raise ValidationError(f"committee size k={shown(k)} must be below m={shown(inst.m)}")
 
 
 def _check_committee(inst: Instance, committee: Committee, t: int) -> frozenset[int]:
@@ -80,7 +81,7 @@ def _check_committee(inst: Instance, committee: Committee, t: int) -> frozenset[
     for a in members:
         index_in(a, inst.m, "committee member")
     if int_at_least(t, "t", 1) > len(members):
-        raise ValidationError(f"need 1 <= t <= {len(members)}, got t={t}")
+        raise ValidationError(f"need 1 <= t <= {len(members)}, got t={shown(t)}")
     return members
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
-from math import ceil, comb, floor, lcm
+from itertools import combinations, combinations_with_replacement, cycle, islice, product
+from math import ceil, comb, floor, gcd, lcm
 from typing import Callable, Iterator, Mapping
 
 from .core import (
@@ -26,12 +26,12 @@ from .core import (
     ValidationError,
     WeightFn,
     as_frac,
-    build_instance,
     comb_over,
     eval_weight,
     index_in,
     int_at_least,
     open_unit,
+    shown,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf
 from .multi_winner import (
@@ -96,17 +96,19 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
 
     The greedy turns are a window sliding round the candidates: after i
     voters, the least-approved candidates in (count, index) order are
-    i*per_voter mod m, then onward cyclically, so voter i approves the
-    ``per_voter`` candidates from there.  Cost: O(n*per_voter).
+    i*per_voter mod m, then onward cyclically, so voter i's mask is the window
+    2**per_voter - 1 rotated left by i*per_voter mod m within m bits.  The
+    masks repeat every m/gcd(m, per_voter) voters.
     """
     int_at_least(n, "n", 1)
     int_at_least(m, "m", 1)
     if int_at_least(per_voter, "per-voter approvals") > m:
-        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
+        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
     _check_budget(n, m, n * per_voter)
-    window = range(per_voter)
-    rows = [[(i * per_voter + j) % m for j in window] for i in range(n)]
-    return build_instance(m, rows)
+    full, window = (1 << m) - 1, (1 << per_voter) - 1
+    starts = (i * per_voter % m for i in range(m // gcd(m, per_voter)))
+    turns = [(window << r | window >> (m - r)) & full for r in starts]
+    return Instance.from_masks(m, islice(cycle(turns), n))
 
 
 def _gap_instance(
@@ -137,7 +139,7 @@ def _family_gap(
     _check_budget(n, m)
     sv, rv = open_unit(s), as_frac(r)
     if not 0 < rv < family.guarantee(sv):
-        raise ValidationError(f"need 0 < r < the {family} guarantee at s={sv}, got r={rv}")
+        raise ValidationError(f"need 0 < r < the {family} guarantee at s={shown(sv, str)}, got r={shown(rv, str)}")
     bloc = ceil(rv * n)
     if not 1 <= bloc < n:
         raise ValidationError(f"flexible bloc of size {bloc} must satisfy 1 <= size < n={n}")
@@ -179,11 +181,10 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     fv, fpv = as_frac(f), as_frac(fprime)
     m = lcm(fv.denominator, fpv.denominator)
     _check_budget(n)
-    # m, like g below, is built from two inputs and may be too long to print.
     if m > CANDIDATE_LIMIT:
         raise SizeLimitError(
-            f"m must be at most {CANDIDATE_LIMIT}, got the lcm of {fv.denominator} "
-            f"and {fpv.denominator}"
+            f"m must be at most {CANDIDATE_LIMIT}, got the lcm of {shown(fv.denominator)} "
+            f"and {shown(fpv.denominator)}"
         )
     wf = eval_weight(w, fv)
     if wf == 0:
@@ -207,27 +208,32 @@ def gen_symmetric(m: int, per_voter: int) -> Instance:
     """
     int_at_least(m, "m", 1)
     if int_at_least(per_voter, "per-voter approvals") > m:
-        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {per_voter}")
+        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
     _check_budget(0, m)  # before C(m, per_voter), which is slow for a huge m
     if comb_over(m, per_voter, COMMITTEE_LIMIT):  # C(m, m/2) may be too long to print
         raise SizeLimitError(f"C({m}, {per_voter}) voters exceed the limit {COMMITTEE_LIMIT}")
     voters = comb(m, per_voter)
     _check_budget(voters, approvals=voters * per_voter)
-    return build_instance(m, combinations(range(m), per_voter))
+    return Instance.from_masks(m, _subset_masks(m, per_voter))
+
+
+def _subset_masks(m: int, k: int) -> Iterator[int]:
+    """The mask of every k-subset of candidates 0..m-1, in lexicographic order."""
+    return map(sum, combinations([1 << a for a in range(m)], k))
 
 
 def _check_budget(voters: int, m: int = 0, approvals: int = 0) -> None:
-    """Reject a generator's sizes before it builds any row.
+    """Reject a generator's sizes before it builds any mask.
 
     In this order: at most ``COMMITTEE_LIMIT`` voters, ``CANDIDATE_LIMIT``
     candidates and ``APPROVAL_LIMIT`` approvals in all.
     """
     if voters > COMMITTEE_LIMIT:
-        raise SizeLimitError(f"{voters} voters exceed the limit {COMMITTEE_LIMIT}")
+        raise SizeLimitError(f"{shown(voters)} voters exceed the limit {COMMITTEE_LIMIT}")
     if m > CANDIDATE_LIMIT:
-        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {m}")
+        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {shown(m)}")
     if approvals > APPROVAL_LIMIT:
-        raise SizeLimitError(f"{approvals} approvals exceed the limit {APPROVAL_LIMIT}")
+        raise SizeLimitError(f"{shown(approvals)} approvals exceed the limit {APPROVAL_LIMIT}")
 
 
 def gen_party_split(k: int, reps: int = 1) -> Instance:
@@ -239,13 +245,11 @@ def gen_party_split(k: int, reps: int = 1) -> Instance:
     approval counts.
     """
     int_at_least(k, "slate size k", 2)
-    # reps first: 2 * reps may be a numeral too long to print.
     if int_at_least(reps, "replication factor", 1) > COMMITTEE_LIMIT:
-        raise SizeLimitError(f"replication factor {reps} would build more than {COMMITTEE_LIMIT} voters")
+        raise SizeLimitError(f"replication factor {shown(reps)} would build more than {COMMITTEE_LIMIT} voters")
     _check_budget(2 * reps, 2 * k, 2 * reps * k)
-    first = set(range(k))
-    second = set(range(k, 2 * k))
-    return build_instance(2 * k, [first, second] * reps)
+    first = (1 << k) - 1
+    return Instance.from_masks(2 * k, [first, first << k] * reps)
 
 
 def gen_jr_hard(m: int, k: int) -> Instance:
@@ -260,19 +264,14 @@ def gen_jr_hard(m: int, k: int) -> Instance:
     """
     int_at_least(k, "k", 2)
     if int_at_least(m, "m") <= k:
-        raise ValidationError(f"need m > k, got m={m!r}, k={k!r}")
+        raise ValidationError(f"need m > k, got m={shown(m)}, k={shown(k)}")
     group = m - k + 1
     # k-1 party groups bullet-vote; group pool voters approve group-1 each.
-    # m first, so that the voter count k*group is short enough to print.
-    _check_budget(0, m)
+    _check_budget(0, m)  # m first, so its message precedes the voter count's (pinned by test_cli)
     _check_budget(k * group, m, group * (m - 1))
-    rows: list[set[int]] = []
-    for j in range(k - 1):
-        rows.extend({j} for _ in range(group))
-    pool = list(range(k - 1, m))
-    for skip in pool:
-        rows.append(set(pool) - {skip})
-    return build_instance(m, rows)
+    pool = (1 << m) - (1 << (k - 1))  # candidates k-1..m-1
+    party = [1 << j for j in range(k - 1) for _ in range(group)]
+    return Instance.from_masks(m, party + [pool ^ (1 << skip) for skip in range(k - 1, m)])
 
 
 def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
@@ -324,7 +323,7 @@ def run_generator(name: str, params: Mapping[str, object]) -> tuple[Instance, in
         generator, required, optional = _generators()[name]
     except KeyError:
         known = ", ".join(generator_names())
-        raise ValidationError(f"unknown generator {name!r}; known: {known}") from None
+        raise ValidationError(f"unknown generator {shown(name)}; known: {known}") from None
     unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"unknown parameter(s) for {name}: {sorted(unknown)}")
@@ -352,7 +351,7 @@ def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Ite
     (2**m)**n > budget exactly when m*n >= budget.bit_length().
     """
     if int_at_least(n, "n", 1) * int_at_least(m, "m", 1) >= budget.bit_length():
-        raise SizeLimitError(f"n={n}, m={m} would enumerate more than {budget} profiles")
+        raise SizeLimitError(f"n={shown(n)}, m={shown(m)} would enumerate more than {shown(budget)} profiles")
     return (Instance.from_masks(m, masks) for masks in product(range(2**m), repeat=n))
 
 
@@ -372,7 +371,7 @@ def enumerate_voter_multisets(
     ordered profile while enumerating far fewer instances.
     """
     if _multisets_over(int_at_least(n, "n", 1), int_at_least(m, "m", 1), budget):
-        raise SizeLimitError(f"n={n}, m={m} would enumerate more than {budget} voter multisets")
+        raise SizeLimitError(f"n={shown(n)}, m={shown(m)} would enumerate more than {shown(budget)} voter multisets")
     return (Instance.from_masks(m, masks) for masks in combinations_with_replacement(range(2**m), n))
 
 
@@ -392,7 +391,7 @@ def conditional_expected_scores(inst: Instance, params: MultiParams, picks: obje
     try:
         picks = tuple(dict.fromkeys(picks))
     except TypeError:
-        raise ValidationError(f"partial committee must hold candidate indices, got {picks!r}") from None
+        raise ValidationError(f"partial committee must hold candidate indices, got {shown(picks)}") from None
     for a in picks:
         index_in(a, inst.m, "partial committee member")
     m, k, t = inst.m, params.k, params.t
@@ -405,8 +404,7 @@ def conditional_expected_scores(inst: Instance, params: MultiParams, picks: obje
     # short[j]: the cost of the voters left short, summed over the committees
     # whose longest prefix of ``picks`` is picks[:j].
     short = [0] * (len(picks) + 1)
-    for members in combinations([1 << a for a in range(m)], k):
-        committee = sum(members)
+    for committee in _subset_masks(m, k):
         j = next((j for j, a in enumerate(picks) if not committee >> a & 1), len(picks))
         short[j] += sum(cost for approved, cost in costs if (approved & committee).bit_count() < t)
     return [Fraction(sum(short[j:]), scale * comb(m - j, k - j)) for j in range(len(picks) + 1)]

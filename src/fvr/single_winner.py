@@ -32,6 +32,7 @@ from .core import (
     int_at_least,
     open_unit,
     record,
+    shown,
 )
 
 __all__ = [
@@ -199,7 +200,7 @@ def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
     """
     sv = open_unit(s)
     if int_at_least(grid_m, "grid resolution", 2) > CANDIDATE_LIMIT:
-        raise SizeLimitError(f"grid resolution must be at most {CANDIDATE_LIMIT}, got {grid_m}")
+        raise SizeLimitError(f"grid resolution must be at most {CANDIDATE_LIMIT}, got {shown(grid_m)}")
     grid = flexibility_grid(grid_m)
     values = {f: eval_weight(w, f) for f in grid}
     rho = max((1 - f) * values[f] for f in grid)

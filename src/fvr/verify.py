@@ -65,6 +65,7 @@ from .core import (
     int_at_least,
     parse_family,
     record,
+    shown,
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
@@ -77,6 +78,7 @@ from .multi_winner import (
 from .oracles import (
     ENUMERATION_BUDGET,
     _multisets_over,
+    _subset_masks,
     conditional_expected_scores,
     enumerate_voter_multisets,
     strong_pvc,
@@ -285,7 +287,7 @@ def _hyp_counting_block(seed: int, count: int, m_max: int) -> Iterator[str | boo
     rng = random.Random(seed)
     # Every k-committee of m candidates as a bitmask, enumerated once per block.
     committees = {
-        (m, k): [sum(chosen) for chosen in combinations([1 << c for c in range(m)], k)]
+        (m, k): list(_subset_masks(m, k))
         for m in range(2, m_max + 1)
         for k in range(1, m)
     }
@@ -365,8 +367,8 @@ def _sweep(block: Callable[..., Iterator[str | bool]], n_default: int, m_default
         budget = budget or ENUMERATION_BUDGET
         if m_max > 1 and _multisets_over(n_max, m_max, budget):
             raise SizeLimitError(
-                f"n_max={n_max}, m_max={m_max} would enumerate more than {budget} "
-                "voter multisets in one block"
+                f"n_max={shown(n_max)}, m_max={shown(m_max)} would enumerate more than "
+                f"{shown(budget)} voter multisets in one block"
             )
         return [
             (block, (*lead, n, m, budget))
@@ -390,14 +392,14 @@ def _build_hypergeom(n_max, m_max, budget, seed):
         subsets += (p + 1) * sum((d + 2) * comb(p, d) for d in range(p + 1))
         if subsets > ENUMERATION_BUDGET:
             raise SizeLimitError(
-                f"m_max={enum_max} would enumerate more than {ENUMERATION_BUDGET} subsets"
+                f"m_max={shown(enum_max)} would enumerate more than {ENUMERATION_BUDGET} subsets"
             )
     # Each sample of _hyp_counting_block tests up to 6 voters against every
     # committee of at most counting_m candidates, 6 * (2**counting_m - 2) pairs.
     counting_m = min(enum_max + 2, 8)
     if counting_samples * 6 * (2**counting_m - 2) > ENUMERATION_BUDGET:
         raise SizeLimitError(
-            f"budget={counting_samples} would test more than {ENUMERATION_BUDGET} "
+            f"budget={shown(counting_samples)} would test more than {ENUMERATION_BUDGET} "
             "(voter, committee) pairs"
         )
     return [
@@ -422,7 +424,7 @@ def _build_pvc(n_max, m_max, budget, seed):
         > ENUMERATION_BUDGET
     ):
         raise SizeLimitError(
-            f"n_max={n_max}, m_max={m_max} would test more than {ENUMERATION_BUDGET} "
+            f"n_max={shown(n_max)}, m_max={shown(m_max)} would test more than {ENUMERATION_BUDGET} "
             "(candidate, voter group) pairs in one block's subset oracle"
         )
     return [
@@ -464,7 +466,7 @@ def run_suite(
         builder = _SUITES[name]
     except KeyError:
         known = ", ".join(SUITE_NAMES)
-        raise ValidationError(f"unknown suite {name!r}; known: {known}") from None
+        raise ValidationError(f"unknown suite {shown(name)}; known: {known}") from None
     int_at_least(jobs, "jobs", 1)
     # None selects the suite's default; any other size must be usable, so the
     # builders' ``or`` defaults never see a 0, and a seed may be any int.

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fvr
 from fvr.core import (
+    CANDIDATE_LIMIT,
     NUMERAL_LIMIT,
     AuditCurve,
     Committee,
@@ -32,6 +33,9 @@ from fvr.core import (
     eval_weight,
     flexibility,
     flexibility_grid,
+    index_in,
+    int_at_least,
+    open_unit,
     parse_family,
 )
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
@@ -40,7 +44,9 @@ from fvr.multi_winner import (
     committee_score,
     empirical_fvr_committee,
     expand_instance,
+    expanded_rule,
     jr_check,
+    sequential_rule,
     t_approves,
 )
 from fvr.oracles import (
@@ -297,6 +303,7 @@ def test_table_equality_and_lookup():
 def test_flexibility_grid():
     assert flexibility_grid(4) == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     assert flexibility_grid(1) == ()
+    assert len(flexibility_grid(CANDIDATE_LIMIT)) == CANDIDATE_LIMIT - 1
 
 
 def test_committee_normalizes_members():
@@ -345,6 +352,7 @@ INTEGER_SITES = {
     "multiwinner_bound t": (lambda x: multiwinner_bound(5, "1/2", 2, x), 0),
     "grid_theoretical_fvr": (lambda x: grid_theoretical_fvr(Constant(), Fraction(1, 2), x), 1),
     "AuditCurve.values_on_grid m": (lambda x: CURVE.values_on_grid(x), 0),
+    "flexibility_grid m": (flexibility_grid, 0),
     "gen_party_split k": (gen_party_split, 1),
     "gen_party_split reps": (lambda x: gen_party_split(2, x), 0),
     "gen_jr_hard k": (lambda x: gen_jr_hard(6, x), 1),
@@ -425,6 +433,27 @@ def test_audit_curve_stores_its_breakpoints_as_a_tuple():
     assert curve == CURVE and hash(curve) == hash(CURVE)
 
 
+# Every AuditCurve breakpoint read through as_frac: a string exactly, and a
+# float or a bool, as s or as value, refused as a rational.
+CURVE_VALUE_SITES = {
+    "strings": ([("1/2", "1/3")], None),
+    "float value": ([(Fraction(1, 2), 0.25)], r"^refusing float 0\.25: pass an exact value"),
+    "bool value": ([(Fraction(1, 2), True)], r"^expected a rational number, got True$"),
+    "bool s": ([(True, Fraction(1, 2))], r"^expected a rational number, got True$"),
+}
+
+
+@pytest.mark.parametrize("site", CURVE_VALUE_SITES)
+def test_audit_curve_reads_each_breakpoint_as_a_rational(site):
+    breakpoints, message = CURVE_VALUE_SITES[site]
+    if message is None:
+        curve = AuditCurve(breakpoints)
+        assert curve == CURVE and curve.breakpoints == ((Fraction(1, 2), Fraction(1, 3)),)
+    else:
+        with pytest.raises(ValidationError, match=message):
+            AuditCurve(breakpoints)
+
+
 # Every index input, with the number of things it indexes.  A float, a bool,
 # -1 and that number each raise a ValidationError naming the value; a
 # committee member is first checked by Committee itself.
@@ -486,11 +515,13 @@ def test_only_the_integer_and_rational_validators_tell_bools_from_ints():
     assert found <= {("core", "int_at_least"), ("core", "as_frac")}
 
 
-# Every size input, with a value far above its budget.  Each is refused at the
-# call with SizeLimitError, before anything of that size is built, and its
-# message prints no count built from the sizes (such a count may be too long
-# to print).
+# Every size input, with a value above its budget (far above, but for the grids,
+# which build one Fraction per grid point).  Each is refused at the call with
+# SizeLimitError, before anything of that size is built, and its message prints
+# no count built from the sizes (such a count may be too long to print).
 OVERSIZED_SITES = {
+    "flexibility_grid": (flexibility_grid, CANDIDATE_LIMIT + 1),
+    "AuditCurve.values_on_grid": (lambda x: CURVE.values_on_grid(x), CANDIDATE_LIMIT + 1),
     "enumerate_instances m": (lambda x: enumerate_instances(10, x), 2000),
     "enumerate_instances n": (lambda x: enumerate_instances(x, 2), 10**9),
     "enumerate_voter_multisets m, n=400": (lambda x: enumerate_voter_multisets(400, x), 8000),
@@ -538,3 +569,101 @@ def test_size_inputs_far_over_budget_raise_at_once_with_a_short_message(site):
 def test_gen_jr_hard_keeps_its_relational_check():
     with pytest.raises(ValidationError, match="need m > k"):
         gen_jr_hard(2, 2)
+
+
+# An integer far too long to print: repr() refuses over 4300 digits.
+HUGE = 10**5000
+TRIO = Instance(3, [[0], [1, 2]])
+
+# Every call that words an integer of over NUMERAL_LIMIT digits in its error,
+# with the error it raises (SizeLimitError where the integer is a size): the
+# message describes the integer by its bit length instead of failing to print it.
+HUGE_SITES = {
+    "int_at_least": (lambda: int_at_least(-HUGE, "n", 1), ValidationError),
+    "index_in": (lambda: index_in(HUGE, 3, "x"), ValidationError),
+    "MultiParams k": (lambda: MultiParams(-HUGE, 1), ValidationError),
+    "MultiParams t over k": (lambda: MultiParams(HUGE, HUGE + 1), ValidationError),
+    "sequential_rule k": (lambda: sequential_rule(TRIO, MultiParams(HUGE, 1)), ValidationError),
+    "expanded_rule k": (lambda: expanded_rule(TRIO, MultiParams(HUGE, 1)), ValidationError),
+    "committee_score t": (lambda: committee_score(TRIO, Committee((0,)), HUGE), ValidationError),
+    "jr_check member": (lambda: jr_check(TRIO, Committee((HUGE,))), ValidationError),
+    "t_approves voter": (lambda: t_approves(TRIO, HUGE, Committee((0,)), 1), ValidationError),
+    "conditional_expected_score member": (
+        lambda: conditional_expected_score(TRIO, MultiParams(1, 1), (HUGE,)),
+        ValidationError,
+    ),
+    "Instance index": (lambda: Instance(2, [[HUGE]]), ValidationError),
+    "Instance m": (lambda: Instance(-HUGE, [[0]]), ValidationError),
+    "RankedProfile entry": (lambda: RankedProfile(2, [(0, HUGE)]), ValidationError),
+    "Power": (lambda: Power(HUGE), SizeLimitError),
+    "Threshold": (lambda: Threshold(HUGE), ValidationError),
+    "open_unit": (lambda: open_unit(HUGE), ValidationError),
+    "Optimal": (lambda: Optimal(-HUGE), ValidationError),
+    "Table weight": (lambda: Table({Fraction(1, 2): -HUGE}), ValidationError),
+    "AuditCurve value": (lambda: AuditCurve([(Fraction(1, 2), HUGE)]), ValidationError),
+    "HypParams successes": (lambda: HypParams(5, HUGE, 1), ValidationError),
+    "HypParams population": (lambda: HypParams(-HUGE, 1, 1), ValidationError),
+    "multiwinner_bound k": (lambda: multiwinner_bound(5, "1/2", HUGE, 1), ValidationError),
+    "gen_spread per_voter": (lambda: gen_spread(2, 4, HUGE), ValidationError),
+    "gen_spread n": (lambda: gen_spread(HUGE, 4, 1), SizeLimitError),
+    "gen_jr_hard m": (lambda: gen_jr_hard(HUGE, 2), SizeLimitError),
+    "gen_jr_hard k": (lambda: gen_jr_hard(5, HUGE), ValidationError),
+    "gen_party_split k": (lambda: gen_party_split(HUGE), SizeLimitError),
+    "gen_symmetric per_voter": (lambda: gen_symmetric(5, HUGE), ValidationError),
+    "gen_random_instance m": (lambda: gen_random_instance(1, HUGE), SizeLimitError),
+    "empirical_fvr_point candidate": (lambda: empirical_fvr_point(TRIO, HUGE, "1/2"), ValidationError),
+    "flexibility voter": (lambda: flexibility(TRIO, HUGE), ValidationError),
+    "grid_theoretical_fvr": (lambda: grid_theoretical_fvr(Constant(), "1/2", HUGE), SizeLimitError),
+    "enumerate_instances n": (lambda: enumerate_instances(HUGE, 2), SizeLimitError),
+    "enumerate_voter_multisets m": (lambda: enumerate_voter_multisets(2, HUGE), SizeLimitError),
+    "run_suite n_max": (lambda: run_suite("opt", n_max=HUGE), SizeLimitError),
+    # The shape errors, and the other messages that print a caller's value.
+    "Committee shape": (lambda: Committee(HUGE), ValidationError),
+    "AuditCurve shape": (lambda: AuditCurve(HUGE), ValidationError),
+    "Table shape": (lambda: Table(HUGE), ValidationError),
+    "conditional_expected_score partial": (
+        lambda: conditional_expected_score(TRIO, MultiParams(1, 1), HUGE),
+        ValidationError,
+    ),
+    "AuditCurve breakpoint": (
+        lambda: AuditCurve([(Fraction(1, 2), 0), (Fraction(1, HUGE), 0)]),
+        ValidationError,
+    ),
+    "Table duplicate": (lambda: Table([(Fraction(1, HUGE), 1), (Fraction(1, HUGE), 2)]), ValidationError),
+    "HypParams draws": (lambda: HypParams(5, 1, HUGE), ValidationError),
+    "multiwinner_bound t": (lambda: multiwinner_bound(5, "1/2", 2, HUGE), ValidationError),
+    "multiwinner_bound t over k": (lambda: multiwinner_bound(HUGE + 1, "1/2", HUGE, HUGE + 1), ValidationError),
+    "sequential_rule m": (
+        lambda: sequential_rule(Instance.from_masks(HUGE, [1]), MultiParams(HUGE, 1)),
+        ValidationError,
+    ),
+    # A collection holding such an integer is named by its type.
+    "Committee member list": (lambda: Committee([[HUGE]]), ValidationError),
+    "Table pair list": (lambda: Table([HUGE]), ValidationError),
+    "gen_approval_gap r": (lambda: gen_approval_gap(10, 10, "1/2", HUGE), ValidationError),
+    "gen_weight_gap f": (lambda: gen_weight_gap(Constant(), Fraction(1, HUGE), "1/2", 10), SizeLimitError),
+    "enumerate_voter_multisets budget": (
+        lambda: enumerate_voter_multisets(2, 2, budget=-HUGE),
+        SizeLimitError,
+    ),
+    "run_suite hypergeom m_max": (lambda: run_suite("hypergeom", m_max=HUGE), SizeLimitError),
+    "run_suite hypergeom budget": (lambda: run_suite("hypergeom", budget=HUGE), SizeLimitError),
+    "run_suite pvc n_max": (lambda: run_suite("pvc", n_max=HUGE), SizeLimitError),
+    "parse_family": (lambda: parse_family(HUGE), ValidationError),
+    "eval_weight family": (lambda: eval_weight(HUGE, "1/2"), ValidationError),
+    "AuditCurve value list": (lambda: AuditCurve([(Fraction(1, 2), [HUGE])]), ValidationError),
+    "run_generator name": (lambda: run_generator(HUGE, {}), ValidationError),
+    "run_suite name": (lambda: run_suite(HUGE), ValidationError),
+}
+
+
+@pytest.mark.parametrize("site", HUGE_SITES)
+def test_an_integer_too_long_to_print_is_worded_by_its_size(site):
+    call, error = HUGE_SITES[site]
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert time.perf_counter() - start < 1
+    message = str(excinfo.value)
+    assert type(excinfo.value) is error
+    assert len(message) < 200 and re.search(r"\d+ bits|\d+-bit|too long to print", message), message

@@ -1,18 +1,23 @@
 """Generators, exhaustive enumeration, and the ranked-ballot veto core."""
 
+import ast
 import random
+import time
 from fractions import Fraction
-from itertools import permutations, product
-from math import ceil
+from itertools import combinations, permutations, product
+from math import ceil, floor, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fvr
 from fvr.core import (
     CANDIDATE_LIMIT,
     Committee,
     Constant,
+    Optimal,
     Power,
     SizeLimitError,
     Table,
@@ -28,6 +33,7 @@ from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committ
 from fvr.oracles import (
     APPROVAL_LIMIT,
     _check_budget,
+    _gap_instance,
     enumerate_instances,
     enumerate_voter_multisets,
     gen_approval_gap,
@@ -183,10 +189,90 @@ def test_gen_party_split():
     assert bound == Fraction(1, 6) < HALF == audit
 
 
+def test_gen_symmetric_is_every_subset_in_lexicographic_order():
+    for m in range(1, 8):
+        for per_voter in range(m + 1):
+            expected = tuple(map(frozenset, combinations(range(m), per_voter)))
+            assert gen_symmetric(m, per_voter).approvals == expected
+
+
+def test_gen_party_split_is_two_slates_repeated():
+    for k in range(2, 7):
+        for reps in range(1, 5):
+            slates = (frozenset(range(k)), frozenset(range(k, 2 * k)))
+            inst = gen_party_split(k, reps)
+            assert (inst.m, inst.approvals) == (2 * k, slates * reps)
+
+
+def test_gen_jr_hard_is_the_party_groups_then_the_pool_minus_each_candidate():
+    for k in range(2, 7):
+        for m in range(k + 1, 11):
+            group = m - k + 1
+            parties = tuple(frozenset({j}) for j in range(k - 1) for _ in range(group))
+            pool = frozenset(range(k - 1, m))
+            assert gen_jr_hard(m, k).approvals == parties + tuple(pool - {c} for c in sorted(pool))
+
+
+def gap_by_sets(m, bloc, per_bloc, rest, per_rest):
+    """The bloc's spread and the rest's spread over candidates 1..m-1, with
+    candidate 0 added to each rest voter."""
+    shifted = [frozenset(c + 1 for c in A) for A in greedy_spread(bloc, m - 1, per_bloc)]
+    return tuple(shifted) + tuple(
+        frozenset({0, *(c + 1 for c in A)}) for A in greedy_spread(rest, m - 1, per_rest)
+    )
+
+
+def test_the_gap_construction_is_two_shifted_spreads():
+    for m in range(2, 7):
+        for bloc, rest in product(range(4), range(1, 4)):
+            for per_bloc, per_rest in product(range(m), repeat=2):
+                inst, special = _gap_instance(m, bloc, per_bloc, rest, per_rest)
+                assert special == 0 and inst.m == m
+                assert inst.approvals == gap_by_sets(m, bloc, per_bloc, rest, per_rest)
+
+
+GAP_SHARES = [Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 5), Fraction(2, 3)]
+
+
+def test_each_gap_generator_is_its_bloc_spread_then_its_rest_spread():
+    built = 0
+    for n, m in product(range(2, 10), range(2, 8)):
+        for s, r in product(GAP_SHARES[:4], GAP_SHARES):
+            bloc = ceil(r * n)
+            cases = [(gen_approval_gap, (n, m, s, r), 0)] + [
+                (gen_power_gap, (n, m, s, r, p), ceil(Fraction(p, p + 1) * m) - 1) for p in (1, 2, 3)
+            ]
+            for generator, args, per_rest in cases:
+                try:
+                    inst, _ = generator(*args)
+                except ValidationError:
+                    continue
+                built += 1
+                assert inst.approvals == gap_by_sets(m, bloc, ceil(s * m), n - bloc, per_rest)
+    for w in (Constant(), Power(2), Optimal(), Table({Fraction(1, 4): 1, HALF: 2, Fraction(3, 4): 1})):
+        for f, fprime in product([Fraction(1, 4), HALF, Fraction(3, 4)], repeat=2):
+            for n in (10, 25, 60):
+                try:
+                    inst, _ = gen_weight_gap(w, f, fprime, n)
+                except ValidationError:
+                    continue
+                built += 1
+                m = lcm(f.denominator, fprime.denominator)
+                wf, wfp = (Fraction(*w.ratio(x.numerator, x.denominator)) for x in (f, fprime))
+                bloc = floor((1 - f) * wf / ((1 - f) * wf + fprime * wfp) * n) - m
+                assert inst.approvals == gap_by_sets(m, bloc, int(fprime * m), n - bloc, int(f * m) - 1)
+    assert built > 300
+
+
+def test_generators_build_at_the_voter_limit():
+    for build in (lambda: gen_spread(COMMITTEE_LIMIT, 1, 0), lambda: gen_party_split(2, COMMITTEE_LIMIT // 2)):
+        start = time.perf_counter()
+        inst = build()
+        assert time.perf_counter() - start < 1
+        assert inst.n == COMMITTEE_LIMIT
+
+
 def test_generators_reject_voter_counts_over_the_limit():
-    # Exactly at the limit passes the check; actually building that many
-    # rows is too slow and too large for a unit test.
-    _check_budget(COMMITTEE_LIMIT)
     over = f"{COMMITTEE_LIMIT + 2} voters exceed the limit {COMMITTEE_LIMIT}"
     with pytest.raises(SizeLimitError, match=over):
         gen_party_split(2, reps=COMMITTEE_LIMIT // 2 + 1)
@@ -389,3 +475,49 @@ def test_conditional_expected_score_validation():
         from fvr.oracles import conditional_expected_score
 
         conditional_expected_score(inst, params, (0, 1, 2))
+
+
+def enclosing_calls(tree, where="<module>"):
+    """(innermost enclosing def, call node) for every call in ``tree``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            yield where, child
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from enclosing_calls(child, child.name if scope else where)
+
+
+def module_calls(name):
+    path = Path(fvr.__file__).parent / f"{name}.py"
+    return enclosing_calls(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def is_bit_list(node):
+    """Whether ``node`` is a list comprehension of ``1 << ...``."""
+    return (
+        isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.BinOp)
+        and isinstance(node.elt.op, ast.LShift)
+        and isinstance(node.elt.left, ast.Constant)
+        and node.elt.left.value == 1
+    )
+
+
+def test_generators_build_masks_and_one_helper_enumerates_subset_masks():
+    # Every generated instance comes from Instance.from_masks: rows built only
+    # to be checked and encoded again are a second construction path.
+    builders = {
+        where
+        for where, call in module_calls("oracles")
+        if isinstance(call.func, ast.Name) and call.func.id in {"build_instance", "Instance"}
+    }
+    assert builders == set()
+    subset_enumerations = {
+        (name, where)
+        for name in ("oracles", "verify")
+        for where, call in module_calls(name)
+        if isinstance(call.func, ast.Name)
+        and call.func.id == "combinations"
+        and call.args
+        and is_bit_list(call.args[0])
+    }
+    assert subset_enumerations == {("oracles", "_subset_masks")}
