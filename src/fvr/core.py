@@ -26,11 +26,13 @@ __all__ = [
     "FrozenRecordError",
     "record",
     "CANDIDATE_LIMIT",
+    "COMMITTEE_LIMIT",
     "POWER_LIMIT",
     "NUMERAL_LIMIT",
     "as_frac",
     "open_unit",
     "int_at_least",
+    "m_at_most",
     "index_in",
     "shown",
     "comb_over",
@@ -70,6 +72,12 @@ class SizeLimitError(ValidationError):
 # Cap on the candidate count of a parsed file or a generated random instance:
 # output and per-candidate state grow with m (the largest m in use is 400).
 CANDIDATE_LIMIT = 10_000
+
+# Cap on how many committees an exhaustive construction may touch, and on
+# how many voters a generator may build.  It also caps the m of an
+# ``Instance``, since ``multi_winner.expand_instance`` makes each of up to
+# this many committees a candidate.
+COMMITTEE_LIMIT = 200_000
 
 # Cap on the exponent p of the power family f**p.  A score under it is an int
 # over m**p, and the closed-form guarantee at s = i/d has terms up to
@@ -166,7 +174,7 @@ def as_frac(x: object) -> Frac:
                 raise ValueError(f"over {NUMERAL_LIMIT} characters, or exponent notation")
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational number: {x!r} ({exc})") from None
+            raise ValidationError(f"not a rational number: {shown(x)} ({exc})") from None
     if isinstance(x, float):
         raise ValidationError(
             f"refusing float {x!r}: pass an exact value such as Fraction(1, 2) or '1/2'"
@@ -193,6 +201,13 @@ def int_at_least(x: object, what: str, low: int | None = 0) -> int:
     return x
 
 
+def m_at_most(m: object, limit: int) -> int:
+    """``m``, checked to be a candidate count in 1..``limit``."""
+    if int_at_least(m, "m", 1) > limit:
+        raise SizeLimitError(f"m must be at most {limit}, got {shown(m)}")
+    return m
+
+
 def index_in(x: object, size: int, what: str) -> int:
     """``x``, checked to be an int (not a bool) in 0..size-1; ``what`` names it.  Hot loops
     inline the test ``type(x) is int and 0 <= x < size`` and call this only on a failure."""
@@ -209,7 +224,10 @@ def shown(x: object, text: Callable[[object], str] = repr) -> str:
     """``text(x)`` for an error message, except that an int of over ``NUMERAL_LIMIT``
     digits, or a Fraction with such a numerator or denominator, which ``str``
     refuses to print, is worded by its bit length instead; it is never converted.
-    A collection holding such an int is named by its type."""
+    A string of over ``NUMERAL_LIMIT`` characters is worded by its length, and
+    a collection holding such an int by its type."""
+    if isinstance(x, str) and len(x) > NUMERAL_LIMIT:
+        return f"a string of {len(x)} characters"
     if isinstance(x, int) and abs(x) >= _UNPRINTABLE:
         return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
     if isinstance(x, Fraction) and max(abs(x.numerator), x.denominator) >= _UNPRINTABLE:
@@ -290,10 +308,11 @@ class Instance:
     of a frozen record with fields ``m`` and ``approvals``.
 
     An instance has at least one voter: both constructors refuse an empty
-    profile, so every audit's share over the n voters is defined.  The
-    constructor also checks that m is a positive int and that every index
-    is an int in 0..m-1 (:func:`index_in`); :meth:`from_masks` trusts its
-    masks to lie below 2**m.
+    profile, so every audit's share over the n voters is defined.  Both
+    check that m is an int in 1..``COMMITTEE_LIMIT`` before any row is
+    built; the constructor also checks that every index is an int in
+    0..m-1 (:func:`index_in`), while :meth:`from_masks` trusts its masks to
+    lie below 2**m.
     """
 
     __slots__ = ("m", "masks", "n", "_approvals", "_views")
@@ -302,7 +321,7 @@ class Instance:
     __delattr__ = _frozen_delattr
 
     def __init__(self, m: int, approvals: Iterable[Iterable[int]]):
-        int_at_least(m, "m", 1)
+        m_at_most(m, COMMITTEE_LIMIT)
         try:
             rows = tuple(map(frozenset, approvals))
         except TypeError as exc:
@@ -319,7 +338,7 @@ class Instance:
         """The instance whose voter i approves the candidates at the set bits of
         ``masks[i]``; each mask must be below 2**m."""
         inst = object.__new__(cls)
-        _fill(inst, m, tuple(masks))
+        _fill(inst, m_at_most(m, COMMITTEE_LIMIT), tuple(masks))
         return inst
 
     @property
@@ -458,18 +477,22 @@ class RankedProfile:
             rows = tuple(map(tuple, self.rankings))
         except TypeError as exc:
             raise ValidationError(f"rankings must be rows of candidate indices ({exc})") from None
-        candidates = set(range(m))
-        # Valid rankings pass a length and a set compare each, then one pass over the types.
+        # Valid rankings pass a length and a set compare each, then one pass over
+        # the types.  Every length is compared with m before range(m) is built.
+        shaped = bool(rows) and all(len(row) == m for row in rows)
+        candidates = set(range(m)) if shaped else None
         if not (
-            rows
-            and all(len(row) == m and set(row) == candidates for row in rows)
+            shaped
+            and all(set(row) == candidates for row in rows)
             and set(map(type, chain.from_iterable(rows))) == {int}
         ):  # the checks below only word what is wrong
             for i, row in enumerate(rows):
                 for a in row:
                     index_in(a, m, f"voter {i}: ranking entry")
-                if len(row) != m or set(row) != candidates:
-                    raise ValidationError(f"voter {i}: ranking {row!r} is not a permutation of 0..{m - 1}")
+                if len(row) != m or set(row) != set(range(m)):
+                    raise ValidationError(
+                        f"voter {i}: ranking {shown(row)} is not a permutation of 0..{shown(m - 1)}"
+                    )
             raise ValidationError("need at least one voter")
         _set(self, "rankings", rows)
 
@@ -500,9 +523,7 @@ def flexible_size(s: Frac, m: int) -> int:
 def flexibility_grid(m: int) -> tuple[Frac, ...]:
     """Every flexibility value strictly inside (0, 1) that ``m`` candidates allow,
     for 1 <= m <= ``CANDIDATE_LIMIT``."""
-    if int_at_least(m, "m", 1) > CANDIDATE_LIMIT:
-        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {shown(m)}")
-    return tuple(Frac(i, m) for i in range(1, m))
+    return tuple(Frac(i, m) for i in range(1, m_at_most(m, CANDIDATE_LIMIT)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,10 +683,10 @@ def parse_family(spec: str) -> WeightFn:
         return Threshold(arg)
     if colon and name == "power":
         if not is_numeral(arg):
-            raise ValidationError(f"power rule needs an integer exponent, got {arg!r}")
+            raise ValidationError(f"power rule needs an integer exponent, got {shown(arg)}")
         return Power(int(arg))
     raise ValidationError(
-        f"unknown rule {spec!r}; expected approval, threshold:<s>, power:<p>, opt"
+        f"unknown rule {shown(spec)}; expected approval, threshold:<s>, power:<p>, opt"
     )
 
 

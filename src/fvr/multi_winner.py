@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .core import (
+    COMMITTEE_LIMIT,
     AuditCurve,
     Committee,
     Frac,
@@ -49,11 +50,6 @@ __all__ = [
     "jr_check",
     "brute_best_committee",
 ]
-
-# Cap on how many committees an exhaustive construction may touch, and on
-# how many voters a generator may build.
-COMMITTEE_LIMIT = 200_000
-
 
 @record
 class MultiParams:

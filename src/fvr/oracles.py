@@ -30,6 +30,7 @@ from .core import (
     eval_weight,
     index_in,
     int_at_least,
+    m_at_most,
     open_unit,
     shown,
 )
@@ -230,8 +231,8 @@ def _check_budget(voters: int, m: int = 0, approvals: int = 0) -> None:
     """
     if voters > COMMITTEE_LIMIT:
         raise SizeLimitError(f"{shown(voters)} voters exceed the limit {COMMITTEE_LIMIT}")
-    if m > CANDIDATE_LIMIT:
-        raise SizeLimitError(f"m must be at most {CANDIDATE_LIMIT}, got {shown(m)}")
+    if m:
+        m_at_most(m, CANDIDATE_LIMIT)
     if approvals > APPROVAL_LIMIT:
         raise SizeLimitError(f"{shown(approvals)} approvals exceed the limit {APPROVAL_LIMIT}")
 
@@ -350,7 +351,7 @@ def enumerate_instances(n: int, m: int, budget: int = ENUMERATION_BUDGET) -> Ite
     the last voter's set varying fastest.  The budget is checked at the call:
     (2**m)**n > budget exactly when m*n >= budget.bit_length().
     """
-    if int_at_least(n, "n", 1) * int_at_least(m, "m", 1) >= budget.bit_length():
+    if int_at_least(n, "n", 1) * int_at_least(m, "m", 1) >= int_at_least(budget, "budget", 1).bit_length():
         raise SizeLimitError(f"n={shown(n)}, m={shown(m)} would enumerate more than {shown(budget)} profiles")
     return (Instance.from_masks(m, masks) for masks in product(range(2**m), repeat=n))
 
@@ -370,7 +371,7 @@ def enumerate_voter_multisets(
     permuting voters, so sweeping these representatives checks every
     ordered profile while enumerating far fewer instances.
     """
-    if _multisets_over(int_at_least(n, "n", 1), int_at_least(m, "m", 1), budget):
+    if _multisets_over(int_at_least(n, "n", 1), int_at_least(m, "m", 1), int_at_least(budget, "budget", 1)):
         raise SizeLimitError(f"n={shown(n)}, m={shown(m)} would enumerate more than {shown(budget)} voter multisets")
     return (Instance.from_masks(m, masks) for masks in combinations_with_replacement(range(2**m), n))
 

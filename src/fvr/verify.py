@@ -22,6 +22,9 @@ Suite parameter conventions (all optional, suite-specific defaults):
   ``m_max`` >= 6), for ``pvc`` the number of sampled profiles per shape.
 - ``seed``: seed for sampled checks.
 
+For ``separations``, ``m_max`` bounds the candidates of both constructions
+and ``budget`` the committees of one block; ``n_max`` and ``seed`` are unused.
+
 ``n_max``, ``m_max`` and ``budget`` must be positive integers when given,
 and ``seed`` any integer.
 
@@ -37,8 +40,9 @@ checks build a ``Fraction`` only to word a violation.
 Every suite checks its size budget before it builds or runs any block, and
 raises ``SizeLimitError`` when its largest block would exceed it: the voter
 multisets of one sweep block (``oracles._multisets_over``), the ``hypergeom``
-subset probes and counting pairs, or the (candidate, voter group) pairs of
-the ``pvc`` subset oracle (the last three against ``ENUMERATION_BUDGET``).
+subset probes and counting pairs, the (candidate, voter group) pairs of
+the ``pvc`` subset oracle (the last three against ``ENUMERATION_BUDGET``), or
+the committees of one ``separations`` block.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .core import (
     RankedProfile,
     SizeLimitError,
     ValidationError,
+    comb_over,
     flexibility_grid,
     flexible_size,
     int_at_least,
@@ -69,6 +74,7 @@ from .core import (
 )
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
+    JrResult,
     MultiParams,
     _short_voters,
     committee_score,
@@ -81,6 +87,8 @@ from .oracles import (
     _subset_masks,
     conditional_expected_scores,
     enumerate_voter_multisets,
+    gen_jr_hard,
+    gen_party_split,
     strong_pvc,
 )
 from .single_winner import _disapprovers, closed_form_fvr, flexible_counts, ropt_winner, winner
@@ -91,6 +99,7 @@ __all__ = [
     "run_suite",
     "pmf_by_enumeration",
     "strong_pvc_by_subsets",
+    "jr_by_sets",
 ]
 
 MAX_VIOLATIONS_KEPT = 50
@@ -142,6 +151,23 @@ def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
         for group in combinations(past, size):
             vetoed |= reduce(and_, group)
     return frozenset(a for a in range(m) if not vetoed >> a & 1)
+
+
+def _short_flexible(approvals: Iterable[frozenset[int]], members: frozenset[int], need: int, t: int) -> int:
+    """The voters approving at least ``need`` candidates but fewer than t members,
+    counted from the approval sets: a committee's audit hits at ceil(s*m) = ``need``."""
+    return sum(1 for A in approvals if len(A) >= need and len(A & members) < t)
+
+
+def jr_by_sets(inst: Instance, members: frozenset[int]) -> JrResult:
+    """Justified representation over the approval sets: the lowest candidate
+    approved by at least n/k voters who approve no member, with those voters."""
+    unrepresented = [i for i in range(inst.n) if not inst.approvals[i] & members]
+    for c in range(inst.m):
+        group = tuple(i for i in unrepresented if c in inst.approvals[i])
+        if len(group) * len(members) >= inst.n:
+            return JrResult(satisfied=False, blocking_candidate=c, blocking_voters=group)
+    return JrResult(satisfied=True)
 
 
 def _off(value: Frac, count: int, total: int) -> bool:
@@ -336,6 +362,49 @@ def _all_profiles(n: int, m: int, sample: int) -> int | None:
     return count
 
 
+def _party_split_block(k: int) -> Iterator[str | bool]:
+    """One check per k-committee of ``gen_party_split(k)``: its audit exceeds
+    ``multiwinner_bound`` at some grid pair (s, t), so no committee is optimal
+    for every approval target t."""
+    inst = gen_party_split(k)
+    m, n, approvals = inst.m, inst.n, inst.approvals
+    bounds = {
+        t: _thresholds(m, ((s, multiwinner_bound(m, s, k, t)) for s in flexibility_grid(m)))
+        for t in range(1, k + 1)
+    }
+    for members in map(frozenset, combinations(range(m), k)):
+        yield not any(
+            _short_flexible(approvals, members, need, t) * q > p * n
+            for t, rows in bounds.items()
+            for _, _, need, p, q in rows
+        ) and f"party split k={k}: committee {sorted(members)} meets the bound at every (s, t)"
+
+
+def _jr_clash_block(m: int, k: int) -> Iterator[str | bool]:
+    """Two checks on ``gen_jr_hard(m, k)`` at t = 1 and s = (m-k)/m: the least
+    audit over the committees that satisfy justified representation exceeds
+    ``multiwinner_bound``, and the least over all committees meets it."""
+    inst = gen_jr_hard(m, k)
+    n, approvals = inst.n, inst.approvals
+    s = Fraction(m - k, m)
+    bound = multiwinner_bound(m, s, k, 1)
+    p, q = bound.numerator, bound.denominator
+    audits = [
+        (_short_flexible(approvals, members, m - k, 1), members)
+        for members in map(frozenset, combinations(range(m), k))
+    ]
+    least = min(hits for hits, _ in audits)
+    least_jr = min((hits for hits, members in audits if jr_by_sets(inst, members).satisfied), default=None)
+    label = f"jr clash m={m} k={k} s={s}"
+    if least_jr is None:
+        yield f"{label}: no committee satisfies justified representation"
+    else:
+        yield least_jr * q <= p * n and (
+            f"{label}: least audit over the JR committees {Fraction(least_jr, n)} does not exceed {bound}"
+        )
+    yield least * q > p * n and f"{label}: least audit {Fraction(least, n)} exceeds {bound}"
+
+
 def _dispatch(task: tuple) -> tuple[int, list[str]]:
     """Run one block: the number of checks it yields and its first
     ``MAX_VIOLATIONS_KEPT`` violation messages."""
@@ -434,6 +503,23 @@ def _build_pvc(n_max, m_max, budget, seed):
     ]
 
 
+def _build_separations(n_max, m_max, budget, seed):
+    m_max = m_max or 10
+    budget = budget or ENUMERATION_BUDGET
+    # Party split k enumerates C(2k, k) committees and JR clash (m, k) C(m, k),
+    # so the largest block, if m_max >= 4 makes any, enumerates C(m_max, m_max // 2).
+    if m_max >= 4 and comb_over(m_max, m_max // 2, budget):
+        raise SizeLimitError(
+            f"m_max={shown(m_max)} would enumerate more than {shown(budget)} committees in one block"
+        )
+    # JR clash starts at m = 5: at m = 4 the least JR audit equals the bound,
+    # and at k = m - 1 it never exceeds it.
+    return [
+        *((_party_split_block, (k,)) for k in range(2, m_max // 2 + 1)),
+        *((_jr_clash_block, (m, k)) for m in range(5, m_max + 1) for k in range(2, m - 1)),
+    ]
+
+
 _SUITES = {
     "opt": _sweep(_single_winner_block, 3, 3, "opt"),
     "threshold": _sweep(_single_winner_block, 3, 3, "threshold"),
@@ -443,6 +529,7 @@ _SUITES = {
     "reduction": _sweep(_reduction_block, 3, 3),
     "hypergeom": _build_hypergeom,
     "pvc": _build_pvc,
+    "separations": _build_separations,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))

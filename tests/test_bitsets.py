@@ -29,7 +29,6 @@ from fvr.core import (
 from fvr.formats import parse_instance, serialize_instance
 from fvr.multi_winner import (
     COMMITTEE_LIMIT,
-    JrResult,
     MultiParams,
     brute_best_committee,
     committee_score,
@@ -41,6 +40,7 @@ from fvr.multi_winner import (
     t_approves,
 )
 from fvr.single_winner import empirical_fvr_curve, empirical_fvr_point, score_all, winner
+from fvr.verify import jr_by_sets
 
 
 @st.composite
@@ -198,17 +198,6 @@ def test_only_the_explicit_expansion_reads_the_approval_sets():
         for where in approvals_readers(ast.parse((package / f"{name}.py").read_text(encoding="utf-8")))
     }
     assert found == {("multi_winner", "expand_instance")}
-
-
-def jr_by_sets(inst, members):
-    """Justified representation over the approval sets: the lowest candidate
-    approved by at least n/k voters who approve no member, with those voters."""
-    unrepresented = [i for i in range(inst.n) if not inst.approvals[i] & members]
-    for c in range(inst.m):
-        group = tuple(i for i in unrepresented if c in inst.approvals[i])
-        if len(group) * len(members) >= inst.n:
-            return JrResult(satisfied=False, blocking_candidate=c, blocking_voters=group)
-    return JrResult(satisfied=True)
 
 
 @given(masked_profiles(m_max=12), st.data())

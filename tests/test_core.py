@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import fvr
 from fvr.core import (
     CANDIDATE_LIMIT,
+    COMMITTEE_LIMIT,
     NUMERAL_LIMIT,
     AuditCurve,
     Committee,
@@ -374,6 +375,8 @@ INTEGER_SITES = {
     "enumerate_instances m": (lambda x: enumerate_instances(2, x), 0),
     "enumerate_voter_multisets n": (lambda x: enumerate_voter_multisets(x, 2), 0),
     "enumerate_voter_multisets m": (lambda x: enumerate_voter_multisets(2, x), 0),
+    "enumerate_instances budget": (lambda x: enumerate_instances(2, 2, budget=x), 0),
+    "enumerate_voter_multisets budget": (lambda x: enumerate_voter_multisets(2, 2, budget=x), 0),
     "conditional_expected_score": (
         lambda x: conditional_expected_score(INTRO, MultiParams(1, 1), (x,)),
         -1,
@@ -387,13 +390,22 @@ INTEGER_SITES = {
 
 
 @pytest.mark.parametrize("site", INTEGER_SITES)
-@pytest.mark.parametrize("bad", ["bool", "fraction", "below"])
+@pytest.mark.parametrize("bad", ["bool", "fraction", "string", "below"])
 def test_integer_inputs_reject_bools_and_values_below_their_bound(site, bad):
     call, below = INTEGER_SITES[site]
-    value = {"bool": True, "fraction": Fraction(1, 2), "below": below}[bad]
+    value = {"bool": True, "fraction": Fraction(1, 2), "string": "x", "below": below}[bad]
     message = rf"must be (a nonnegative|a positive|an) integer.*, got {re.escape(repr(value))}$"
     with pytest.raises(ValidationError, match=message):
         call(value)
+
+
+def test_instance_m_is_bounded_by_the_committee_limit():
+    # expand_instance makes each of up to COMMITTEE_LIMIT committees a candidate.
+    assert Instance.from_masks(COMMITTEE_LIMIT, [1]).m == Instance(COMMITTEE_LIMIT, [[0]]).m
+    message = f"^m must be at most {COMMITTEE_LIMIT}, got {COMMITTEE_LIMIT + 1}$"
+    for build in (lambda m: Instance(m, [[0]]), lambda m: Instance.from_masks(m, [1])):
+        with pytest.raises(SizeLimitError, match=message):
+            build(COMMITTEE_LIMIT + 1)
 
 
 def test_seeds_take_any_int():
@@ -573,11 +585,13 @@ def test_gen_jr_hard_keeps_its_relational_check():
 
 # An integer far too long to print: repr() refuses over 4300 digits.
 HUGE = 10**5000
+LONG = "y" * 10**6
 TRIO = Instance(3, [[0], [1, 2]])
 
 # Every call that words an integer of over NUMERAL_LIMIT digits in its error,
 # with the error it raises (SizeLimitError where the integer is a size): the
-# message describes the integer by its bit length instead of failing to print it.
+# message describes the integer by its bit length instead of failing to print it,
+# and a string of over NUMERAL_LIMIT characters by its length.
 HUGE_SITES = {
     "int_at_least": (lambda: int_at_least(-HUGE, "n", 1), ValidationError),
     "index_in": (lambda: index_in(HUGE, 3, "x"), ValidationError),
@@ -633,10 +647,10 @@ HUGE_SITES = {
     "HypParams draws": (lambda: HypParams(5, 1, HUGE), ValidationError),
     "multiwinner_bound t": (lambda: multiwinner_bound(5, "1/2", 2, HUGE), ValidationError),
     "multiwinner_bound t over k": (lambda: multiwinner_bound(HUGE + 1, "1/2", HUGE, HUGE + 1), ValidationError),
-    "sequential_rule m": (
-        lambda: sequential_rule(Instance.from_masks(HUGE, [1]), MultiParams(HUGE, 1)),
-        ValidationError,
-    ),
+    # Each constructor refuses such an m before it builds anything that grows with m.
+    "Instance m over the limit": (lambda: Instance(HUGE, [[0]]), SizeLimitError),
+    "Instance.from_masks m": (lambda: Instance.from_masks(HUGE, [1]), SizeLimitError),
+    "RankedProfile m": (lambda: RankedProfile(HUGE, [[0]]), ValidationError),
     # A collection holding such an integer is named by its type.
     "Committee member list": (lambda: Committee([[HUGE]]), ValidationError),
     "Table pair list": (lambda: Table([HUGE]), ValidationError),
@@ -644,7 +658,7 @@ HUGE_SITES = {
     "gen_weight_gap f": (lambda: gen_weight_gap(Constant(), Fraction(1, HUGE), "1/2", 10), SizeLimitError),
     "enumerate_voter_multisets budget": (
         lambda: enumerate_voter_multisets(2, 2, budget=-HUGE),
-        SizeLimitError,
+        ValidationError,
     ),
     "run_suite hypergeom m_max": (lambda: run_suite("hypergeom", m_max=HUGE), SizeLimitError),
     "run_suite hypergeom budget": (lambda: run_suite("hypergeom", budget=HUGE), SizeLimitError),
@@ -654,6 +668,12 @@ HUGE_SITES = {
     "AuditCurve value list": (lambda: AuditCurve([(Fraction(1, 2), [HUGE])]), ValidationError),
     "run_generator name": (lambda: run_generator(HUGE, {}), ValidationError),
     "run_suite name": (lambda: run_suite(HUGE), ValidationError),
+    "as_frac string": (lambda: as_frac(LONG), ValidationError),
+    "Threshold string": (lambda: Threshold(LONG), ValidationError),
+    "parse_family string": (lambda: parse_family(LONG), ValidationError),
+    "parse_family power string": (lambda: parse_family("power:" + LONG), ValidationError),
+    "run_suite name string": (lambda: run_suite(LONG), ValidationError),
+    "run_generator name string": (lambda: run_generator(LONG, {}), ValidationError),
 }
 
 
@@ -666,4 +686,4 @@ def test_an_integer_too_long_to_print_is_worded_by_its_size(site):
     assert time.perf_counter() - start < 1
     message = str(excinfo.value)
     assert type(excinfo.value) is error
-    assert len(message) < 200 and re.search(r"\d+ bits|\d+-bit|too long to print", message), message
+    assert len(message) < 200 and re.search(r"\d+ bits|\d+-bit|too long to print|\d+ characters", message), message

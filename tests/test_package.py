@@ -13,16 +13,42 @@ import fvr
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def loaded_after(code):
-    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def run_python(*args):
+    """A fresh interpreter's run of ``python args...``, this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    script = f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def loaded_after(code):
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    result = run_python("-c", f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))")
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+# Stdlib modules that would cost every call start-up time: dataclasses and inspect
+# (the records), argparse with the gettext and locale it loads, json, and
+# multiprocessing, which only ``verify --jobs`` over 1 may load.
+HEAVY_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "locale", "json", "multiprocessing"}
+
+
+@pytest.mark.parametrize("invocation", ["import", "opt", "seq", "verify", "help"])
+def test_cli_loads_no_heavy_stdlib_module(tmp_path, invocation):
+    path = tmp_path / "party.fvr"
+    path.write_text("fvr 1\nm 4\nn 2\n0 1\n2 3\nk 2\nt 1\n", encoding="utf-8")
+    args = {
+        "import": ("-c", "import fvr.cli"),
+        "opt": ("-m", "fvr.cli", "solve", str(path), "--rule", "opt"),
+        "seq": ("-m", "fvr.cli", "solve", str(path), "--rule", "seq"),
+        "verify": ("-m", "fvr.cli", "verify", "opt", "--n-max", "1", "--m-max", "2"),
+        "help": ("-m", "fvr.cli", "--help"),
+    }[invocation]
+    result = run_python("-X", "importtime", *args)
+    assert result.returncode == 0, result.stderr
+    modules = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if "|" in line}
+    assert "fvr.core" in modules
+    assert not HEAVY_MODULES & modules
 
 
 def test_import_fvr_loads_no_submodule_and_no_fractions():

@@ -1,12 +1,8 @@
 """The record classes: the dataclass contract without importing ``dataclasses``."""
 
 import dataclasses
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +24,6 @@ from fvr.multi_winner import ExpandedInstance, JrResult, MultiParams, expand_ins
 from fvr.single_winner import FvrBound
 from fvr.verify import VerifyResult
 
-ROOT = Path(__file__).resolve().parents[1]
 HALF = Fraction(1, 2)
 BASE = build_instance(3, [{0}, {1, 2}])
 EXPANSION = expand_instance(BASE, MultiParams(2, 1))
@@ -111,42 +106,3 @@ def test_record_defaults_and_post_init():
         HypParams(5, 2)
     with pytest.raises(TypeError):
         MultiParams(2, 1, 1)
-
-
-def run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
-def imported_modules(stderr):
-    return {line.rpartition("|")[2].strip() for line in stderr.splitlines() if "|" in line}
-
-
-# Stdlib modules that start-up once paid for on every call: dataclasses and
-# inspect (the records), argparse, and gettext and locale, which argparse loads.
-HEAVY_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
-
-
-@pytest.mark.parametrize("invocation", ["import", "opt", "seq", "verify", "help"])
-def test_cli_loads_neither_dataclasses_nor_inspect(tmp_path, invocation):
-    path = tmp_path / "party.fvr"
-    path.write_text("fvr 1\nm 4\nn 2\n0 1\n2 3\nk 2\nt 1\n", encoding="utf-8")
-    args = {
-        "import": ("-c", "import fvr.cli"),
-        "opt": ("-m", "fvr.cli", "solve", str(path), "--rule", "opt"),
-        "seq": ("-m", "fvr.cli", "solve", str(path), "--rule", "seq"),
-        "verify": ("-m", "fvr.cli", "verify", "opt", "--n-max", "1", "--m-max", "2"),
-        "help": ("-m", "fvr.cli", "--help"),
-    }[invocation]
-    result = run_python(*args)
-    assert result.returncode == 0, result.stderr
-    modules = imported_modules(result.stderr)
-    assert "fvr.core" in modules
-    assert not HEAVY_MODULES & modules

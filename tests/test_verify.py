@@ -15,12 +15,13 @@ from fvr import multi_winner, oracles, verify
 from fvr.cli import main
 from fvr.core import Committee, RankedProfile, SizeLimitError, build_instance, parse_family
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
-from fvr.multi_winner import MultiParams, empirical_fvr_committee, sequential_picks
+from fvr.multi_winner import JrResult, MultiParams, empirical_fvr_committee, jr_check, sequential_picks
 from fvr.oracles import (
     _multisets_over,
     conditional_expected_score,
     conditional_expected_scores,
     enumerate_voter_multisets,
+    gen_jr_hard,
     reference_committee_score,
     strong_pvc,
 )
@@ -29,7 +30,9 @@ from fvr.verify import (
     _SUITES,
     MAX_VIOLATIONS_KEPT,
     SUITE_NAMES,
+    _build_separations,
     _dispatch,
+    _jr_clash_block,
     _pool_size,
     _pvc_block,
     pmf_by_enumeration,
@@ -38,9 +41,13 @@ from fvr.verify import (
 )
 
 
+# The separations need at least 4 candidates (party split) and 5 (JR clash).
+SMALL_M_MAX = {"separations": 6}
+
+
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_every_suite_passes_at_small_scale(suite):
-    result = run_suite(suite, n_max=2, m_max=3, seed=1)
+    result = run_suite(suite, n_max=2, m_max=SMALL_M_MAX.get(suite, 3), seed=1)
     assert result.passed
     assert result.checked > 0
     assert result.suite == suite
@@ -95,8 +102,9 @@ def test_unknown_suite_rejected():
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_worker_pool_is_semantically_transparent(suite):
-    sequential = run_suite(suite, jobs=1, n_max=2, m_max=3, seed=1)
-    pooled = run_suite(suite, jobs=2, n_max=2, m_max=3, seed=1)
+    m_max = SMALL_M_MAX.get(suite, 3)
+    sequential = run_suite(suite, jobs=1, n_max=2, m_max=m_max, seed=1)
+    pooled = run_suite(suite, jobs=2, n_max=2, m_max=m_max, seed=1)
     assert sequential.checked == pooled.checked
     assert sequential.violations == pooled.violations
 
@@ -119,6 +127,7 @@ def test_pool_size_is_clamped_by_jobs_tasks_and_cpus():
         # m * (2**n - 1) = 1,048,575 (candidate, voter group) pairs for the subset oracle.
         ("pvc", 20, 1),
         ("pvc", 1, 10**12),
+        ("separations", 1, 10**9),
     ],
 )
 def test_over_budget_sweeps_raise_before_any_block(suite, n_max, m_max):
@@ -343,6 +352,69 @@ def test_pvc_suite_catches_a_planted_full_core(monkeypatch):
         m, rankings = pattern.fullmatch(message).groups()
         profile = RankedProfile(int(m), ast.literal_eval(rankings))
         assert strong_pvc(profile) == strong_pvc_by_subsets(profile) != frozenset(range(int(m)))
+
+
+# ---------------------------------------------------------------------------
+# The paper's committee separations, by brute force over every committee.
+# ---------------------------------------------------------------------------
+
+PARTY_SPLIT = re.compile(r"party split k=\d+: committee (?P<members>\[.*\]) meets the bound at every \(s, t\)")
+JR_CLASH = re.compile(
+    r"jr clash m=(?P<m>\d+) k=(?P<k>\d+) s=(?P<s>\S+): least audit over the JR committees "
+    r"(?P<audit>\S+) does not exceed (?P<bound>\S+)"
+)
+
+
+def test_separations_suite_pins_its_default_count():
+    # Party split k = 2..5: C(4, 2) + C(6, 3) + C(8, 4) + C(10, 5) = 348 committees;
+    # JR clash: 2 checks for each of the 27 pairs with 5 <= m <= 10, 2 <= k <= m - 2.
+    result = run_suite("separations")
+    assert result.passed and result.checked == 348 + 2 * 27
+
+
+def _check_jr_clashes(messages, jr_only):
+    """Each message is a JR clash at the pairs up to m = 6, in order, whose audit the
+    committee kernels give as the least over the JR committees, or over all of them."""
+    clashes = [JR_CLASH.fullmatch(message) for message in messages]
+    pairs = [(int(c["m"]), int(c["k"])) for c in clashes if c]
+    assert len(pairs) == len(messages) and pairs == [(5, 2), (5, 3), (6, 2), (6, 3), (6, 4)]
+    for c in clashes:
+        m, k, s = int(c["m"]), int(c["k"]), Fraction(c["s"])
+        inst = gen_jr_hard(m, k)
+        committees = [Committee(w) for w in combinations(range(m), k)]
+        committees = [w for w in committees if not jr_only or jr_check(inst, w).satisfied]
+        assert s == Fraction(m - k, m)
+        assert Fraction(c["audit"]) == min(empirical_fvr_committee(inst, w, s, 1) for w in committees)
+    return clashes
+
+
+def test_separations_suite_catches_a_bound_of_one(monkeypatch):
+    monkeypatch.setattr(verify, "multiwinner_bound", lambda m, s, k, t: Fraction(1))
+    violations = run_suite("separations", m_max=6).violations
+    splits = [list(w) for k in (2, 3) for w in combinations(range(2 * k), k)]
+    assert [ast.literal_eval(PARTY_SPLIT.fullmatch(v)["members"]) for v in violations[:26]] == splits
+    assert {c["bound"] for c in _check_jr_clashes(violations[26:], jr_only=True)} == {"1"}
+
+
+def test_separations_suite_catches_a_jr_test_that_accepts_every_committee(monkeypatch):
+    monkeypatch.setattr(verify, "jr_by_sets", lambda inst, members: JrResult(satisfied=True))
+    for c in _check_jr_clashes(run_suite("separations", m_max=6).violations, jr_only=False):
+        assert Fraction(c["bound"]) == multiwinner_bound(int(c["m"]), Fraction(c["s"]), int(c["k"]), 1)
+
+
+def test_jr_clash_fails_at_m_4_and_at_k_m_minus_1():
+    # Why the JR pairs start at m = 5 and stop at k = m - 2.
+    for m, k in [(4, 2), *((m, m - 1) for m in range(3, 9))]:
+        checked, bad = _dispatch((_jr_clash_block, (m, k)))
+        assert checked == 2 and len(bad) == 1 and JR_CLASH.fullmatch(bad[0]), (m, k)
+
+
+def test_separations_budget_counts_the_largest_block():
+    # C(12, 6) = 924 committees: party split k = 6 and JR clash (12, 6).
+    assert len(_build_separations(None, 12, 924, None)) == 5 + sum(m - 3 for m in range(5, 13))
+    with pytest.raises(SizeLimitError, match="^m_max=12 would enumerate more than 923 committees in one block$"):
+        _build_separations(None, 12, 923, None)
+    assert _build_separations(None, 3, 1, None) == []
 
 
 # ---------------------------------------------------------------------------
