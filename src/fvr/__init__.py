@@ -32,7 +32,6 @@ _EXPORTS = {
         "WeightFn",
         "as_frac",
         "build_instance",
-        "build_ranked_profile",
         "eval_weight",
         "flexibility",
         "flexibility_grid",

@@ -16,9 +16,9 @@ from fvr.core import (
     Constant,
     Optimal,
     Power,
+    RankedProfile,
     Table,
     Threshold,
-    build_ranked_profile,
 )
 from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import empirical_fvr_committee, jr_check
@@ -237,7 +237,7 @@ def test_criterion_7_impossibility_demonstrations():
 
 
 def test_criterion_8_veto_core():
-    two_voters = build_ranked_profile(3, [(0, 1, 2), (2, 1, 0)])
+    two_voters = RankedProfile(3, [(0, 1, 2), (2, 1, 0)])
     assert strong_pvc(two_voters) == frozenset()
     result = run_suite("pvc", n_max=4, m_max=4, budget=2000, seed=0)
     assert result.violations == (), result.violations[:3]

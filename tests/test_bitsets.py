@@ -76,10 +76,17 @@ def test_from_masks_is_build_instance_of_the_decoded_sets(case):
         assert type(copy) is Instance and copy == built and repr(copy) == repr(built)
 
 
+# Shapes are n voters x m candidates: the corners 1x1, 1x64 and 64x1 and the
+# 64-cell shapes README "Views" times, next to larger profiles.
 @given(masked_profiles())
-@example((4, [3, 5, 14]))  # at most 64 cells: built voter by voter
-@example((8, [255, 0, 1, 128, 170, 85, 7, 9]))
-@example((13, [8191, 0, 4096, 1, 5461]))  # more: built from the row-major string
+@example((1, [1]))  # 1x1
+@example((64, [2**63 | 2**31 | 1]))  # 1x64
+@example((1, [1, 0, 0, 1] * 16))  # 64x1
+@example((4, [3, 5, 14]))
+@example((8, [255, 0, 1, 128, 170, 85, 7, 9]))  # 8x8
+@example((16, [65535, 0, 32769, 21845]))  # 4x16
+@example((4, list(range(16))))  # 16x4
+@example((13, [8191, 0, 4096, 1, 5461]))
 def test_cached_views_match_a_count_per_voter(case):
     m, masks = case
     inst = Instance.from_masks(m, masks)

@@ -29,7 +29,6 @@ from fvr.core import (
     ValidationError,
     as_frac,
     build_instance,
-    build_ranked_profile,
     comb_over,
     eval_weight,
     flexibility,
@@ -178,14 +177,12 @@ def test_every_constructor_refuses_an_instance_without_voters(build):
 def test_ranked_profile_refuses_an_empty_profile_and_non_permutations(rankings, message):
     with pytest.raises(ValidationError, match=message):
         RankedProfile(3, rankings)
-    with pytest.raises(ValidationError, match=message):
-        build_ranked_profile(3, rankings)
 
 
 def test_ranked_profile_stores_its_rankings_as_tuples():
     profile = RankedProfile(2, [[1, 0], (0, 1)])
     assert profile.rankings == ((1, 0), (0, 1))
-    assert profile == build_ranked_profile(2, iter([(1, 0), [0, 1]]))
+    assert profile == RankedProfile(2, iter([(1, 0), [0, 1]]))
 
 
 def test_flexibility_examples():
@@ -336,7 +333,7 @@ CURVE = AuditCurve(((Fraction(1, 2), Fraction(1, 3)),))
 INTEGER_SITES = {
     "build_instance m": (lambda x: build_instance(x, [set()]), 0),
     "build_instance index": (lambda x: build_instance(3, [{x}]), -1),
-    "build_ranked_profile m": (lambda x: build_ranked_profile(x, [[0]]), 0),
+    "build_ranked_profile m": (lambda x: RankedProfile(x, [[0]]), 0),
     "RankedProfile m": (lambda x: RankedProfile(x, ((0,),)), 0),
     "Power": (Power, 0),
     "Committee": (lambda x: Committee((x,)), -1),
@@ -591,7 +588,8 @@ TRIO = Instance(3, [[0], [1, 2]])
 # Every call that words an integer of over NUMERAL_LIMIT digits in its error,
 # with the error it raises (SizeLimitError where the integer is a size): the
 # message describes the integer by its bit length instead of failing to print it,
-# and a string of over NUMERAL_LIMIT characters by its length.
+# a string of over NUMERAL_LIMIT characters by its length, and any other value
+# whose text runs that long by its type and the length of that text.
 HUGE_SITES = {
     "int_at_least": (lambda: int_at_least(-HUGE, "n", 1), ValidationError),
     "index_in": (lambda: index_in(HUGE, 3, "x"), ValidationError),
@@ -674,6 +672,9 @@ HUGE_SITES = {
     "parse_family power string": (lambda: parse_family("power:" + LONG), ValidationError),
     "run_suite name string": (lambda: run_suite(LONG), ValidationError),
     "run_generator name string": (lambda: run_generator(LONG, {}), ValidationError),
+    # A collection whose text runs over NUMERAL_LIMIT characters is named by its type and that length.
+    "Table string list": (lambda: Table([LONG]), ValidationError),
+    "AuditCurve string list": (lambda: AuditCurve([LONG]), ValidationError),
 }
 
 

@@ -11,7 +11,6 @@ from fvr.core import (
     RankedProfile,
     ValidationError,
     build_instance,
-    build_ranked_profile,
 )
 from fvr.formats import (
     ParseError,
@@ -185,12 +184,12 @@ def test_ranked_round_trip_any_size(data):
     m = data.draw(st.sampled_from((1, 2, 10, 11, 100, 101, 300)) | st.integers(1, 300))
     n = data.draw(st.integers(1, 3))
     rankings = [data.draw(st.permutations(range(m))) for _ in range(n)]
-    profile = build_ranked_profile(m, rankings)
+    profile = RankedProfile(m, rankings)
     assert parse_ranked(serialize_ranked(profile)) == profile
 
 
 def test_ranked_round_trip():
-    profile = build_ranked_profile(3, [(0, 1, 2), (2, 1, 0)])
+    profile = RankedProfile(3, [(0, 1, 2), (2, 1, 0)])
     text = serialize_ranked(profile)
     assert text == "fvr-ranked 1\nm 3\nn 2\n0 1 2\n2 1 0\n"
     assert parse_ranked(text) == profile

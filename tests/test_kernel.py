@@ -19,12 +19,12 @@ from fvr.core import (
     Constant,
     Optimal,
     Power,
+    RankedProfile,
     Table,
     Threshold,
     ValidationError,
     as_frac,
     build_instance,
-    build_ranked_profile,
     flexibility_grid,
     open_unit,
 )
@@ -335,7 +335,7 @@ def test_committee_score_matches_its_fraction_definition(case):
 def ranked_profiles(draw):
     m = draw(st.integers(1, 5))
     rankings = draw(st.lists(st.permutations(range(m)), min_size=1, max_size=5))
-    return build_ranked_profile(m, rankings)
+    return RankedProfile(m, rankings)
 
 
 @given(ranked_profiles())

@@ -19,12 +19,12 @@ from fvr.core import (
     Constant,
     Optimal,
     Power,
+    RankedProfile,
     SizeLimitError,
     Table,
     ValidationError,
     build_instance,
     decode_rows,
-    build_ranked_profile,
     flexibility,
     flexibility_grid,
 )
@@ -427,20 +427,20 @@ def test_generator_registry():
 
 
 def test_build_ranked_profile_validation():
-    build_ranked_profile(3, [(0, 1, 2)])
+    RankedProfile(3, [(0, 1, 2)])
     with pytest.raises(ValidationError):
-        build_ranked_profile(3, [(0, 1, 1)])
+        RankedProfile(3, [(0, 1, 1)])
     with pytest.raises(ValidationError):
-        build_ranked_profile(3, [])
+        RankedProfile(3, [])
 
 
 def test_strong_pvc_examples():
     # two opposed voters leave nothing unvetoed
-    assert strong_pvc(build_ranked_profile(3, [(0, 1, 2), (2, 1, 0)])) == frozenset()
+    assert strong_pvc(RankedProfile(3, [(0, 1, 2), (2, 1, 0)])) == frozenset()
     # a single voter keeps only her favourite
-    assert strong_pvc(build_ranked_profile(3, [(0, 1, 2)])) == {0}
+    assert strong_pvc(RankedProfile(3, [(0, 1, 2)])) == {0}
     # unanimity keeps only the shared favourite
-    assert strong_pvc(build_ranked_profile(4, [(2, 0, 1, 3)] * 5)) == {2}
+    assert strong_pvc(RankedProfile(4, [(2, 0, 1, 3)] * 5)) == {2}
 
 
 def test_strong_pvc_matches_subset_oracle_exhaustively():
@@ -448,7 +448,7 @@ def test_strong_pvc_matches_subset_oracle_exhaustively():
         perms = list(permutations(range(m)))
         for n in (1, 2, 3):
             for rankings in product(perms, repeat=n):
-                profile = build_ranked_profile(m, rankings)
+                profile = RankedProfile(m, rankings)
                 assert strong_pvc(profile) == strong_pvc_by_subsets(profile)
 
 

@@ -6,10 +6,11 @@ and the SHA-256 of every input file it generates, and
 functions wrapped from outside.  These tests keep both working from the
 program's side: each pinned ``verify`` call passes with its count, each
 generated file matches its pin, and the tracer still finds every name it
-wraps and prints what ``fvr.cli`` prints.
+wraps, prints what ``fvr.cli`` prints and writes the files it writes.
 Nothing under ``perfbench/`` is changed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 from fvr import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+TRACER = str(ROOT / "perfbench" / "traced_cli.py")
 TINY = "fvr 1\nm 4\nn 3\n1 2\n1 3\n0 2 3\n"
 
 
@@ -70,9 +72,18 @@ def test_traced_cli_prints_what_the_cli_prints(tmp_path):
     ]
     for i, argv in enumerate(commands):
         trace = tmp_path / f"trace{i}.json"
-        traced = run_cli([str(ROOT / "perfbench" / "traced_cli.py"), str(trace), *argv], tmp_path)
+        traced = run_cli([TRACER, str(trace), *argv], tmp_path)
         plain = run_cli(["-m", "fvr.cli", *argv], tmp_path)
         assert (traced.returncode, traced.stderr) == (0, b""), argv
         assert plain.returncode == 0, argv
         assert traced.stdout == plain.stdout, argv
         assert trace.stat().st_size > 0
+    # The benchmark writes its inputs through the tracer, as here; the traced
+    # run must reach the wrapped generator and write the same bytes.
+    gen = ["gen", "random", "--param", "n=5", "--param", "m=4", "--seed", "3", "--out"]
+    trace, traced_out, plain_out = tmp_path / "trace_gen.json", tmp_path / "traced.fvr", tmp_path / "plain.fvr"
+    traced = run_cli([TRACER, str(trace), *gen, str(traced_out)], tmp_path)
+    plain = run_cli(["-m", "fvr.cli", *gen, str(plain_out)], tmp_path)
+    assert (traced.returncode, traced.stderr, plain.returncode) == (0, b"", 0)
+    assert traced_out.read_bytes() == plain_out.read_bytes()
+    assert json.loads(trace.read_text(encoding="utf-8"))["totals"]["oracles.gen_random_instance"][0] == 1
