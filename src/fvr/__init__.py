@@ -22,6 +22,7 @@ _EXPORTS = {
         "Constant",
         "Frac",
         "Instance",
+        "MultiParams",
         "Optimal",
         "Power",
         "RankedProfile",
@@ -53,7 +54,6 @@ _EXPORTS = {
         "COMMITTEE_LIMIT",
         "ExpandedInstance",
         "JrResult",
-        "MultiParams",
         "brute_best_committee",
         "committee_score",
         "empirical_fvr_committee",

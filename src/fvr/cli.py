@@ -22,6 +22,7 @@ from typing import NoReturn
 from .core import (
     CANDIDATE_LIMIT,
     Frac,
+    MultiParams,
     SizeLimitError,
     Table,
     ValidationError,
@@ -33,7 +34,6 @@ from .core import (
 )
 from .formats import ParseError, parse_instance, parse_ranked, serialize_instance
 from .multi_winner import (
-    MultiParams,
     committee_score,
     empirical_fvr_committee_curve,
     expanded_rule,

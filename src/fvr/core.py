@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from typing import TypeVar
 
 Frac = Fraction
@@ -56,6 +56,7 @@ __all__ = [
     "parse_family",
     "eval_weight",
     "Committee",
+    "MultiParams",
     "AuditCurve",
 ]
 
@@ -460,23 +461,17 @@ class RankedProfile:
             rows = tuple(map(tuple, self.rankings))
         except TypeError as exc:
             raise ValidationError(f"rankings must be rows of candidate indices ({exc})") from None
-        # Valid rankings pass a length and a set compare each, then one pass over
-        # the types.  Every length is compared with m before range(m) is built.
-        shaped = bool(rows) and all(len(row) == m for row in rows)
-        candidates = set(range(m)) if shaped else None
-        if not (
-            shaped
-            and all(set(row) == candidates for row in rows)
-            and set(map(type, chain.from_iterable(rows))) == {int}
-        ):  # the checks below only word what is wrong
-            for i, row in enumerate(rows):
-                for a in row:
-                    index_in(a, m, f"voter {i}: ranking entry")
-                if len(row) != m or set(row) != set(range(m)):
-                    raise ValidationError(
-                        f"voter {i}: ranking {shown(row)} is not a permutation of 0..{shown(m - 1)}"
-                    )
+        if not rows:
             raise ValidationError("need at least one voter")
+        # Once every entry is an int in 0..m-1, m distinct entries are a permutation.
+        for i, row in enumerate(rows):
+            for a in row:
+                if not (type(a) is int and 0 <= a < m):
+                    index_in(a, m, f"voter {i}: ranking entry")
+            if len(row) != m or len(set(row)) != m:
+                raise ValidationError(
+                    f"voter {i}: ranking {shown(row)} is not a permutation of 0..{shown(m - 1)}"
+                )
         _set(self, "rankings", rows)
 
     @property
@@ -699,6 +694,30 @@ class Committee:
 
     def __contains__(self, a: object) -> bool:
         return a in self.members
+
+
+@record
+class MultiParams:
+    """Committee size k and per-voter approval target t (1 <= t <= k).
+
+    The committee rules and the hypergeometric bound also need k < m for an
+    instance of m candidates: :meth:`below` checks it.
+    """
+
+    k: int
+    t: int
+
+    def __post_init__(self) -> None:
+        for name, v in (("k", self.k), ("t", self.t)):
+            int_at_least(v, name, 1)
+        if self.t > self.k:
+            raise ValidationError(f"approval target t={shown(self.t)} exceeds committee size k={shown(self.k)}")
+
+    def below(self, m: int) -> MultiParams:
+        """These params, once k < m: a k-committee of m candidates leaves one out."""
+        if self.k >= m:
+            raise ValidationError(f"committee size k={shown(self.k)} must be below m={shown(m)}")
+        return self
 
 
 @record

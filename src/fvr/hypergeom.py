@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .core import Frac, ValidationError, flexible_size, int_at_least, open_unit, record, shown
+from .core import Frac, MultiParams, ValidationError, flexible_size, int_at_least, open_unit, record, shown
 
 __all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
@@ -112,10 +112,5 @@ def multiwinner_bound(m: int, s: object, k: int, t: int) -> Frac:
     """
     sv = open_unit(s)
     int_at_least(m, "m", 2)
-    int_at_least(k, "k", 1)
-    int_at_least(t, "t", 1)
-    if not 1 <= k < m:
-        raise ValidationError(f"need 1 <= k < m, got k={shown(k)}, m={shown(m)}")
-    if not 1 <= t <= k:
-        raise ValidationError(f"need 1 <= t <= k, got t={shown(t)}, k={shown(k)}")
+    MultiParams(k, t).below(m)
     return miss_prob(m, flexible_size(sv, m), k, t)

@@ -19,17 +19,16 @@ from .core import (
     Committee,
     Frac,
     Instance,
+    MultiParams,
     SizeLimitError,
     ValidationError,
     comb_over,
     encode_row,
     flexible_size,
     index_in,
-    int_at_least,
     open_unit,
     record,
     select,
-    shown,
 )
 from .hypergeom import miss_prob
 from .single_winner import argmax, common_units, group_audit, group_audit_curve, weighted_counts
@@ -51,33 +50,16 @@ __all__ = [
     "brute_best_committee",
 ]
 
-@record
-class MultiParams:
-    """Committee size k and per-voter approval target t (1 <= t <= k)."""
 
-    k: int
-    t: int
-
-    def __post_init__(self) -> None:
-        for name, v in (("k", self.k), ("t", self.t)):
-            int_at_least(v, name, 1)
-        if self.t > self.k:
-            raise ValidationError(f"approval target t={shown(self.t)} exceeds committee size k={shown(self.k)}")
-
-
-def _check_k(inst: Instance, k: int) -> None:
-    if k >= inst.m:
-        raise ValidationError(f"committee size k={shown(k)} must be below m={shown(inst.m)}")
-
-
-def _check_committee(inst: Instance, committee: Committee, t: int) -> frozenset[int]:
-    members = frozenset(committee.members)
+def _check_committee(inst: Instance, committee: Committee, t: int) -> tuple[int, ...]:
+    """The committee's members, once it is nonempty, its largest member is a
+    candidate of ``inst`` and 1 <= t <= its size; :class:`Committee` keeps them
+    sorted, distinct and nonnegative."""
+    members = committee.members
     if not members:
         raise ValidationError("committee is empty")
-    for a in members:
-        index_in(a, inst.m, "committee member")
-    if int_at_least(t, "t", 1) > len(members):
-        raise ValidationError(f"need 1 <= t <= {len(members)}, got t={shown(t)}")
+    index_in(members[-1], inst.m, "committee member")
+    MultiParams(len(members), t)
     return members
 
 
@@ -105,13 +87,13 @@ class ExpandedInstance:
 
 def _check_expansion(inst: Instance, params: MultiParams) -> int:
     """The number of k-committees, once k < m and the count is within ``COMMITTEE_LIMIT``."""
-    _check_k(inst, params.k)
-    if comb_over(inst.m, params.k, COMMITTEE_LIMIT):
+    k = params.below(inst.m).k
+    if comb_over(inst.m, k, COMMITTEE_LIMIT):
         raise SizeLimitError(
             f"expansion needs more than {COMMITTEE_LIMIT} committee-candidates; "
             "use sequential_rule instead"
         )
-    return comb(inst.m, params.k)
+    return comb(inst.m, k)
 
 
 def expand_instance(inst: Instance, params: MultiParams) -> ExpandedInstance:
@@ -258,8 +240,7 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     :func:`_penalty`, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
     with the same argmax.
     """
-    _check_k(inst, params.k)
-    m, k, t = inst.m, params.k, params.t
+    m, k, t = inst.m, params.below(inst.m).k, params.t
     columns = inst.columns
     table, _ = _penalty(inst, k, t)
     at_least = [-1] + [0] * t

@@ -20,6 +20,7 @@ from .core import (
     Constant,
     Frac,
     Instance,
+    MultiParams,
     Power,
     RankedProfile,
     SizeLimitError,
@@ -37,10 +38,8 @@ from .core import (
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf
 from .multi_winner import (
     COMMITTEE_LIMIT,
-    MultiParams,
     _check_committee,
     _check_expansion,
-    _check_k,
     committee_score,
     expand_instance,
 )
@@ -443,23 +442,20 @@ def reference_score_all(inst: Instance, w: WeightFn) -> ScoreVector:
 
 def reference_committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
     """:func:`fvr.multi_winner.committee_score`, one reciprocal per voter left short."""
-    members = _check_committee(inst, committee, t)
+    members = frozenset(_check_committee(inst, committee, t))
     k = len(members)
     total = Fraction(0)
     for approved in inst.approvals:
         if len(approved & members) >= t:
             continue
         miss_prob = hyp_cdf(HypParams(inst.m, len(approved), k), t - 1)
-        if miss_prob == 0:
-            continue
         total += 1 / miss_prob
     return total
 
 
 def reference_sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     """:func:`fvr.multi_winner.sequential_picks`, weighing every voter at every pick."""
-    _check_k(inst, params.k)
-    m, k, t, n = inst.m, params.k, params.t, inst.n
+    m, k, t, n = inst.m, params.below(inst.m).k, params.t, inst.n
     miss_prob = [hyp_cdf(HypParams(m, len(A), k), t - 1) for A in inst.approvals]
     chosen: list[int] = []
     chosen_set: set[int] = set()

@@ -61,6 +61,7 @@ from .core import (
     Committee,
     Frac,
     Instance,
+    MultiParams,
     RankedProfile,
     SizeLimitError,
     ValidationError,
@@ -75,7 +76,6 @@ from .core import (
 from .hypergeom import HypParams, hyp_cdf, hyp_pmf, miss_prob, multiwinner_bound
 from .multi_winner import (
     JrResult,
-    MultiParams,
     _short_voters,
     committee_score,
     expanded_rule,

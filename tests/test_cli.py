@@ -249,6 +249,14 @@ def test_gen_rejects_duplicate_table_flexibility(capsys):
     assert err == "error: duplicate table flexibility 1/4\n"
 
 
+def test_gen_rejects_a_table_entry_without_a_colon(capsys):
+    code, out, err = run(
+        capsys, "gen", "weight_gap",
+        "--param", "w=1/2", "--param", "f=1/4", "--param", "fprime=1/2", "--param", "n=200",
+    )
+    assert (code, out, err) == (2, "", "error: table entries look like f:w, got '1/2'\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -599,6 +599,7 @@ HUGE_SITES = {
     "expanded_rule k": (lambda: expanded_rule(TRIO, MultiParams(HUGE, 1)), ValidationError),
     "committee_score t": (lambda: committee_score(TRIO, Committee((0,)), HUGE), ValidationError),
     "jr_check member": (lambda: jr_check(TRIO, Committee((HUGE,))), ValidationError),
+    "committee_score largest member": (lambda: committee_score(TRIO, Committee((0, HUGE)), 1), ValidationError),
     "t_approves voter": (lambda: t_approves(TRIO, HUGE, Committee((0,)), 1), ValidationError),
     "conditional_expected_score member": (
         lambda: conditional_expected_score(TRIO, MultiParams(1, 1), (HUGE,)),

@@ -99,6 +99,43 @@ def test_sequential_rule_rejects_oversized_committee():
         sequential_rule(TRIO, MultiParams(4, 1))
 
 
+COMMITTEE_AUDITS = {
+    "committee_score": lambda c: committee_score(TRIO, c, 1),
+    "jr_check": lambda c: jr_check(TRIO, c),
+    "empirical_fvr_committee": lambda c: empirical_fvr_committee(TRIO, c, HALF, 1),
+    "t_approves": lambda c: t_approves(TRIO, 0, c, 1),
+}
+
+
+@pytest.mark.parametrize("audit", COMMITTEE_AUDITS)
+def test_committee_audits_refuse_an_empty_committee(audit):
+    with pytest.raises(ValidationError, match="^committee is empty$"):
+        COMMITTEE_AUDITS[audit](Committee(()))
+
+
+@pytest.mark.parametrize("audit", COMMITTEE_AUDITS)
+def test_committee_audits_report_the_largest_member_out_of_range(audit):
+    with pytest.raises(ValidationError, match=r"^committee member must be an integer in 0\.\.3, got 6$"):
+        COMMITTEE_AUDITS[audit](Committee((6, 0, 5)))
+
+
+def error_text(call):
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+def test_multiwinner_bound_words_the_committee_rule_as_the_committee_rules_do():
+    too_big = "committee size k=4 must be below m=4"
+    assert error_text(lambda: multiwinner_bound(4, HALF, 4, 1)) == too_big
+    assert error_text(lambda: sequential_rule(TRIO, MultiParams(4, 1))) == too_big
+    assert error_text(lambda: MultiParams(4, 1).below(4)) == too_big
+    over_k = "approval target t=3 exceeds committee size k=2"
+    assert error_text(lambda: multiwinner_bound(4, HALF, 2, 3)) == over_k
+    assert error_text(lambda: MultiParams(2, 3)) == over_k
+    assert error_text(lambda: committee_score(TRIO, Committee((0, 1)), 3)) == over_k
+
+
 def test_sequential_with_single_seat_is_the_optimal_scoring_rule():
     for m in range(2, 5):
         for inst in enumerate_instances(3, m):

@@ -253,6 +253,31 @@ def test_multiwinner_suite_catches_planted_worst_first_picks(monkeypatch):
         assert Fraction(match["after"]) > Fraction(match["before"])
 
 
+INCLUDABLE = re.compile(
+    r"n=(?P<n>\d+) m=(?P<m>\d+) k=(?P<k>\d+) t=(?P<t>\d+) approvals=(?P<approvals>\[.*\]): "
+    r"average penalty over all committees is (?P<average>\S+), not the (?P<includable>\d+) includable voters"
+)
+
+
+def test_multiwinner_suite_catches_a_prefix_oracle_off_by_one_at_its_first_entry(monkeypatch):
+    def off_by_one(inst, params, picks):
+        first, *rest = conditional_expected_scores(inst, params, picks)
+        return [first + 1, *rest]
+
+    monkeypatch.setattr(verify, "conditional_expected_scores", off_by_one)
+    result = run_suite("multiwinner", n_max=1, m_max=3)
+    # One per (instance, k, t): 2**m one-voter instances, with 1 pair (k, t) at m = 2 and 3 at m = 3.
+    assert len(result.violations) == 4 * 1 + 8 * 3
+    for message in result.violations:
+        match = INCLUDABLE.fullmatch(message)
+        assert match, message
+        inst, k, t = _instance(match), int(match["k"]), int(match["t"])
+        includable = sum(1 for A in inst.approvals if hyp_cdf(HypParams(inst.m, len(A), k), t - 1))
+        assert int(match["includable"]) == includable
+        assert Fraction(match["average"]) == conditional_expected_score(inst, MultiParams(k, t)) + 1
+        assert Fraction(match["average"]) == includable + 1
+
+
 def test_reduction_suite_catches_a_planted_expanded_rule(monkeypatch):
     # The lexicographically last committee instead of the optimal one.
     monkeypatch.setattr(verify, "expanded_rule", lambda inst, params: Committee((inst.m - 1,)))
@@ -319,6 +344,25 @@ def test_hypergeom_reports_one_check_per_probe_with_both_its_failures(monkeypatc
             expected.append("; ".join(failures))
     assert any("; " in message for message in expected)
     assert _dispatch((verify._hyp_enum_block, (2,))) == (len(probes), expected)
+
+
+def test_hypergeom_sum_block_catches_an_asymmetric_pmf(monkeypatch):
+    # Reversed over its support whenever successes exceed draws: each mass still sums to 1.
+    def asymmetric(params, t):
+        flip = params.successes > params.draws
+        return hyp_pmf(params, params.draws - t if flip else t)
+
+    monkeypatch.setattr(verify, "hyp_pmf", asymmetric)
+    expected = [
+        f"symmetry broken at (3,{s},{d};{t})"
+        for s in range(4)
+        for d in range(4)
+        for t in range(4)
+        if asymmetric(HypParams(3, s, d), t) != asymmetric(HypParams(3, d, s), t)
+    ]
+    assert expected
+    assert _dispatch((verify._hyp_sum_block, (3,))) == (4 * 4 * 5, expected)
+    assert "symmetry broken at (3,3,1;0)" in expected  # pmf(3,3,1;0) reads pmf(3,3,1;1) = 1
 
 
 def test_dispatch_counts_every_check_and_keeps_the_first_violations():
@@ -400,6 +444,14 @@ def test_separations_suite_catches_a_jr_test_that_accepts_every_committee(monkey
     monkeypatch.setattr(verify, "jr_by_sets", lambda inst, members: JrResult(satisfied=True))
     for c in _check_jr_clashes(run_suite("separations", m_max=6).violations, jr_only=False):
         assert Fraction(c["bound"]) == multiwinner_bound(int(c["m"]), Fraction(c["s"]), int(c["k"]), 1)
+
+
+def test_separations_suite_catches_a_jr_test_that_refuses_every_committee(monkeypatch):
+    monkeypatch.setattr(verify, "jr_by_sets", lambda inst, members: JrResult(satisfied=False))
+    assert run_suite("separations", m_max=6).violations == tuple(
+        f"jr clash m={m} k={k} s={Fraction(m - k, m)}: no committee satisfies justified representation"
+        for m, k in [(5, 2), (5, 3), (6, 2), (6, 3), (6, 4)]
+    )
 
 
 def test_jr_clash_fails_at_m_4_and_at_k_m_minus_1():
