@@ -29,6 +29,7 @@ __all__ = [
     "COMMITTEE_LIMIT",
     "POWER_LIMIT",
     "NUMERAL_LIMIT",
+    "VIEW_LIMIT",
     "as_frac",
     "open_unit",
     "int_at_least",
@@ -92,6 +93,9 @@ POWER_LIMIT = 100
 # to read a longer digit string or to print an int of more digits, so an error
 # message words such an int by its size (:func:`shown`).
 NUMERAL_LIMIT = 4300
+
+# Cap on n*(m+3), the length of the row string an ``Instance`` builds its views from, however sparse.
+VIEW_LIMIT = 10**8
 
 
 class FrozenRecordError(AttributeError):
@@ -306,20 +310,21 @@ class Instance:
     Stored as one int mask per voter, ``masks[i]`` (bit 2**a set when voter
     i approves candidate a).  ``approvals``, one frozenset per voter, is a
     view decoded on first use.  The kernels read two more views, built
-    together on first use: ``columns``, one voter bitset per candidate (bit
+    at construction: ``columns``, one voter bitset per candidate (bit
     2**i set when voter i approves her), and ``size_masks``, one voter bitset
-    per approval size.  Equality, hashing, ``repr`` and pickling are those
-    of a frozen record with fields ``m`` and ``approvals``.
+    per approval size in increasing order.  Equality, hashing, ``repr`` and
+    pickling are those of a frozen record with fields ``m`` and ``approvals``.
 
     An instance has at least one voter: both constructors refuse an empty
     profile, so every audit's share over the n voters is defined.  Both
     check that m is an int in 1..``COMMITTEE_LIMIT`` before any row is
     built; the constructor also checks that every index is an int in
     0..m-1 (:func:`index_in`), while :meth:`from_masks` trusts its masks to
-    lie below 2**m.
+    lie below 2**m.  Both then refuse n*(m+3) over ``VIEW_LIMIT`` before the
+    views are built.
     """
 
-    __slots__ = ("m", "masks", "n", "_approvals", "_views")
+    __slots__ = ("m", "masks", "n", "columns", "size_masks", "_approvals")
     __match_args__ = ("m", "approvals")
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
@@ -353,27 +358,6 @@ class Instance:
             _set(self, "_approvals", tuple(decode_rows(self.masks, self.m)))
             return self._approvals
 
-    @property
-    def columns(self) -> tuple[int, ...]:
-        """Per candidate a, the voters approving a: bit 2**i set for voter i."""
-        views = self._views
-        if views is None:
-            views = self._build_views()
-        return views[0]
-
-    @property
-    def size_masks(self) -> dict[int, int]:
-        """Per approval size that some voter has, in increasing order, the voters of that size."""
-        views = self._views
-        if views is None:
-            views = self._build_views()
-        return views[1]
-
-    def _build_views(self) -> tuple[tuple[int, ...], dict[int, int]]:
-        views = _kernel_views(self.m, self.masks)
-        _set(self, "_views", views)
-        return views
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self.m == other.m and self.masks == other.masks
@@ -395,10 +379,17 @@ _set = object.__setattr__
 def _fill(inst: Instance, m: int, masks: tuple[int, ...]) -> None:
     if not masks:
         raise ValidationError("need at least one voter")
+    n = len(masks)
+    if n * (m + 3) > VIEW_LIMIT:
+        raise SizeLimitError(
+            f"{n} voters over {m} candidates need views of {n * (m + 3)} characters, over the limit {VIEW_LIMIT}"
+        )
     _set(inst, "m", m)
     _set(inst, "masks", masks)
-    _set(inst, "n", len(masks))
-    _set(inst, "_views", None)
+    _set(inst, "n", n)
+    columns, size_masks = _kernel_views(m, masks)
+    _set(inst, "columns", columns)
+    _set(inst, "size_masks", size_masks)
 
 
 def _kernel_views(m: int, masks: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:

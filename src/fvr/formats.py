@@ -162,7 +162,10 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
         extra += 1
     if extra < len(lines):
         raise ParseError(extra + 1, f"unexpected extra line {lines[extra]!r}")
-    # Every index was checked above; build_instance would check them again.
+    # The token map holds m ints of up to m bits (6 MB at m = 10,000): free it
+    # before the instance builds its views.  Every index was checked above;
+    # build_instance would check them again.
+    del bit_of
     return Instance.from_masks(m, masks), k, t
 
 

@@ -29,6 +29,7 @@ from .core import (
     open_unit,
     record,
     select,
+    shown,
 )
 from .hypergeom import miss_prob
 from .single_winner import argmax, common_units, group_audit, group_audit_curve, weighted_counts
@@ -52,15 +53,25 @@ __all__ = [
 
 
 def _check_committee(inst: Instance, committee: Committee, t: int) -> tuple[int, ...]:
-    """The committee's members, once it is nonempty, its largest member is a
-    candidate of ``inst`` and 1 <= t <= its size; :class:`Committee` keeps them
-    sorted, distinct and nonnegative."""
+    """The committee's members, once it is a nonempty :class:`Committee`, its
+    largest member is a candidate of ``inst`` and 1 <= t <= its size;
+    :class:`Committee` keeps them sorted, distinct and nonnegative."""
+    if not isinstance(committee, Committee):
+        raise ValidationError(f"committee must be a Committee, got {shown(committee)}")
     members = committee.members
     if not members:
         raise ValidationError("committee is empty")
     index_in(members[-1], inst.m, "committee member")
-    MultiParams(len(members), t)
+    if not (type(t) is int and 1 <= t <= len(members)):
+        MultiParams(len(members), t)  # words the failure
     return members
+
+
+def _check_params(inst: Instance, params: MultiParams) -> MultiParams:
+    """``params``, once it is a :class:`MultiParams` with k below ``inst.m``."""
+    if not isinstance(params, MultiParams):
+        raise ValidationError(f"params must be a MultiParams, got {shown(params)}")
+    return params.below(inst.m)
 
 
 def t_approves(inst: Instance, i: int, committee: Committee, t: int) -> bool:
@@ -87,7 +98,7 @@ class ExpandedInstance:
 
 def _check_expansion(inst: Instance, params: MultiParams) -> int:
     """The number of k-committees, once k < m and the count is within ``COMMITTEE_LIMIT``."""
-    k = params.below(inst.m).k
+    k = _check_params(inst, params).k
     if comb_over(inst.m, k, COMMITTEE_LIMIT):
         raise SizeLimitError(
             f"expansion needs more than {COMMITTEE_LIMIT} committee-candidates; "
@@ -188,7 +199,7 @@ def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
 
     The expansion is never built.  Per committee, the bit-sliced counter
     :func:`_reaching` finds the voters approving at least t members among
-    the instance's cached voter bitsets, and :func:`_charge` sums the int
+    the instance's voter bitsets, and :func:`_charge` sums the int
     penalty of the rest.  Cost: O(C(m,k) * (k*t + sizes)) big-int
     operations on n-bit ints.
     """
@@ -240,7 +251,7 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     :func:`_penalty`, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
     with the same argmax.
     """
-    m, k, t = inst.m, params.below(inst.m).k, params.t
+    m, k, t = inst.m, _check_params(inst, params).k, params.t
     columns = inst.columns
     table, _ = _penalty(inst, k, t)
     at_least = [-1] + [0] * t

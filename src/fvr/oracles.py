@@ -40,6 +40,7 @@ from .multi_winner import (
     COMMITTEE_LIMIT,
     _check_committee,
     _check_expansion,
+    _check_params,
     committee_score,
     expand_instance,
 )
@@ -105,10 +106,15 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     if int_at_least(per_voter, "per-voter approvals") > m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
     _check_budget(n, m, n * per_voter)
+    return Instance.from_masks(m, _spread_masks(n, m, per_voter))
+
+
+def _spread_masks(n: int, m: int, per_voter: int) -> Iterator[int]:
+    """The masks of :func:`gen_spread`, for sizes it has checked."""
     full, window = (1 << m) - 1, (1 << per_voter) - 1
     starts = (i * per_voter % m for i in range(m // gcd(m, per_voter)))
-    turns = [(window << r | window >> (m - r)) & full for r in starts]
-    return Instance.from_masks(m, islice(cycle(turns), n))
+    turns = ((window << r | window >> (m - r)) & full for r in starts)
+    return islice(cycle(turns), n)
 
 
 def _gap_instance(
@@ -117,8 +123,10 @@ def _gap_instance(
     """A gap construction and its special candidate 0: ``bloc`` voters spread
     ``per_bloc`` approvals over candidates 1..m-1 as :func:`gen_spread` does, then
     ``rest`` voters each approve 0 plus ``per_rest`` others, spread the same way."""
-    masks = [mask << 1 for mask in gen_spread(bloc, m - 1, per_bloc).masks] if bloc else []
-    masks += [mask << 1 | 1 for mask in gen_spread(rest, m - 1, per_rest).masks]
+    for voters, per_voter in ((bloc, per_bloc), (rest, per_rest)):
+        _check_budget(voters, approvals=voters * per_voter)
+    masks = [mask << 1 for mask in _spread_masks(bloc, m - 1, per_bloc)]
+    masks += [mask << 1 | 1 for mask in _spread_masks(rest, m - 1, per_rest)]
     return Instance.from_masks(m, masks), 0
 
 
@@ -455,7 +463,7 @@ def reference_committee_score(inst: Instance, committee: Committee, t: int) -> F
 
 def reference_sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     """:func:`fvr.multi_winner.sequential_picks`, weighing every voter at every pick."""
-    m, k, t, n = inst.m, params.below(inst.m).k, params.t, inst.n
+    m, k, t, n = inst.m, _check_params(inst, params).k, params.t, inst.n
     miss_prob = [hyp_cdf(HypParams(m, len(A), k), t - 1) for A in inst.approvals]
     chosen: list[int] = []
     chosen_set: set[int] = set()

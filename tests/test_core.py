@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fvr
+from fvr import core
 from fvr.core import (
     CANDIDATE_LIMIT,
     COMMITTEE_LIMIT,
@@ -309,6 +310,7 @@ def test_committee_normalizes_members():
     assert c.members == (0, 3)
     assert c.k == 2
     assert 3 in c and 1 not in c
+    assert list(Committee((2, 0))) == [0, 2]
 
 
 def test_audit_curve_evaluation_and_validation():
@@ -403,6 +405,24 @@ def test_instance_m_is_bounded_by_the_committee_limit():
     for build in (lambda m: Instance(m, [[0]]), lambda m: Instance.from_masks(m, [1])):
         with pytest.raises(SizeLimitError, match=message):
             build(COMMITTEE_LIMIT + 1)
+
+
+def test_instance_views_are_bounded_by_the_view_limit(monkeypatch):
+    # 4 voters over 2 candidates write a row string of 4 * (2 + 3) = 20 characters.
+    monkeypatch.setattr(core, "VIEW_LIMIT", 20)
+    rows, masks = [[0], [1], [0, 1], []], [1, 2, 3, 0]
+    for inst in (Instance(2, rows), Instance.from_masks(2, masks)):
+        assert inst.columns == (0b0101, 0b0110) and inst.size_masks == {0: 0b1000, 1: 0b0011, 2: 0b0100}
+
+    def unreachable(m, masks):
+        raise AssertionError("views built over the limit")
+
+    monkeypatch.setattr(core, "_kernel_views", unreachable)
+    message = "^5 voters over 2 candidates need views of 25 characters, over the limit 20$"
+    with pytest.raises(SizeLimitError, match=message):
+        Instance(2, [*rows, [0]])
+    with pytest.raises(SizeLimitError, match=message):
+        Instance.from_masks(2, [*masks, 1])
 
 
 def test_seeds_take_any_int():
@@ -650,6 +670,8 @@ HUGE_SITES = {
     "Instance m over the limit": (lambda: Instance(HUGE, [[0]]), SizeLimitError),
     "Instance.from_masks m": (lambda: Instance.from_masks(HUGE, [1]), SizeLimitError),
     "RankedProfile m": (lambda: RankedProfile(HUGE, [[0]]), ValidationError),
+    # A profile whose views would run over VIEW_LIMIT characters, before they are built.
+    "Instance.from_masks views": (lambda: Instance.from_masks(COMMITTEE_LIMIT, [0] * 500), SizeLimitError),
     # A collection holding such an integer is named by its type.
     "Committee member list": (lambda: Committee([[HUGE]]), ValidationError),
     "Table pair list": (lambda: Table([HUGE]), ValidationError),

@@ -13,6 +13,7 @@ from fvr.multi_winner import (
     brute_best_committee,
     committee_score,
     empirical_fvr_committee,
+    empirical_fvr_committee_curve,
     expand_instance,
     expanded_rule,
     jr_check,
@@ -22,10 +23,14 @@ from fvr.multi_winner import (
 )
 from fvr.oracles import (
     conditional_expected_score,
+    conditional_expected_scores,
     enumerate_instances,
     gen_jr_hard,
     gen_party_split,
     gen_symmetric,
+    reference_committee_score,
+    reference_expanded_rule,
+    reference_sequential_picks,
 )
 from fvr.single_winner import ropt_winner
 
@@ -104,7 +109,33 @@ COMMITTEE_AUDITS = {
     "jr_check": lambda c: jr_check(TRIO, c),
     "empirical_fvr_committee": lambda c: empirical_fvr_committee(TRIO, c, HALF, 1),
     "t_approves": lambda c: t_approves(TRIO, 0, c, 1),
+    "empirical_fvr_committee_curve": lambda c: empirical_fvr_committee_curve(TRIO, c, 1),
+    "reference_committee_score": lambda c: reference_committee_score(TRIO, c, 1),
 }
+
+PARAMS_RULES = {
+    "sequential_picks": lambda p: sequential_picks(TRIO, p),
+    "sequential_rule": lambda p: sequential_rule(TRIO, p),
+    "expanded_rule": lambda p: expanded_rule(TRIO, p),
+    "expand_instance": lambda p: expand_instance(TRIO, p),
+    "brute_best_committee": lambda p: brute_best_committee(TRIO, p, HALF),
+    "conditional_expected_scores": lambda p: conditional_expected_scores(TRIO, p),
+    "reference_sequential_picks": lambda p: reference_sequential_picks(TRIO, p),
+    "reference_expanded_rule": lambda p: reference_expanded_rule(TRIO, p),
+}
+
+# Each entry point given a plain tuple where it takes a Committee or a MultiParams.
+UNTYPED_CALLS = {
+    **{name: (audit, "committee must be a Committee") for name, audit in COMMITTEE_AUDITS.items()},
+    **{name: (rule, "params must be a MultiParams") for name, rule in PARAMS_RULES.items()},
+}
+
+
+@pytest.mark.parametrize("site", UNTYPED_CALLS)
+def test_a_plain_tuple_for_a_committee_or_its_params_raises_a_validation_error(site):
+    call, message = UNTYPED_CALLS[site]
+    with pytest.raises(ValidationError, match=rf"^{message}, got \(2, 1\)$"):
+        call((2, 1))
 
 
 @pytest.mark.parametrize("audit", COMMITTEE_AUDITS)

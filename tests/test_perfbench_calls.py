@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from fvr import cli
+from fvr.core import VIEW_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = str(ROOT / "perfbench" / "traced_cli.py")
@@ -53,6 +54,13 @@ def test_generated_benchmark_files_match_their_pins(tmp_path, perfbench_run):
             assert perfbench_run.sha256(out.read_bytes()) == pins[workload.name]["files"][f.name]
             checked += 1
     assert checked == 6
+
+
+def test_every_benchmark_input_is_within_the_view_limit(perfbench_run):
+    """Each input file the benchmark generates builds its views under ``VIEW_LIMIT``."""
+    files = [f for workload in perfbench_run.WORKLOADS.values() for f in workload.files]
+    assert len(files) == 6
+    assert max(f.n * (f.m + 3) for f in files) <= VIEW_LIMIT
 
 
 def run_cli(args, cwd):
