@@ -30,6 +30,7 @@ __all__ = [
     "POWER_LIMIT",
     "NUMERAL_LIMIT",
     "VIEW_LIMIT",
+    "check_views",
     "as_frac",
     "open_unit",
     "int_at_least",
@@ -376,14 +377,21 @@ class Instance:
 _set = object.__setattr__
 
 
-def _fill(inst: Instance, m: int, masks: tuple[int, ...]) -> None:
-    if not masks:
-        raise ValidationError("need at least one voter")
-    n = len(masks)
+def check_views(n: int, m: int) -> None:
+    """Refuse n voters over m candidates whose views would run over ``VIEW_LIMIT``: they are
+    built from a row string of n*(m+3) characters (:func:`_kernel_views`).  Generators call
+    it before they build any mask."""
     if n * (m + 3) > VIEW_LIMIT:
         raise SizeLimitError(
             f"{n} voters over {m} candidates need views of {n * (m + 3)} characters, over the limit {VIEW_LIMIT}"
         )
+
+
+def _fill(inst: Instance, m: int, masks: tuple[int, ...]) -> None:
+    if not masks:
+        raise ValidationError("need at least one voter")
+    n = len(masks)
+    check_views(n, m)
     _set(inst, "m", m)
     _set(inst, "masks", masks)
     _set(inst, "n", n)
@@ -530,7 +538,7 @@ class Threshold:
         return int(size * self.s0.denominator >= self.s0.numerator * m), 1
 
     def guarantee(self, s: Frac) -> Frac:
-        return (1 - self.s0) if s >= self.s0 else Fraction(1)
+        return (1 - self.s0) / (1 - self.s0 + s) if s >= self.s0 else Fraction(1)
 
 
 @record
@@ -582,8 +590,10 @@ class Table:
     Built from a mapping or an iterable of ``(flexibility, weight)`` pairs,
     stored as ``entries``, those pairs as Fractions sorted by flexibility.
     Must be nontrivial (at least one positive weight).  Evaluation outside
-    the listed flexibilities is an error, and there is no closed-form
-    guarantee: ``fvr.single_winner.grid_theoretical_fvr`` evaluates one.
+    the listed flexibilities is an error.  ``guarantee(s)`` is rho/(rho+phi)
+    over the entries, with rho = max (1-f)*w(f) and phi = min of f*w(f) over
+    the entries with f >= s; it is 0 when no entry reaches s, as only voters
+    approving every candidate are then s-flexible.
     """
 
     entries: tuple[tuple[Frac, Frac], ...]
@@ -619,9 +629,9 @@ class Table:
             raise ValidationError(f"weight table has no entry for flexibility {flex}") from None
 
     def guarantee(self, s: Frac) -> Frac:
-        raise ValidationError(
-            "no closed form for table weights; evaluate with grid_theoretical_fvr"
-        )
+        rho = max((1 - f) * wv for f, wv in self.entries)
+        phi = min((f * wv for f, wv in self.entries if f >= s), default=None)
+        return Fraction(0) if phi is None else rho / (rho + phi)
 
 
 WeightFn = Constant | Threshold | Power | Optimal | Table

@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     WeightFn,
     as_frac,
+    check_views,
     comb_over,
     eval_weight,
     index_in,
@@ -106,6 +107,7 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     if int_at_least(per_voter, "per-voter approvals") > m:
         raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
     _check_budget(n, m, n * per_voter)
+    check_views(n, m)
     return Instance.from_masks(m, _spread_masks(n, m, per_voter))
 
 
@@ -125,6 +127,7 @@ def _gap_instance(
     ``rest`` voters each approve 0 plus ``per_rest`` others, spread the same way."""
     for voters, per_voter in ((bloc, per_bloc), (rest, per_rest)):
         _check_budget(voters, approvals=voters * per_voter)
+    check_views(bloc + rest, m)
     masks = [mask << 1 for mask in _spread_masks(bloc, m - 1, per_bloc)]
     masks += [mask << 1 | 1 for mask in _spread_masks(rest, m - 1, per_rest)]
     return Instance.from_masks(m, masks), 0
@@ -222,6 +225,7 @@ def gen_symmetric(m: int, per_voter: int) -> Instance:
         raise SizeLimitError(f"C({m}, {per_voter}) voters exceed the limit {COMMITTEE_LIMIT}")
     voters = comb(m, per_voter)
     _check_budget(voters, approvals=voters * per_voter)
+    check_views(voters, m)
     return Instance.from_masks(m, _subset_masks(m, per_voter))
 
 
@@ -234,7 +238,8 @@ def _check_budget(voters: int, m: int = 0, approvals: int = 0) -> None:
     """Reject a generator's sizes before it builds any mask.
 
     In this order: at most ``COMMITTEE_LIMIT`` voters, ``CANDIDATE_LIMIT``
-    candidates and ``APPROVAL_LIMIT`` approvals in all.
+    candidates and ``APPROVAL_LIMIT`` approvals in all.  A generator that can
+    reach ``core.VIEW_LIMIT`` then calls :func:`check_views` on its final n and m.
     """
     if voters > COMMITTEE_LIMIT:
         raise SizeLimitError(f"{shown(voters)} voters exceed the limit {COMMITTEE_LIMIT}")
@@ -277,8 +282,9 @@ def gen_jr_hard(m: int, k: int) -> Instance:
     # k-1 party groups bullet-vote; group pool voters approve group-1 each.
     _check_budget(0, m)  # m first, so its message precedes the voter count's (pinned by test_cli)
     _check_budget(k * group, m, group * (m - 1))
+    check_views(k * group, m)
     pool = (1 << m) - (1 << (k - 1))  # candidates k-1..m-1
-    party = [1 << j for j in range(k - 1) for _ in range(group)]
+    party = [mask for j in range(k - 1) for mask in [1 << j] * group]  # one int per party
     return Instance.from_masks(m, party + [pool ^ (1 << skip) for skip in range(k - 1, m)])
 
 

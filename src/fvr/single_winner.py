@@ -22,7 +22,6 @@ from .core import (
     Optimal,
     SizeLimitError,
     Table,
-    ValidationError,
     WeightFn,
     as_family,
     eval_weight,
@@ -181,40 +180,27 @@ class FvrBound:
 
 
 def closed_form_fvr(family: WeightFn, s: object) -> FvrBound:
-    """Exact guarantee of a built-in weight family at threshold ``s`` (its ``guarantee``)."""
+    """Exact guarantee of a weight family at threshold ``s`` (its ``guarantee``); for a
+    :class:`Table`, rho/(rho+phi) over its entries, as :func:`grid_theoretical_fvr` uses."""
     sv = open_unit(s)
     return FvrBound(s=sv, value=as_family(family).guarantee(sv), kind="closed_form")
 
 
 def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
-    """Guarantee of an arbitrary weight function, evaluated on a finite grid.
+    """Guarantee of a weight function over instances of ``grid_m`` candidates.
 
-    Over the flexibilities {1/grid_m, ..., (grid_m-1)/grid_m}, computes
-    rho = max (1-f)*w(f) and phi = min over grid f >= s of f*w(f), and
-    returns rho / (rho + phi).  If no grid point reaches s, phi falls back
-    to the largest grid point.  The true guarantee takes rho and phi over
-    all rationals in (0,1); the grid value is exact for the grid and
-    converges to the closed forms as the grid refines through denominators
-    of s.  The grid stands for the m of an instance, so ``grid_m`` is at most
-    ``CANDIDATE_LIMIT``.
+    The weights at the flexibilities {1/grid_m, ..., (grid_m-1)/grid_m}
+    form a :class:`Table`, whose ``guarantee`` is rho/(rho+phi) over them:
+    0 when no grid point reaches s.  The closed forms take rho and phi over
+    all of (0,1); the grid value is at most the closed form and converges to
+    it as the grid refines through denominators of s.  The grid stands for
+    the m of an instance, so ``grid_m`` is at most ``CANDIDATE_LIMIT``.
     """
     sv = open_unit(s)
     if int_at_least(grid_m, "grid resolution", 2) > CANDIDATE_LIMIT:
         raise SizeLimitError(f"grid resolution must be at most {CANDIDATE_LIMIT}, got {shown(grid_m)}")
-    grid = flexibility_grid(grid_m)
-    values = {f: eval_weight(w, f) for f in grid}
-    rho = max((1 - f) * values[f] for f in grid)
-    if rho == 0:
-        raise ValidationError(
-            f"weight function is trivial on the {grid_m}-point grid: w(f) > 0 must hold somewhere"
-        )
-    at_or_above = [f for f in grid if f >= sv]
-    if at_or_above:
-        phi = min(f * values[f] for f in at_or_above)
-    else:
-        top = grid[-1]
-        phi = top * values[top]
-    return FvrBound(s=sv, value=rho / (rho + phi), kind="grid", grid_m=grid_m)
+    table = Table([(f, eval_weight(w, f)) for f in flexibility_grid(grid_m)])
+    return FvrBound(s=sv, value=table.guarantee(sv), kind="grid", grid_m=grid_m)
 
 
 def is_optimal_weight_table(w: Table) -> bool:

@@ -91,7 +91,7 @@ from .oracles import (
     gen_party_split,
     strong_pvc,
 )
-from .single_winner import _disapprovers, closed_form_fvr, flexible_counts, ropt_winner, winner
+from .single_winner import _disapprovers, flexible_counts, grid_theoretical_fvr, ropt_winner, winner
 
 __all__ = [
     "VerifyResult",
@@ -203,7 +203,7 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> Iterator[st
     bounded = []
     for label, thresholds in rules:
         family = parse_family(label)
-        bounds = _thresholds(m, ((s, closed_form_fvr(family, s).value) for s in thresholds))
+        bounds = _thresholds(m, ((s, grid_theoretical_fvr(family, s, m).value) for s in thresholds))
         bounded.append((label, family, bounds))
     for inst in enumerate_voter_multisets(n, m, budget):
         audited: dict[int, list[int]] = {}  # rules often share a winner: count it once

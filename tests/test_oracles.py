@@ -3,6 +3,7 @@
 import ast
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, floor, lcm
@@ -316,6 +317,44 @@ def test_generator_budgets_admit_their_limits():
 def test_generators_reject_sizes_over_their_budgets_at_once(build, message):
     with pytest.raises(SizeLimitError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, n, m",
+    [
+        (lambda: gen_spread(5, 2, 1), 5, 2),
+        (lambda: gen_approval_gap(5, 2, HALF, HALF), 5, 2),
+        (lambda: gen_power_gap(5, 2, HALF, Fraction(1, 3), 1), 5, 2),
+        (lambda: gen_weight_gap(Constant(), HALF, HALF, 5), 5, 2),
+        (lambda: gen_symmetric(4, 1), 4, 4),
+        (lambda: gen_jr_hard(3, 2), 4, 3),
+    ],
+    ids=["spread", "approval_gap", "power_gap", "weight_gap", "symmetric", "jr_hard"],
+)
+def test_generators_refuse_views_over_the_limit_before_any_mask(monkeypatch, build, n, m):
+    monkeypatch.setattr(fvr.core, "VIEW_LIMIT", 20)
+
+    def unreachable(cls, m, masks):
+        raise AssertionError("masks built over the view limit")
+
+    monkeypatch.setattr(fvr.core.Instance, "from_masks", classmethod(unreachable))
+    message = f"^{n} voters over {m} candidates need views of {n * (m + 3)} characters, over the limit 20$"
+    with pytest.raises(SizeLimitError, match=message):
+        build()
+
+
+def test_gen_jr_hard_refuses_over_budget_views_before_its_masks():
+    # 9981 groups of 20 voters over 10000 candidates: within the voter and approval
+    # limits, but their views would take 199620 * 10003 characters.  Its masks
+    # alone would take over 100 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="^199620 voters over 10000 candidates need views of 1996798860 "):
+            gen_jr_hard(10_000, 9981)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize("build", [lambda: gen_spread(2, 4, 10**6), lambda: gen_symmetric(4, 10**6)])

@@ -17,6 +17,7 @@ from fvr.core import (
     Threshold,
     ValidationError,
     build_instance,
+    eval_weight,
     flexibility_grid,
 )
 from fvr.oracles import enumerate_instances
@@ -120,15 +121,18 @@ def test_closed_form_values():
     assert closed_form_fvr(Power(2), HALF).value == Fraction(32, 59)
     assert closed_form_fvr(Optimal(5), Fraction(1, 4)).value == Fraction(3, 4)
     assert closed_form_fvr(Threshold(HALF), HALF).value == HALF
-    assert closed_form_fvr(Threshold(HALF), Fraction(3, 4)).value == HALF
+    assert closed_form_fvr(Threshold(HALF), Fraction(3, 4)).value == Fraction(2, 5)
     assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)).value == 1
     bound = closed_form_fvr(Constant(), HALF)
     assert bound.kind == "closed_form" and bound.s == HALF
 
 
-def test_closed_form_rejects_tables():
-    with pytest.raises(ValidationError, match="grid_theoretical_fvr"):
-        closed_form_fvr(Table({HALF: 1}), HALF)
+def test_table_guarantee_is_zero_when_no_entry_reaches_s():
+    table = Table({Fraction(1, 4): 2, HALF: 1})
+    # rho = max(3/4 * 2, 1/2 * 1) = 3/2; phi = min(1/4 * 2, 1/2 * 1) = 1/2 at s <= 1/4
+    assert table.guarantee(Fraction(1, 4)) == Fraction(3, 4)
+    assert table.guarantee(HALF) == Fraction(3, 4)
+    assert closed_form_fvr(table, Fraction(3, 5)).value == table.guarantee(Fraction(3, 5)) == 0
 
 
 def test_grid_theoretical_examples():
@@ -145,10 +149,13 @@ def test_grid_theoretical_examples():
     assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)).value == 1
 
 
-def test_grid_theoretical_fallback_above_top_grid_point():
-    # s beyond the largest grid point: fall back to that grid point
-    got = grid_theoretical_fvr(Constant(), Fraction(9, 10), 4)
-    assert got.value == Fraction(3, 4) / (Fraction(3, 4) + Fraction(3, 4))
+def test_grid_theoretical_is_zero_above_top_grid_point():
+    # s beyond (m-1)/m: every s-flexible voter approves all m candidates
+    for m in range(2, 9):
+        for family in (Constant(), Optimal(1), Power(2), Threshold(HALF)):
+            assert grid_theoretical_fvr(family, Fraction(m * 2 - 1, m * 2), m).value == 0
+    assert grid_theoretical_fvr(Constant(), Fraction(9, 10), 4).value == 0
+    assert grid_theoretical_fvr(Constant(), Fraction(3, 4), 4).value == HALF  # at the top point
 
 
 def test_grid_resolution_is_at_most_the_candidate_limit():
@@ -169,6 +176,55 @@ def test_grid_convergence_to_closed_form_along_refinements():
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(v <= target for v in values)
     assert target - values[-1] < Fraction(1, 30)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Constant(), Optimal(1), Power(1), Power(2), Power(3)]
+    + [Threshold(s0) for s0 in (Fraction(1, 3), HALF, Fraction(3, 5))],
+    ids=repr,
+)
+def test_grid_bound_approaches_the_closed_form_from_below(family):
+    # Along grids m = d*j holding s (and s0), the finite-m bound never exceeds
+    # the closed form, and the gap is at most 1/m.
+    for s in (Fraction(1, 5), Fraction(1, 3), HALF, Fraction(3, 5), Fraction(4, 5)):
+        closed = closed_form_fvr(family, s).value
+        d = s.denominator * getattr(family, "s0", 1).denominator
+        for j in (1, 2, 3, 5, 8):
+            m = d * j
+            gap = closed - grid_theoretical_fvr(family, s, m).value
+            assert 0 <= gap <= Fraction(1, m), (s, m)
+
+
+def test_grid_theoretical_is_the_guarantee_of_the_tabulated_weights():
+    for family in (Constant(), Optimal(2), Power(2), Threshold(Fraction(2, 5))):
+        for m in range(2, 12):
+            table = Table([(f, eval_weight(family, f)) for f in flexibility_grid(m)])
+            for i in range(1, 25):
+                s = Fraction(i, 25)
+                assert grid_theoretical_fvr(family, s, m).value == table.guarantee(s)
+
+
+def test_full_grid_table_meets_one_minus_s_everywhere_iff_optimal():
+    rng = random.Random(5)
+    seen = set()
+    for m in range(2, 9):
+        grid = flexibility_grid(m)
+        for _ in range(150):
+            c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            weights = [c / (1 - f) for f in grid]  # the 1/(1-f) family, scaled
+            if rng.random() < 0.5:  # then change one entry, or all of them
+                if rng.random() < 0.5:
+                    weights[rng.randrange(len(grid))] = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                else:
+                    weights = [Fraction(rng.randint(0, 4)) for _ in grid]
+            if not any(weights):
+                continue
+            table = Table(zip(grid, weights))
+            optimal = is_optimal_weight_table(table)
+            assert all(table.guarantee(s) == 1 - s for s in grid) == optimal
+            seen.add(optimal)
+    assert seen == {False, True}
 
 
 def test_is_optimal_weight_table():

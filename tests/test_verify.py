@@ -13,7 +13,7 @@ import pytest
 
 from fvr import multi_winner, oracles, verify
 from fvr.cli import main
-from fvr.core import Committee, RankedProfile, SizeLimitError, build_instance, parse_family
+from fvr.core import Committee, Constant, RankedProfile, SizeLimitError, build_instance, parse_family
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import JrResult, MultiParams, empirical_fvr_committee, jr_check, sequential_picks
 from fvr.oracles import (
@@ -25,7 +25,7 @@ from fvr.oracles import (
     reference_committee_score,
     strong_pvc,
 )
-from fvr.single_winner import closed_form_fvr, empirical_fvr_point, ropt_winner, score_all
+from fvr.single_winner import closed_form_fvr, empirical_fvr_point, grid_theoretical_fvr, ropt_winner, score_all
 from fvr.verify import (
     _SUITES,
     MAX_VIOLATIONS_KEPT,
@@ -230,7 +230,21 @@ def test_single_winner_suites_catch_a_planted_worst_winner(monkeypatch, suite):
         inst, s, family = _instance(match), Fraction(match["s"]), parse_family(match["label"])
         audit, bound = Fraction(match["audit"]), Fraction(match["bound"])
         assert audit == empirical_fvr_point(inst, _worst_winner(inst, family), s)
-        assert bound == closed_form_fvr(family, s).value < audit
+        assert bound == grid_theoretical_fvr(family, s, inst.m).value < audit
+
+
+def test_single_winner_suites_audit_against_the_finite_m_bound(monkeypatch):
+    # At m = 2 and s = 1/2 the approval bound is 1/2, below the closed form 2/3: a
+    # planted winner with an audit of 2/3 there is caught only by the finite-m bound.
+    monkeypatch.setattr(verify, "winner", _worst_winner)
+    result = run_suite("approval", n_max=3, m_max=2)
+    between = [
+        match
+        for match in map(SINGLE.fullmatch, result.violations)
+        if Fraction(match["audit"]) <= closed_form_fvr(Constant(), Fraction(match["s"])).value
+    ]
+    caught = {(match["m"], match["s"], match["audit"], match["bound"]) for match in between}
+    assert caught == {("2", "1/2", "2/3", "1/2")}
 
 
 def test_multiwinner_suite_catches_planted_worst_first_picks(monkeypatch):
