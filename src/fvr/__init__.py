@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "hypergeom": ("HypParams", "hyp_cdf", "hyp_pmf", "multiwinner_bound"),
     "single_winner": (
-        "FvrBound",
         "ScoreVector",
         "closed_form_fvr",
         "empirical_fvr_curve",

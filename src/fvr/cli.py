@@ -131,7 +131,7 @@ def _cmd_curve(args: SimpleNamespace) -> int:
         s = Fraction(i, 2 * args.s_grid)
         cells = [frac_str(s), dec_str(s), frac_str(1 - s), dec_str(1 - s)]
         for _, family in families:
-            value = closed_form_fvr(family, s).value
+            value = closed_form_fvr(family, s)
             cells.extend((frac_str(value), dec_str(value)))
         rows.append(",".join(cells))
     _write_out(args.out, "\n".join(rows) + "\n")
@@ -167,9 +167,11 @@ def _cmd_gen(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
+    # Suites run in one process; --jobs stays only so existing command lines run.
+    if args.jobs != 1:
+        raise ValidationError(f"--jobs must be 1, got {args.jobs}")
     result = run_suite(
         args.suite,
-        jobs=args.jobs,
         n_max=args.n_max,
         m_max=args.m_max,
         budget=args.budget,
@@ -236,7 +238,7 @@ COMMANDS = {
             ("--m-max", int, None, "M", "sweep ceiling on candidates / population"),
             ("--budget", int, None, "B", "enumeration or sampling budget"),
             ("--seed", int, None, "SEED", "seed for sampled checks"),
-            ("--jobs", int, 1, "J", "worker processes"),
+            ("--jobs", int, 1, "J", "must be 1; kept for existing command lines"),
         ),
     ),
     "pvc": (
@@ -360,10 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

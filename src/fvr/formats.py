@@ -117,6 +117,23 @@ def _parse_index_line(line: str, line_no: int, m: int, *, strictly_increasing: b
     return indices
 
 
+class _BitOf(dict):
+    """Canonical numeral ``"a"`` of an index a < m -> its bit ``1 << a``, each
+    built the first time the token is looked up, so the map holds only the
+    tokens a file uses.  Any other token ("", "07", "m", an index >= m)
+    raises ``KeyError``."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __missing__(self, token: str) -> int:
+        a = int(token) if is_numeral(token) else self.m
+        if a >= self.m or str(a) != token:
+            raise KeyError(token)
+        bit = self[token] = 1 << a
+        return bit
+
+
 def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     """Parse an approval-instance document; returns (instance, k, t)."""
     lines = _lines(text)
@@ -128,12 +145,12 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     if len(lines) < 3 + n:
         raise ParseError(len(lines) + 1, f"expected {n} voter lines, found {len(lines) - 3}")
     # Fast path: each token is looked up among the canonical numerals
-    # "0".."m-1", so a found token is an index in range, and its bit is
-    # summed into the voter's mask; the line is valid when the bits are
+    # "0".."m-1" (``_BitOf``), so a found token is an index in range, and its
+    # bit is summed into the voter's mask; the line is valid when the bits are
     # distinct (as many set bits as tokens) and increase.  Any other line (a
     # missing key, such as "", "07" or "m"; a repeat; a descent) gets the
     # per-token check, which accepts "07" and words every error.
-    bit_of = {str(a): 1 << a for a in range(m)}.__getitem__
+    bit_of = _BitOf(m).__getitem__
     masks = []
     for i in range(n):
         line = lines[3 + i]
@@ -162,10 +179,7 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
         extra += 1
     if extra < len(lines):
         raise ParseError(extra + 1, f"unexpected extra line {lines[extra]!r}")
-    # The token map holds m ints of up to m bits (6 MB at m = 10,000): free it
-    # before the instance builds its views.  Every index was checked above;
-    # build_instance would check them again.
-    del bit_of
+    # Every index was checked above; build_instance would check them again.
     return Instance.from_masks(m, masks), k, t
 
 

@@ -30,7 +30,6 @@ from .core import (
     index_in,
     int_at_least,
     open_unit,
-    record,
     shown,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "ropt_winner",
     "empirical_fvr_point",
     "empirical_fvr_curve",
-    "FvrBound",
     "closed_form_fvr",
     "grid_theoretical_fvr",
     "is_optimal_weight_table",
@@ -163,30 +161,13 @@ def empirical_fvr_curve(inst: Instance, a: int) -> AuditCurve:
     return group_audit_curve(inst, _disapprovers(inst, a))
 
 
-@record
-class FvrBound:
-    """A guarantee value at threshold ``s``.
-
-    ``kind`` records how it was computed: "closed_form" for the named
-    families, or "grid" for the finite-grid evaluation (with ``grid_m`` the
-    grid resolution) -- the two must never be confused, since grid values
-    only converge to the closed forms as the grid refines.
-    """
-
-    s: Frac
-    value: Frac
-    kind: str
-    grid_m: int | None = None
-
-
-def closed_form_fvr(family: WeightFn, s: object) -> FvrBound:
+def closed_form_fvr(family: WeightFn, s: object) -> Frac:
     """Exact guarantee of a weight family at threshold ``s`` (its ``guarantee``); for a
     :class:`Table`, rho/(rho+phi) over its entries, as :func:`grid_theoretical_fvr` uses."""
-    sv = open_unit(s)
-    return FvrBound(s=sv, value=as_family(family).guarantee(sv), kind="closed_form")
+    return as_family(family).guarantee(open_unit(s))
 
 
-def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
+def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> Frac:
     """Guarantee of a weight function over instances of ``grid_m`` candidates.
 
     The weights at the flexibilities {1/grid_m, ..., (grid_m-1)/grid_m}
@@ -199,8 +180,7 @@ def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> FvrBound:
     sv = open_unit(s)
     if int_at_least(grid_m, "grid resolution", 2) > CANDIDATE_LIMIT:
         raise SizeLimitError(f"grid resolution must be at most {CANDIDATE_LIMIT}, got {shown(grid_m)}")
-    table = Table([(f, eval_weight(w, f)) for f in flexibility_grid(grid_m)])
-    return FvrBound(s=sv, value=table.guarantee(sv), kind="grid", grid_m=grid_m)
+    return Table([(f, eval_weight(w, f)) for f in flexibility_grid(grid_m)]).guarantee(sv)
 
 
 def is_optimal_weight_table(w: Table) -> bool:

@@ -2,9 +2,8 @@
 
 Each suite replays a guarantee or identity against brute force over a
 bounded universe and reports the number of checks and any violations.
-Suites are pure and deterministic; blocks of work are independent, so they
-can run on a process pool, with results collected before printing to keep
-output deterministic.
+Suites are pure and deterministic: ``run_suite`` runs a suite's blocks in
+order, in one process.
 
 Each block is a generator that yields one item per check: a false value
 when the check passes, or its violation message when it fails, built only
@@ -47,7 +46,6 @@ the committees of one ``separations`` block.
 
 from __future__ import annotations
 
-import os
 import random
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
@@ -176,7 +174,7 @@ def _off(value: Frac, count: int, total: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Block runners (top-level, so a task naming one pickles by reference)
+# Block runners
 # ---------------------------------------------------------------------------
 
 
@@ -203,7 +201,7 @@ def _single_winner_block(suite: str, n: int, m: int, budget: int) -> Iterator[st
     bounded = []
     for label, thresholds in rules:
         family = parse_family(label)
-        bounds = _thresholds(m, ((s, grid_theoretical_fvr(family, s, m).value) for s in thresholds))
+        bounds = _thresholds(m, ((s, grid_theoretical_fvr(family, s, m)) for s in thresholds))
         bounded.append((label, family, bounds))
     for inst in enumerate_voter_multisets(n, m, budget):
         audited: dict[int, list[int]] = {}  # rules often share a winner: count it once
@@ -535,41 +533,26 @@ _SUITES = {
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
-def _pool_size(jobs: int, tasks: int, cpus: int | None) -> int:
-    """Worker processes to start: no more than requested, tasks to run, or CPUs."""
-    return max(1, min(jobs, tasks, cpus or 1))
-
-
 def run_suite(
     name: str,
-    jobs: int = 1,
     n_max: int | None = None,
     m_max: int | None = None,
     budget: int | None = None,
     seed: int | None = None,
 ) -> VerifyResult:
-    """Run a named suite, optionally spreading its blocks over ``jobs`` processes."""
+    """Run a named suite, its blocks in order."""
     try:
         builder = _SUITES[name]
     except KeyError:
         known = ", ".join(SUITE_NAMES)
         raise ValidationError(f"unknown suite {shown(name)}; known: {known}") from None
-    int_at_least(jobs, "jobs", 1)
     # None selects the suite's default; any other size must be usable, so the
     # builders' ``or`` defaults never see a 0, and a seed may be any int.
     given = (("n_max", n_max, 1), ("m_max", m_max, 1), ("budget", budget, 1), ("seed", seed, None))
     for key, value, low in given:
         if value is not None:
             int_at_least(value, key, low)
-    tasks = builder(n_max, m_max, budget, seed)
-    workers = _pool_size(jobs, len(tasks), os.cpu_count())
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_dispatch, tasks)
-    else:
-        outcomes = [_dispatch(task) for task in tasks]
+    outcomes = [_dispatch(task) for task in builder(n_max, m_max, budget, seed)]
     checked = sum(c for c, _ in outcomes)
     violations = tuple(v for _, vs in outcomes for v in vs)[:MAX_VIOLATIONS_KEPT]
     return VerifyResult(name, checked, violations)

@@ -54,18 +54,18 @@ def _report(number: int, name: str) -> None:
 def test_criterion_1_closed_forms_exact():
     for i in range(1, 100):
         s = F(i, 100)
-        assert closed_form_fvr(Constant(), s).value == 1 / (1 + s)
+        assert closed_form_fvr(Constant(), s) == 1 / (1 + s)
         for p in (1, 2, 3):
             expected = 1 / (1 + (s * (1 + p)) ** (1 + p) / F(p**p))
-            assert closed_form_fvr(Power(p), s).value == expected
-        assert closed_form_fvr(Optimal(1), s).value == 1 - s
-        assert closed_form_fvr(Threshold(s), s).value == 1 - s
+            assert closed_form_fvr(Power(p), s) == expected
+        assert closed_form_fvr(Optimal(1), s) == 1 - s
+        assert closed_form_fvr(Threshold(s), s) == 1 - s
     # tangency points where a power curve touches the optimal line exactly
-    assert closed_form_fvr(Power(1), HALF).value == HALF
-    assert closed_form_fvr(Power(2), F(2, 3)).value == F(1, 3)
+    assert closed_form_fvr(Power(1), HALF) == HALF
+    assert closed_form_fvr(Power(2), F(2, 3)) == F(1, 3)
     # and strictly above it elsewhere
-    assert closed_form_fvr(Power(1), F(1, 4)).value > F(3, 4)
-    assert closed_form_fvr(Power(2), HALF).value > HALF
+    assert closed_form_fvr(Power(1), F(1, 4)) > F(3, 4)
+    assert closed_form_fvr(Power(2), HALF) > HALF
     _report(1, "closed forms exact on the hundredths grid")
 
 
@@ -125,6 +125,9 @@ def test_criterion_3_approval_gap_feasible_parameters():
     assert audit == F(798, 1200)
     assert abs(audit - F(2, 3)) <= F(1, 20)
     assert audit > 1 - HALF
+    # README "Examples": the opt winner's audit on the same instance is 33/100
+    opt_winner = winner(inst, Optimal())
+    assert empirical_fvr_point(inst, opt_winner, HALF) == F(33, 100)
     _report(3, "approval gap demonstrated at feasible parameters")
 
 
@@ -133,7 +136,7 @@ def test_criterion_3_power_gap():
     chosen = winner(inst, Power(1))
     assert chosen == special
     audit = empirical_fvr_point(inst, chosen, HALF)
-    bound = closed_form_fvr(Power(1), HALF).value
+    bound = closed_form_fvr(Power(1), HALF)
     assert bound == HALF
     assert abs(audit - bound) <= F(1, 20)
     _report(3, "single-power gap within 0.05 of its guarantee")

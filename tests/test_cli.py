@@ -354,11 +354,11 @@ def test_verify_reports_checked_pairs(capsys):
     assert checked > 100
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_verify_rejects_nonpositive_jobs(capsys, jobs):
-    code, _, err = run(capsys, "verify", "opt", "--n-max", "1", "--m-max", "2", "--jobs", jobs)
-    assert code == 2
-    assert "jobs" in err
+@pytest.mark.parametrize("jobs", ["2", "0", "-1"])
+def test_verify_rejects_jobs_other_than_1(capsys, jobs):
+    code, out, err = run(capsys, "verify", "opt", "--n-max", "1", "--m-max", "2", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: --jobs must be 1, got {jobs}\n"
 
 
 @pytest.mark.parametrize(

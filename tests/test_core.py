@@ -380,7 +380,6 @@ INTEGER_SITES = {
         lambda x: conditional_expected_score(INTRO, MultiParams(1, 1), (x,)),
         -1,
     ),
-    "run_suite jobs": (lambda x: run_suite("opt", jobs=x), 0),
     "run_suite n_max": (lambda x: run_suite("opt", n_max=x), 0),
     "run_suite m_max": (lambda x: run_suite("opt", m_max=x), 0),
     "run_suite budget": (lambda x: run_suite("opt", budget=x), 0),

@@ -30,7 +30,7 @@ def loaded_after(code):
 
 # Stdlib modules that would cost every call start-up time: dataclasses and inspect
 # (the records), argparse with the gettext and locale it loads, json, and
-# multiprocessing, which only ``verify --jobs`` over 1 may load.
+# multiprocessing.
 HEAVY_MODULES = {"dataclasses", "inspect", "argparse", "gettext", "locale", "json", "multiprocessing"}
 
 

@@ -21,7 +21,6 @@ from fvr.core import (
 )
 from fvr.hypergeom import HypParams
 from fvr.multi_winner import ExpandedInstance, JrResult, MultiParams, expand_instance
-from fvr.single_winner import FvrBound
 from fvr.verify import VerifyResult
 
 HALF = Fraction(1, 2)
@@ -40,7 +39,6 @@ CASES = [
     (Committee, ((0, 2),)),
     (AuditCurve, (((HALF, Fraction(1, 3)), (Fraction(1), Fraction(0))),)),
     (HypParams, (5, 2, 3)),
-    (FvrBound, (HALF, HALF, "grid", 4)),
     (MultiParams, (3, 2)),
     (ExpandedInstance, (BASE, MultiParams(2, 1), EXPANSION.committees, EXPANSION.expanded)),
     (JrResult, (False, 1, (0, 2))),
@@ -96,7 +94,6 @@ def test_record_defaults_and_post_init():
     assert repr(JrResult(satisfied=True)) == (
         "JrResult(satisfied=True, blocking_candidate=None, blocking_voters=())"
     )
-    assert FvrBound(HALF, HALF, "closed_form").grid_m is None
     assert Threshold("1/2").s0 == HALF
     assert Committee((2, 0, 2)).members == (0, 2)
     assert repr(HypParams(5, 2, 3)) == "HypParams(population=5, successes=2, draws=3)"

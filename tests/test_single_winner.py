@@ -115,16 +115,14 @@ def test_curve_matches_pointwise_audit(data):
 
 
 def test_closed_form_values():
-    assert closed_form_fvr(Constant(), HALF).value == Fraction(2, 3)
-    assert closed_form_fvr(Power(1), HALF).value == HALF
-    assert closed_form_fvr(Power(2), Fraction(2, 3)).value == Fraction(1, 3)
-    assert closed_form_fvr(Power(2), HALF).value == Fraction(32, 59)
-    assert closed_form_fvr(Optimal(5), Fraction(1, 4)).value == Fraction(3, 4)
-    assert closed_form_fvr(Threshold(HALF), HALF).value == HALF
-    assert closed_form_fvr(Threshold(HALF), Fraction(3, 4)).value == Fraction(2, 5)
-    assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)).value == 1
-    bound = closed_form_fvr(Constant(), HALF)
-    assert bound.kind == "closed_form" and bound.s == HALF
+    assert closed_form_fvr(Constant(), HALF) == Fraction(2, 3)
+    assert closed_form_fvr(Power(1), HALF) == HALF
+    assert closed_form_fvr(Power(2), Fraction(2, 3)) == Fraction(1, 3)
+    assert closed_form_fvr(Power(2), HALF) == Fraction(32, 59)
+    assert closed_form_fvr(Optimal(5), Fraction(1, 4)) == Fraction(3, 4)
+    assert closed_form_fvr(Threshold(HALF), HALF) == HALF
+    assert closed_form_fvr(Threshold(HALF), Fraction(3, 4)) == Fraction(2, 5)
+    assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)) == 1
 
 
 def test_table_guarantee_is_zero_when_no_entry_reaches_s():
@@ -132,34 +130,32 @@ def test_table_guarantee_is_zero_when_no_entry_reaches_s():
     # rho = max(3/4 * 2, 1/2 * 1) = 3/2; phi = min(1/4 * 2, 1/2 * 1) = 1/2 at s <= 1/4
     assert table.guarantee(Fraction(1, 4)) == Fraction(3, 4)
     assert table.guarantee(HALF) == Fraction(3, 4)
-    assert closed_form_fvr(table, Fraction(3, 5)).value == table.guarantee(Fraction(3, 5)) == 0
+    assert closed_form_fvr(table, Fraction(3, 5)) == table.guarantee(Fraction(3, 5)) == 0
 
 
 def test_grid_theoretical_examples():
-    got = grid_theoretical_fvr(Constant(), HALF, 10)
-    assert got.value == Fraction(9, 14)
-    assert got.kind == "grid" and got.grid_m == 10
+    assert grid_theoretical_fvr(Constant(), HALF, 10) == Fraction(9, 14)
 
     # the optimal family pins rho = c, so the grid value is 1 - s whenever s is on the grid
-    assert grid_theoretical_fvr(Optimal(1), HALF, 8).value == HALF
-    assert grid_theoretical_fvr(Optimal(3), Fraction(2, 5), 10).value == Fraction(3, 5)
+    assert grid_theoretical_fvr(Optimal(1), HALF, 8) == HALF
+    assert grid_theoretical_fvr(Optimal(3), Fraction(2, 5), 10) == Fraction(3, 5)
 
     # cutoff above s: no weight at or above s on the grid, so the guarantee degrades to 1
-    assert grid_theoretical_fvr(Threshold(HALF), Fraction(1, 4), 4).value == 1
-    assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)).value == 1
+    assert grid_theoretical_fvr(Threshold(HALF), Fraction(1, 4), 4) == 1
+    assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)) == 1
 
 
 def test_grid_theoretical_is_zero_above_top_grid_point():
     # s beyond (m-1)/m: every s-flexible voter approves all m candidates
     for m in range(2, 9):
         for family in (Constant(), Optimal(1), Power(2), Threshold(HALF)):
-            assert grid_theoretical_fvr(family, Fraction(m * 2 - 1, m * 2), m).value == 0
-    assert grid_theoretical_fvr(Constant(), Fraction(9, 10), 4).value == 0
-    assert grid_theoretical_fvr(Constant(), Fraction(3, 4), 4).value == HALF  # at the top point
+            assert grid_theoretical_fvr(family, Fraction(m * 2 - 1, m * 2), m) == 0
+    assert grid_theoretical_fvr(Constant(), Fraction(9, 10), 4) == 0
+    assert grid_theoretical_fvr(Constant(), Fraction(3, 4), 4) == HALF  # at the top point
 
 
 def test_grid_resolution_is_at_most_the_candidate_limit():
-    assert grid_theoretical_fvr(Constant(), HALF, CANDIDATE_LIMIT).grid_m == CANDIDATE_LIMIT
+    assert 0 < grid_theoretical_fvr(Constant(), HALF, CANDIDATE_LIMIT) <= closed_form_fvr(Constant(), HALF)
     with pytest.raises(SizeLimitError, match=f"^grid resolution must be at most {CANDIDATE_LIMIT}, got "):
         grid_theoretical_fvr(Constant(), HALF, CANDIDATE_LIMIT + 1)
 
@@ -171,8 +167,8 @@ def test_grid_theoretical_trivial_weight_rejected():
 
 def test_grid_convergence_to_closed_form_along_refinements():
     s = Fraction(1, 2)
-    target = closed_form_fvr(Constant(), s).value
-    values = [grid_theoretical_fvr(Constant(), s, s.denominator * j).value for j in (1, 2, 4, 8, 16)]
+    target = closed_form_fvr(Constant(), s)
+    values = [grid_theoretical_fvr(Constant(), s, s.denominator * j) for j in (1, 2, 4, 8, 16)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(v <= target for v in values)
     assert target - values[-1] < Fraction(1, 30)
@@ -188,11 +184,11 @@ def test_grid_bound_approaches_the_closed_form_from_below(family):
     # Along grids m = d*j holding s (and s0), the finite-m bound never exceeds
     # the closed form, and the gap is at most 1/m.
     for s in (Fraction(1, 5), Fraction(1, 3), HALF, Fraction(3, 5), Fraction(4, 5)):
-        closed = closed_form_fvr(family, s).value
+        closed = closed_form_fvr(family, s)
         d = s.denominator * getattr(family, "s0", 1).denominator
         for j in (1, 2, 3, 5, 8):
             m = d * j
-            gap = closed - grid_theoretical_fvr(family, s, m).value
+            gap = closed - grid_theoretical_fvr(family, s, m)
             assert 0 <= gap <= Fraction(1, m), (s, m)
 
 
@@ -202,7 +198,7 @@ def test_grid_theoretical_is_the_guarantee_of_the_tabulated_weights():
             table = Table([(f, eval_weight(family, f)) for f in flexibility_grid(m)])
             for i in range(1, 25):
                 s = Fraction(i, 25)
-                assert grid_theoretical_fvr(family, s, m).value == table.guarantee(s)
+                assert grid_theoretical_fvr(family, s, m) == table.guarantee(s)
 
 
 def test_full_grid_table_meets_one_minus_s_everywhere_iff_optimal():
@@ -258,9 +254,9 @@ def test_winner_is_scale_invariant():
 def test_guarantees_on_exhaustive_small_sweep():
     rules = [
         (Constant(), lambda s: 1 / (1 + s)),
-        (Power(1), lambda s: closed_form_fvr(Power(1), s).value),
-        (Power(2), lambda s: closed_form_fvr(Power(2), s).value),
-        (Power(3), lambda s: closed_form_fvr(Power(3), s).value),
+        (Power(1), lambda s: closed_form_fvr(Power(1), s)),
+        (Power(2), lambda s: closed_form_fvr(Power(2), s)),
+        (Power(3), lambda s: closed_form_fvr(Power(3), s)),
         (Optimal(1), lambda s: 1 - s),
     ]
     for inst in small_sweep():
@@ -286,5 +282,5 @@ def test_guarantees_on_random_larger_instances(data):
     assert empirical_fvr_point(inst, winner(inst, Constant()), s) <= 1 / (1 + s)
     assert empirical_fvr_point(inst, winner(inst, Threshold(s)), s) <= 1 - s
     p = data.draw(st.integers(1, 3))
-    bound = closed_form_fvr(Power(p), s).value
+    bound = closed_form_fvr(Power(p), s)
     assert empirical_fvr_point(inst, winner(inst, Power(p)), s) <= bound
