@@ -354,6 +354,13 @@ def test_verify_reports_checked_pairs(capsys):
     assert checked > 100
 
 
+def test_verify_jobs_1_is_accepted_and_changes_nothing(capsys):
+    args = ("verify", "opt", "--n-max", "2", "--m-max", "3")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert run(capsys, *args, "--jobs", "1") == (0, out, "")
+
+
 @pytest.mark.parametrize("jobs", ["2", "0", "-1"])
 def test_verify_rejects_jobs_other_than_1(capsys, jobs):
     code, out, err = run(capsys, "verify", "opt", "--n-max", "1", "--m-max", "2", "--jobs", jobs)

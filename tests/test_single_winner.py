@@ -125,6 +125,18 @@ def test_closed_form_values():
     assert closed_form_fvr(Threshold(HALF), Fraction(1, 4)) == 1
 
 
+@pytest.mark.parametrize(
+    "family",
+    [Constant(), Threshold(HALF), Power(2), Optimal(1), Table({Fraction(1, 4): 2, HALF: 1, Fraction(3, 4): 1})],
+    ids=["constant", "threshold", "power", "optimal", "table"],
+)
+def test_bounds_are_plain_fractions(family):
+    # Exactly Fraction, even where the guarantee is 0 or 1, so callers compare it directly.
+    for s in (Fraction(1, 5), HALF, Fraction(9, 10)):
+        assert type(closed_form_fvr(family, s)) is Fraction
+        assert type(grid_theoretical_fvr(family, s, 4)) is Fraction
+
+
 def test_table_guarantee_is_zero_when_no_entry_reaches_s():
     table = Table({Fraction(1, 4): 2, HALF: 1})
     # rho = max(3/4 * 2, 1/2 * 1) = 3/2; phi = min(1/4 * 2, 1/2 * 1) = 1/2 at s <= 1/4

@@ -1,6 +1,9 @@
-"""Verification suites: every suite runs clean, and the pool mode is transparent."""
+"""Verification suites: every suite runs clean, its blocks in order in one process."""
 
 import ast
+import inspect
+import multiprocessing
+import os
 import re
 import time
 import tracemalloc
@@ -97,6 +100,27 @@ def test_hypergeom_counting_budget():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_run_suite_runs_its_blocks_in_order_in_one_process(monkeypatch, suite):
+    def no_process(*args, **kwargs):
+        raise AssertionError("run_suite started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", no_process)
+    monkeypatch.setattr(multiprocessing.Process, "start", no_process)
+    sizes = (2, SMALL_M_MAX.get(suite, 3), None, 1)
+    result = run_suite(suite, *sizes)
+    outcomes = [_dispatch(task) for task in _SUITES[suite](*sizes)]
+    assert result.checked == sum(checked for checked, _ in outcomes) > 0
+    assert result.violations == tuple(v for _, bad in outcomes for v in bad)
+
+
+def test_run_suite_takes_no_jobs_argument():
+    assert "jobs" not in inspect.signature(run_suite).parameters
+    with pytest.raises(TypeError, match="jobs"):
+        run_suite("opt", jobs=1, n_max=1, m_max=2)
 
 
 @pytest.mark.parametrize(
