@@ -74,8 +74,21 @@ def _write_out(path: str | None, payload: str) -> None:
         Path(path).write_text(payload, encoding="utf-8")
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``; a byte that is not UTF-8 is a
+    ParseError at its line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file in one call, so exc.object holds all of
+        # it.  bytes.splitlines ends lines where read_text does, at \n, \r\n or \r,
+        # and the bad byte, which is neither, ends the slice inside its own line.
+        line = len(exc.object[: exc.start + 1].splitlines())
+        raise ParseError(line, f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 text") from None
+
+
 def _cmd_solve(args: SimpleNamespace) -> int:
-    inst, k_file, t_file = parse_instance(Path(args.file).read_text(encoding="utf-8"))
+    inst, k_file, t_file = parse_instance(_read_text(args.file))
     kind, payload = _parse_rule(args.rule)
     lines = [f"rule: {args.rule}", f"m: {inst.m}", f"n: {inst.n}"]
     if kind == "single":
@@ -185,7 +198,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 
 def _cmd_pvc(args: SimpleNamespace) -> int:
-    profile = parse_ranked(Path(args.file).read_text(encoding="utf-8"))
+    profile = parse_ranked(_read_text(args.file))
     core = strong_pvc(profile)
     print("EMPTY" if not core else " ".join(str(a) for a in sorted(core)))
     return 0

@@ -224,6 +224,47 @@ def index_in(x: object, size: int, what: str) -> int:
 # The least int of over NUMERAL_LIMIT digits: ``str`` refuses to print it.
 _UNPRINTABLE = 10**NUMERAL_LIMIT
 
+# What ``repr`` puts around the items of a non-empty builtin container, and
+# what it prints for a container met again inside itself.
+_BRACKETS = {
+    list: ("[", "]", "[...]"),
+    tuple: ("(", ")", "(...)"),
+    dict: ("{", "}", "{...}"),
+    set: ("{", "}", "set(...)"),
+    frozenset: ("frozenset({", "})", "frozenset(...)"),
+}
+
+
+def _repr_within(x: object, room: int, active: tuple[int, ...] = ()) -> str | None:
+    """``repr(x)`` if it runs to at most ``room`` characters, else None.  A str or
+    a builtin container is printed item by item and given up once past ``room``,
+    so it costs about ``room`` characters however long its full text would be;
+    ``active`` holds the ids of the containers being printed around ``x``."""
+    kind = type(x)
+    if kind is str and len(x) + 2 > room:
+        return None
+    if kind not in _BRACKETS or not x:
+        printed = repr(x)
+    elif id(x) in active:
+        printed = _BRACKETS[kind][2]
+    else:
+        opening, closing, _ = _BRACKETS[kind]
+        inner = (*active, id(x))
+        # Each item is charged its text and a ", " after it; the last is not followed by one.
+        left = room - len(opening) - len(closing) + 2
+        parts = []
+        for item in x.items() if kind is dict else x:
+            texts = []
+            for y in item if kind is dict else (item,):
+                text = _repr_within(y, left - 2, inner)
+                if text is None:
+                    return None
+                texts.append(text)
+                left -= len(text) + 2
+            parts.append(": ".join(texts))
+        printed = opening + ", ".join(parts) + "," * (kind is tuple and len(parts) == 1) + closing
+    return printed if len(printed) <= room else None
+
 
 def shown(x: object, text: Callable[[object], str] = repr) -> str:
     """``text(x)`` for an error message, except that an int of over ``NUMERAL_LIMIT``
@@ -231,7 +272,8 @@ def shown(x: object, text: Callable[[object], str] = repr) -> str:
     refuses to print, is worded by its bit length instead; it is never converted.
     A string of over ``NUMERAL_LIMIT`` characters is worded by its length, and
     a collection holding such an int by its type.  Any other value whose text
-    runs over ``NUMERAL_LIMIT`` characters is worded by its type and that length."""
+    runs over ``NUMERAL_LIMIT`` characters is worded by its type; a str or a
+    builtin container is printed only that far (:func:`_repr_within`)."""
     if isinstance(x, str) and len(x) > NUMERAL_LIMIT:
         return f"a string of {len(x)} characters"
     if isinstance(x, int) and abs(x) >= _UNPRINTABLE:
@@ -242,11 +284,12 @@ def shown(x: object, text: Callable[[object], str] = repr) -> str:
             f"numerator and a {x.denominator.bit_length()}-bit denominator"
         )
     try:
-        printed = text(x)
+        # A builtin container's str is its repr.
+        printed = _repr_within(x, NUMERAL_LIMIT) if text is repr or type(x) in _BRACKETS else text(x)
     except ValueError:  # raised by the repr of an int of over NUMERAL_LIMIT digits inside x
         return f"a {type(x).__name__} too long to print"
-    if len(printed) > NUMERAL_LIMIT:
-        return f"a {type(x).__name__} printed in {len(printed)} characters"
+    if printed is None or len(printed) > NUMERAL_LIMIT:
+        return f"a {type(x).__name__} printed in over {NUMERAL_LIMIT} characters"
     return printed
 
 

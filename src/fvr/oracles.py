@@ -522,19 +522,18 @@ def strong_pvc(profile: RankedProfile) -> frozenset[int]:
     """Candidates not weakly vetoed by any voter group.
 
     A group of g voters weakly vetoes candidate ``a`` when every member
-    prefers at least m - ceil(m*g/n) + 1 candidates to ``a``.  Only the
-    count of voters past the positional cutoff matters, so such a group
-    exists exactly when the g-th largest position of ``a`` reaches the
-    cutoff; checking that for every g is equivalent to enumerating
-    subsets.  May be empty.
+    prefers at least m - ceil(m*g/n) + 1 candidates to ``a``.  Such a group
+    exists exactly when, at some depth d in 1..m-1, the x_d voters who rank
+    ``a`` outside their top d satisfy x_d*m > (m-d)*n: the FVR check of the
+    ballots truncated to their top d.  One pass over the first m-1 choices
+    of every voter keeps each count in an int, so the cost is O(n*m).  May
+    be empty.
     """
     m, n = profile.m, profile.n
-    positions = [{a: pos for pos, a in enumerate(ranking)} for ranking in profile.rankings]
-    # m - ceil(m*g/n) + 1 for g = 1..n in ints, as (m*g) // -n is -ceil(m*g/n).
-    cutoffs = [m + (m * g) // -n + 1 for g in range(1, n + 1)]
-    surviving = set(range(m))
-    for a in range(m):
-        column = sorted((pos[a] for pos in positions), reverse=True)
-        if any(pos >= cutoff for pos, cutoff in zip(column, cutoffs)):
-            surviving.discard(a)
-    return frozenset(surviving)
+    inside = [0] * m  # voters ranking a within their top d
+    kept = set(range(m))
+    for d, choices in zip(range(1, m), zip(*profile.rankings)):
+        for a in choices:
+            inside[a] += 1
+        kept = {a for a in kept if (n - inside[a]) * m <= (m - d) * n}
+    return frozenset(kept)

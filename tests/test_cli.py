@@ -7,6 +7,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fvr import oracles
 from fvr.cli import dec_str, main
@@ -428,6 +430,51 @@ def test_pvc_nonempty_core(capsys, tmp_path):
     code, out, _ = run(capsys, "pvc", str(path))
     assert code == 0
     assert out == "1\n"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_pvc_keeps_a_candidate_that_meets_the_veto_bound_with_equality(capsys, tmp_path, end):
+    # m = n = 2: one voter ranks each candidate outside its top 1, and
+    # x_1 * m = 2 = (m - 1) * n, so neither is vetoed.
+    path = tmp_path / "opposed.fvrr"
+    path.write_bytes(end.join(["fvr-ranked 1", "m 2", "n 2", "0 1", "1 0", ""]).encode())
+    code, out, _ = run(capsys, "pvc", str(path))
+    assert (code, out) == (0, "0 1\n")
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [(INTRO_TEXT, ("solve", "{file}", "--rule", "opt")), (RANKED_TEXT, ("pvc", "{file}"))],
+    ids=["solve", "pvc"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_and_exit_2(capsys, tmp_path, text, argv):
+    lines = text.encode().split(b"\n")
+    lines[3] = b"\xff" + lines[3]
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\n".join(lines))
+    code, out, err = run(capsys, *(arg.format(file=path) for arg in argv))
+    assert (code, out, err) == (2, "", "error: line 4: byte 0xff is not UTF-8 text\n")
+
+
+def spliced(text):
+    """``text`` as bytes, with up to 3 bytes cut at one place and up to 6 arbitrary bytes put there."""
+    data = text.encode()
+    return st.tuples(st.integers(0, len(data)), st.integers(0, 3), st.binary(max_size=6)).map(
+        lambda cut: data[: cut[0]] + cut[2] + data[cut[0] + cut[1] :]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(spliced(PARTY_TEXT), spliced(RANKED_TEXT))
+def test_a_damaged_file_exits_0_or_2(tmp_path_factory, instance, ranked):
+    path = tmp_path_factory.getbasetemp() / "damaged.txt"
+    for data, argv in [
+        (instance, ("solve", "--rule", "opt")),
+        (instance, ("solve", "--rule", "seq", "--k", "2", "--t", "1")),
+        (ranked, ("pvc",)),
+    ]:
+        path.write_bytes(data)
+        assert main([argv[0], str(path), *argv[1:]]) in (0, 2)
 
 
 def test_solve_output_is_deterministic(capsys, intro_file):

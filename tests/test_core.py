@@ -3,6 +3,7 @@
 import ast
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb, gcd
 from pathlib import Path
@@ -38,6 +39,7 @@ from fvr.core import (
     int_at_least,
     open_unit,
     parse_family,
+    shown,
 )
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import (
@@ -697,6 +699,7 @@ HUGE_SITES = {
     # A collection whose text runs over NUMERAL_LIMIT characters is named by its type and that length.
     "Table string list": (lambda: Table([LONG]), ValidationError),
     "AuditCurve string list": (lambda: AuditCurve([LONG]), ValidationError),
+    "Table repeated string list": (lambda: Table([LONG] * 50), ValidationError),
 }
 
 
@@ -710,3 +713,39 @@ def test_an_integer_too_long_to_print_is_worded_by_its_size(site):
     message = str(excinfo.value)
     assert type(excinfo.value) is error
     assert len(message) < 200 and re.search(r"\d+ bits|\d+-bit|too long to print|\d+ characters", message), message
+
+
+def test_a_long_string_in_a_list_is_not_printed_to_be_capped():
+    # 50 references to one 1 MB string: the text is given up past NUMERAL_LIMIT characters.
+    value = [LONG] * 50
+    tracemalloc.start()
+    try:
+        message = shown(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == f"a list printed in over {NUMERAL_LIMIT} characters"
+    assert peak < 100_000
+
+
+RECURSIVE_LIST: list = [1]
+RECURSIVE_LIST.append(RECURSIVE_LIST)
+RECURSIVE_DICT: dict = {"a": ("b",)}
+RECURSIVE_DICT["self"] = [RECURSIVE_DICT]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        (), (1,), (1, "2"), [], {}, set(), frozenset(), {3}, frozenset({1, 2}), {1: (2,), "k": None},
+        ["it's", "\n\x00\u00e9\U0001f600", b"x", Fraction(1, 3), 10**40, 1.5, True],
+        [("x" * (NUMERAL_LIMIT - 7),)],  # exactly NUMERAL_LIMIT characters
+        RECURSIVE_LIST, RECURSIVE_DICT, (RECURSIVE_LIST, [RECURSIVE_DICT]),
+    ],
+)
+def test_a_container_whose_text_fits_is_shown_as_repr_prints_it(value):
+    assert shown(value) == shown(value, str) == repr(value)
+
+
+def test_a_container_one_character_over_is_worded_by_its_type():
+    assert shown([("x" * (NUMERAL_LIMIT - 6),)]) == f"a list printed in over {NUMERAL_LIMIT} characters"

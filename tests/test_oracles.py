@@ -483,7 +483,8 @@ def test_strong_pvc_examples():
 
 
 def test_strong_pvc_matches_subset_oracle_exhaustively():
-    for m in (1, 2, 3):
+    # m = 4 adds 24 + 576 + 13,824 profiles.
+    for m in (1, 2, 3, 4):
         perms = list(permutations(range(m)))
         for n in (1, 2, 3):
             for rankings in product(perms, repeat=n):
