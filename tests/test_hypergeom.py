@@ -1,5 +1,6 @@
 """Hypergeometric distribution against direct subset counting."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,7 +12,6 @@ from fvr.hypergeom import (
     CACHE_SIZE,
     HypParams,
     _cdf,
-    _pmf,
     hyp_cdf,
     hyp_pmf,
     miss_prob,
@@ -167,11 +167,18 @@ def test_bound_converges_to_binomial_limit():
 
 
 def test_caches_are_bounded_and_the_largest_sweep_evicts_nothing():
-    assert _pmf.cache_info().maxsize == _cdf.cache_info().maxsize == CACHE_SIZE == 1 << 16
+    # _cdf is the package's one process-wide cache.
+    cached = [
+        f"{name}.{attr}"
+        for name, module in list(sys.modules.items())
+        if name == "fvr" or name.startswith("fvr.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == ["fvr.hypergeom._cdf"]
+    assert _cdf.cache_info().maxsize == CACHE_SIZE == 1 << 16
     # Every cached value is a pure function of its key, so clearing is invisible.
-    _pmf.cache_clear()
     _cdf.cache_clear()
     assert run_suite("hypergeom", m_max=12).passed
-    for cache in (_pmf, _cdf):
-        info = cache.cache_info()
-        assert 0 < info.currsize == info.misses < info.maxsize
+    info = _cdf.cache_info()
+    assert info.currsize == info.misses == 3185 < info.maxsize
