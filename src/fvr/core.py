@@ -34,7 +34,6 @@ __all__ = [
     "as_frac",
     "open_unit",
     "int_at_least",
-    "m_at_most",
     "index_in",
     "shown",
     "comb_over",
@@ -196,21 +195,16 @@ def open_unit(x: object, what: str = "threshold") -> Frac:
     return value
 
 
-def int_at_least(x: object, what: str, low: int | None = 0) -> int:
+def int_at_least(x: object, what: str, low: int | None = 0, high: int | None = None) -> int:
     """``x``, checked to be an int (not a bool) of at least ``low``, or any int when
-    ``low`` is None (a seed); ``what`` names it."""
+    ``low`` is None (a seed), and at most ``high`` when given; ``what`` names it."""
     if isinstance(x, bool) or not isinstance(x, int) or (low is not None and x < low):
         kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
         kind = kinds.get(low, f"an integer >= {low}")
         raise ValidationError(f"{what} must be {kind}, got {shown(x)}")
+    if high is not None and x > high:
+        raise SizeLimitError(f"{what} must be at most {high}, got {shown(x)}")
     return x
-
-
-def m_at_most(m: object, limit: int) -> int:
-    """``m``, checked to be a candidate count in 1..``limit``."""
-    if int_at_least(m, "m", 1) > limit:
-        raise SizeLimitError(f"m must be at most {limit}, got {shown(m)}")
-    return m
 
 
 def index_in(x: object, size: int, what: str) -> int:
@@ -377,7 +371,7 @@ class Instance:
     __delattr__ = _frozen_delattr
 
     def __init__(self, m: int, approvals: Iterable[Iterable[int]]):
-        m_at_most(m, COMMITTEE_LIMIT)
+        int_at_least(m, "m", 1, COMMITTEE_LIMIT)
         try:
             rows = tuple(map(frozenset, approvals))
         except TypeError as exc:
@@ -394,7 +388,7 @@ class Instance:
         """The instance whose voter i approves the candidates at the set bits of
         ``masks[i]``; each mask must be below 2**m."""
         inst = object.__new__(cls)
-        _fill(inst, m_at_most(m, COMMITTEE_LIMIT), tuple(masks))
+        _fill(inst, int_at_least(m, "m", 1, COMMITTEE_LIMIT), tuple(masks))
         return inst
 
     @property
@@ -541,7 +535,7 @@ def flexible_size(s: Frac, m: int) -> int:
 def flexibility_grid(m: int) -> tuple[Frac, ...]:
     """Every flexibility value strictly inside (0, 1) that ``m`` candidates allow,
     for 1 <= m <= ``CANDIDATE_LIMIT``."""
-    return tuple(Frac(i, m) for i in range(1, m_at_most(m, CANDIDATE_LIMIT)))
+    return tuple(Frac(i, m) for i in range(1, int_at_least(m, "m", 1, CANDIDATE_LIMIT)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +588,7 @@ class Power:
     p: int
 
     def __post_init__(self) -> None:
-        if int_at_least(self.p, "power exponent", 1) > POWER_LIMIT:
-            raise SizeLimitError(f"power exponent must be at most {POWER_LIMIT}, got {shown(self.p)}")
+        int_at_least(self.p, "power exponent", 1, POWER_LIMIT)
 
     def ratio(self, size: int, m: int) -> tuple[int, int]:
         return size**self.p, m**self.p

@@ -75,10 +75,7 @@ def hyp_cdf(params: HypParams, t: int) -> Frac:
     """Probability of drawing at most ``t`` successes (0 for t < 0, 1 at full support); any int ``t``."""
     if type(t) is not int:
         int_at_least(t, "t", None)
-    if t < 0:
-        return Fraction(0)
-    upper = min(t, params.successes, params.draws)
-    return _cdf(params.population, params.successes, params.draws, upper)
+    return miss_prob(params.population, params.successes, params.draws, t + 1)
 
 
 def miss_prob(m: int, size: int, k: int, t: int) -> Frac:

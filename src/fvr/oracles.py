@@ -32,7 +32,6 @@ from .core import (
     eval_weight,
     index_in,
     int_at_least,
-    m_at_most,
     open_unit,
     shown,
 )
@@ -244,7 +243,7 @@ def _check_budget(voters: int, m: int = 0, approvals: int = 0) -> None:
     if voters > COMMITTEE_LIMIT:
         raise SizeLimitError(f"{shown(voters)} voters exceed the limit {COMMITTEE_LIMIT}")
     if m:
-        m_at_most(m, CANDIDATE_LIMIT)
+        int_at_least(m, "m", 1, CANDIDATE_LIMIT)
     if approvals > APPROVAL_LIMIT:
         raise SizeLimitError(f"{shown(approvals)} approvals exceed the limit {APPROVAL_LIMIT}")
 
@@ -333,11 +332,13 @@ def generator_names() -> tuple[str, ...]:
 
 def run_generator(name: str, params: Mapping[str, object]) -> tuple[Instance, int | None]:
     """Build the named instance; returns (instance, special candidate or None)."""
-    try:
-        generator, required, optional = _generators()[name]
-    except KeyError:
+    generators = _generators()
+    if not isinstance(name, str) or name not in generators:
         known = ", ".join(generator_names())
-        raise ValidationError(f"unknown generator {shown(name)}; known: {known}") from None
+        raise ValidationError(f"unknown generator {shown(name)}; known: {known}")
+    if not isinstance(params, Mapping):
+        raise ValidationError(f"generator parameters must be a mapping, got {shown(params)}")
+    generator, required, optional = generators[name]
     unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"unknown parameter(s) for {name}: {sorted(unknown)}")

@@ -20,7 +20,6 @@ from .core import (
     Frac,
     Instance,
     Optimal,
-    SizeLimitError,
     Table,
     WeightFn,
     as_family,
@@ -30,7 +29,6 @@ from .core import (
     index_in,
     int_at_least,
     open_unit,
-    shown,
 )
 
 __all__ = [
@@ -178,8 +176,7 @@ def grid_theoretical_fvr(w: WeightFn, s: object, grid_m: int) -> Frac:
     the m of an instance, so ``grid_m`` is at most ``CANDIDATE_LIMIT``.
     """
     sv = open_unit(s)
-    if int_at_least(grid_m, "grid resolution", 2) > CANDIDATE_LIMIT:
-        raise SizeLimitError(f"grid resolution must be at most {CANDIDATE_LIMIT}, got {shown(grid_m)}")
+    int_at_least(grid_m, "grid resolution", 2, CANDIDATE_LIMIT)
     return Table([(f, eval_weight(w, f)) for f in flexibility_grid(grid_m)]).guarantee(sv)
 
 

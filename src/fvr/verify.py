@@ -7,11 +7,11 @@ order, in one process.
 
 Each block is a generator that yields one item per check: a false value
 when the check passes, or its violation message when it fails, built only
-then (``failed and f"..."``).  ``_dispatch`` alone counts a block's checks
-and keeps its first ``MAX_VIOLATIONS_KEPT`` messages, so no block holds a
-counter or a list of violations.
+then (``failed and f"..."``).  ``run_suite`` alone counts the checks and
+keeps the first ``MAX_VIOLATIONS_KEPT`` messages, so no block holds a counter
+or a list of violations.
 
-Suite parameter conventions (all optional, suite-specific defaults):
+Suite parameters (all optional; ``_SUITES`` holds each suite's defaults):
 
 - ``n_max``/``m_max``: sweep ceilings for voters/candidates (for the
   ``hypergeom`` suite, ``m_max`` is the largest population compared against
@@ -51,7 +51,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import comb, lcm
 from operator import and_
 
@@ -404,42 +404,27 @@ def _jr_clash_block(m: int, k: int) -> Iterator[str | bool]:
     yield least * q > p * n and f"{label}: least audit {Fraction(least, n)} exceeds {bound}"
 
 
-def _dispatch(task: tuple) -> tuple[int, list[str]]:
-    """Run one block: the number of checks it yields and its first
-    ``MAX_VIOLATIONS_KEPT`` violation messages."""
-    block, args = task
-    checked = 0
-    bad: list[str] = []
-    for checked, failure in enumerate(block(*args), 1):
-        if failure and len(bad) < MAX_VIOLATIONS_KEPT:
-            bad.append(failure)
-    return checked, bad
-
-
 # ---------------------------------------------------------------------------
 # Suite definitions
 # ---------------------------------------------------------------------------
 
 
-def _sweep(block: Callable[..., Iterator[str | bool]], n_default: int, m_default: int, *lead):
-    """Suite builder: one ``block(*lead, n, m, budget)`` task per (n, m) of the sweep.
+def _sweep(block: Callable[..., Iterator[str | bool]], *lead):
+    """Suite builder: one ``block(*lead, n, m, budget)`` per (n, m) of the sweep.
 
     A block with one candidate has no threshold and no committee to check,
     so m starts at 2.  The multiset count grows with both n and m, so the
-    largest block decides the budget, checked before any task is built.
+    largest block decides the budget, checked before any block is built.
     """
 
     def build(n_max, m_max, budget, seed):
-        n_max = n_max or n_default
-        m_max = m_max or m_default
-        budget = budget or ENUMERATION_BUDGET
         if m_max > 1 and _multisets_over(n_max, m_max, budget):
             raise SizeLimitError(
                 f"n_max={shown(n_max)}, m_max={shown(m_max)} would enumerate more than "
                 f"{shown(budget)} voter multisets in one block"
             )
         return [
-            (block, (*lead, n, m, budget))
+            block(*lead, n, m, budget)
             for m in range(2, m_max + 1)
             for n in range(1, n_max + 1)
         ]
@@ -447,10 +432,7 @@ def _sweep(block: Callable[..., Iterator[str | bool]], n_default: int, m_default
     return build
 
 
-def _build_hypergeom(n_max, m_max, budget, seed):
-    enum_max = m_max or 6
-    counting_samples = budget or 50
-    seed = seed if seed is not None else 0
+def _build_hypergeom(n_max, enum_max, counting_samples, seed):
     # _hyp_enum_block(p) enumerates the C(p, d) draws once per (s, d) and reads
     # its d + 2 probes t from their histogram.  The budget charges each subset
     # once per probe, as pmf_by_enumeration costs probe by probe:
@@ -471,17 +453,13 @@ def _build_hypergeom(n_max, m_max, budget, seed):
             "(voter, committee) pairs"
         )
     return [
-        *((_hyp_enum_block, (p,)) for p in range(enum_max + 1)),
-        *((_hyp_sum_block, (p,)) for p in range(enum_max + 5)),
-        (_hyp_counting_block, (seed, counting_samples, counting_m)),
+        *map(_hyp_enum_block, range(enum_max + 1)),
+        *map(_hyp_sum_block, range(enum_max + 5)),
+        _hyp_counting_block(seed, counting_samples, counting_m),
     ]
 
 
-def _build_pvc(n_max, m_max, budget, seed):
-    n_max = n_max or 3
-    m_max = m_max or 3
-    sample = budget or 300
-    seed = seed if seed is not None else 0
+def _build_pvc(n_max, m_max, sample, seed):
     # strong_pvc_by_subsets tries each of the 2**n - 1 voter groups once per
     # profile on m-bit candidate masks, m * (2**n - 1) (candidate, group)
     # pairs, and the largest block tries the most.  An n whose 2**n - 1 alone
@@ -496,15 +474,13 @@ def _build_pvc(n_max, m_max, budget, seed):
             "(candidate, voter group) pairs in one block's subset oracle"
         )
     return [
-        (_pvc_block, (n, m, sample, seed + 31 * (n * 17 + m)))
+        _pvc_block(n, m, sample, seed + 31 * (n * 17 + m))
         for m in range(1, m_max + 1)
         for n in range(1, n_max + 1)
     ]
 
 
 def _build_separations(n_max, m_max, budget, seed):
-    m_max = m_max or 10
-    budget = budget or ENUMERATION_BUDGET
     # Party split k enumerates C(2k, k) committees and JR clash (m, k) C(m, k),
     # so the largest block, if m_max >= 4 makes any, enumerates C(m_max, m_max // 2).
     if m_max >= 4 and comb_over(m_max, m_max // 2, budget):
@@ -514,21 +490,23 @@ def _build_separations(n_max, m_max, budget, seed):
     # JR clash starts at m = 5: at m = 4 the least JR audit equals the bound,
     # and at k = m - 1 it never exceeds it.
     return [
-        *((_party_split_block, (k,)) for k in range(2, m_max // 2 + 1)),
-        *((_jr_clash_block, (m, k)) for m in range(5, m_max + 1) for k in range(2, m - 1)),
+        *map(_party_split_block, range(2, m_max // 2 + 1)),
+        *(_jr_clash_block(m, k) for m in range(5, m_max + 1) for k in range(2, m - 1)),
     ]
 
 
+# Each suite's builder and its defaults for n_max, m_max, budget and seed; a
+# builder takes all four and returns its blocks, none of them started.
 _SUITES = {
-    "opt": _sweep(_single_winner_block, 3, 3, "opt"),
-    "threshold": _sweep(_single_winner_block, 3, 3, "threshold"),
-    "approval": _sweep(_single_winner_block, 3, 3, "approval"),
-    "power": _sweep(_single_winner_block, 3, 3, "power"),
-    "multiwinner": _sweep(_multiwinner_block, 2, 4),
-    "reduction": _sweep(_reduction_block, 3, 3),
-    "hypergeom": _build_hypergeom,
-    "pvc": _build_pvc,
-    "separations": _build_separations,
+    "opt": (_sweep(_single_winner_block, "opt"), 3, 3, ENUMERATION_BUDGET, None),
+    "threshold": (_sweep(_single_winner_block, "threshold"), 3, 3, ENUMERATION_BUDGET, None),
+    "approval": (_sweep(_single_winner_block, "approval"), 3, 3, ENUMERATION_BUDGET, None),
+    "power": (_sweep(_single_winner_block, "power"), 3, 3, ENUMERATION_BUDGET, None),
+    "multiwinner": (_sweep(_multiwinner_block), 2, 4, ENUMERATION_BUDGET, None),
+    "reduction": (_sweep(_reduction_block), 3, 3, ENUMERATION_BUDGET, None),
+    "hypergeom": (_build_hypergeom, None, 6, 50, 0),
+    "pvc": (_build_pvc, 3, 3, 300, 0),
+    "separations": (_build_separations, None, 10, ENUMERATION_BUDGET, None),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -542,18 +520,16 @@ def run_suite(
     seed: int | None = None,
 ) -> VerifyResult:
     """Run a named suite, its blocks in order."""
-    try:
-        builder = _SUITES[name]
-    except KeyError:
+    if not isinstance(name, str) or name not in _SUITES:
         known = ", ".join(SUITE_NAMES)
-        raise ValidationError(f"unknown suite {shown(name)}; known: {known}") from None
-    # None selects the suite's default; any other size must be usable, so the
-    # builders' ``or`` defaults never see a 0, and a seed may be any int.
-    given = (("n_max", n_max, 1), ("m_max", m_max, 1), ("budget", budget, 1), ("seed", seed, None))
-    for key, value, low in given:
-        if value is not None:
-            int_at_least(value, key, low)
-    outcomes = [_dispatch(task) for task in builder(n_max, m_max, budget, seed)]
-    checked = sum(c for c, _ in outcomes)
-    violations = tuple(v for _, vs in outcomes for v in vs)[:MAX_VIOLATIONS_KEPT]
-    return VerifyResult(name, checked, violations)
+        raise ValidationError(f"unknown suite {shown(name)}; known: {known}")
+    builder, *defaults = _SUITES[name]
+    # None selects the suite's default; any other size must be a positive int,
+    # and a seed any int.
+    given = zip(("n_max", "m_max", "budget", "seed"), (n_max, m_max, budget, seed), (1, 1, 1, None), defaults)
+    args = [default if value is None else int_at_least(value, key, low) for key, value, low, default in given]
+    checked, violations = 0, []
+    for checked, failure in enumerate(chain.from_iterable(builder(*args)), 1):
+        if failure and len(violations) < MAX_VIOLATIONS_KEPT:
+            violations.append(failure)
+    return VerifyResult(name, checked, tuple(violations))

@@ -408,6 +408,18 @@ def test_instance_m_is_bounded_by_the_committee_limit():
             build(COMMITTEE_LIMIT + 1)
 
 
+def test_an_upper_bound_is_checked_after_the_type_and_the_lower_bound():
+    assert int_at_least(10, "m", 1, 10) == 10
+    with pytest.raises(SizeLimitError, match="^m must be at most 10, got 11$"):
+        int_at_least(11, "m", 1, 10)
+    with pytest.raises(SizeLimitError, match=f"^m must be at most 10, got an integer of {HUGE.bit_length()} bits$"):
+        int_at_least(HUGE, "m", 1, 10)
+    for bad in (0, True, "x"):
+        with pytest.raises(ValidationError, match="^m must be a positive integer, got ") as info:
+            int_at_least(bad, "m", 1, 10)
+        assert type(info.value) is ValidationError
+
+
 def test_instance_views_are_bounded_by_the_view_limit(monkeypatch):
     # 4 voters over 2 candidates write a row string of 4 * (2 + 3) = 20 characters.
     monkeypatch.setattr(core, "VIEW_LIMIT", 20)

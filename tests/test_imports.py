@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there or listed in its ``__all__``."""
+"""Every name a module of the package imports is used there or listed in its ``__all__``,
+and every private module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,39 @@ def test_no_unused_import(path):
         if name not in used
     ]
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each private name a module-level def, class or assignment binds, with its line;
+    module dunders such as ``__all__`` are not private."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            bound = []
+        for name in bound:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                names[name] = node.lineno
+    return names
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    # A private helper that only tests call is dead code: the tests should
+    # reach the package through what the package itself runs.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = [(name, line, file) for file, tree in trees.items() for name, line in private_names(tree).items()]
+    assert defined
+    unused = [f"{file}:{line}: {name}" for name, line, file in defined if name not in used]
+    assert not unused, "private but unused in the package: " + ", ".join(unused)

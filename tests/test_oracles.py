@@ -465,6 +465,18 @@ def test_generator_registry():
         run_generator("party_split", {"k": 2, "zz": 1})
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ([], {}, r"^unknown generator \[\]; known: approval_gap, "),
+        ("random", 5, "^generator parameters must be a mapping, got 5$"),
+    ],
+)
+def test_a_bad_generator_name_or_parameter_set_is_a_validation_error(name, params, message):
+    with pytest.raises(ValidationError, match=message):
+        run_generator(name, params)
+
+
 def test_build_ranked_profile_validation():
     RankedProfile(3, [(0, 1, 2)])
     with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ import pytest
 
 from fvr import multi_winner, oracles, verify
 from fvr.cli import main
-from fvr.core import Committee, Constant, RankedProfile, SizeLimitError, build_instance, parse_family
+from fvr.core import Committee, Constant, RankedProfile, SizeLimitError, ValidationError, build_instance, parse_family
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import JrResult, MultiParams, empirical_fvr_committee, jr_check, sequential_picks
 from fvr.oracles import (
@@ -34,7 +34,6 @@ from fvr.verify import (
     MAX_VIOLATIONS_KEPT,
     SUITE_NAMES,
     _build_separations,
-    _dispatch,
     _jr_clash_block,
     _pvc_block,
     pmf_by_enumeration,
@@ -45,6 +44,18 @@ from fvr.verify import (
 
 # The separations need at least 4 candidates (party split) and 5 (JR clash).
 SMALL_M_MAX = {"separations": 6}
+
+
+def _checks(block):
+    """A block's check count and all its violation messages, in order."""
+    outcomes = list(block)
+    return len(outcomes), [failure for failure in outcomes if failure]
+
+
+def _build(suite, *given):
+    """The blocks of ``suite`` for sizes ``given``, each None read from the suite table."""
+    builder, *defaults = _SUITES[suite]
+    return builder(*(default if value is None else value for value, default in zip(given, defaults)))
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -66,7 +77,7 @@ def test_pvc_block_over_budget_lists_no_rankings():
     # 8! rankings would take about 4.5 MB as a list; one sampled profile needs almost none.
     tracemalloc.start()
     try:
-        checked, bad = _dispatch((_pvc_block, (1, 8, 1, 0)))
+        checked, bad = _checks(_pvc_block(1, 8, 1, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -80,9 +91,9 @@ def test_hypergeom_enumeration_budget():
     from fvr.core import SizeLimitError
     from fvr.verify import _build_hypergeom
 
-    assert len(_build_hypergeom(None, 12, None, None)) == 13 + 17 + 1
+    assert len(_build_hypergeom(None, 12, 50, 0)) == 13 + 17 + 1
     with pytest.raises(SizeLimitError, match="m_max=13 would enumerate more than 1000000 subsets"):
-        _build_hypergeom(None, 13, None, None)
+        _build_hypergeom(None, 13, 50, 0)
 
 
 def test_hypergeom_counting_budget():
@@ -90,16 +101,41 @@ def test_hypergeom_counting_budget():
     # 8 candidates: 656 samples make 999,744 (voter, committee) pairs, 657 make 1,001,268.
     from fvr.verify import _build_hypergeom
 
-    assert _build_hypergeom(None, 12, 656, None)
+    assert _build_hypergeom(None, 12, 656, 0)
     with pytest.raises(SizeLimitError, match="^budget=657 would test more than 1000000 "):
-        _build_hypergeom(None, 12, 657, None)
+        _build_hypergeom(None, 12, 657, 0)
     # A smaller population allows more samples: 6 * (2**3 - 2) pairs each at m_max=1.
-    assert _build_hypergeom(None, 1, 27_777, None)
+    assert _build_hypergeom(None, 1, 27_777, 0)
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+def test_a_suite_name_that_is_not_a_string_is_an_unknown_suite():
+    with pytest.raises(ValidationError, match=r"^unknown suite \[\]; known: approval, hypergeom, "):
+        run_suite([])
+
+
+# Each suite's check count at its defaults; hypergeom's also pins its default seed 0.
+DEFAULT_CHECKS = {
+    "approval": 362,
+    "hypergeom": 8008,
+    "multiwinner": 10506,
+    "opt": 362,
+    "power": 1086,
+    "pvc": 275,
+    "reduction": 396,
+    "separations": 402,
+    "threshold": 362,
+}
+
+
+def test_every_suite_pins_its_default_check_count():
+    results = {suite: run_suite(suite) for suite in SUITE_NAMES}
+    assert all(result.passed for result in results.values())
+    assert {suite: result.checked for suite, result in results.items()} == DEFAULT_CHECKS
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -112,7 +148,7 @@ def test_run_suite_runs_its_blocks_in_order_in_one_process(monkeypatch, suite):
     monkeypatch.setattr(multiprocessing.Process, "start", no_process)
     sizes = (2, SMALL_M_MAX.get(suite, 3), None, 1)
     result = run_suite(suite, *sizes)
-    outcomes = [_dispatch(task) for task in _SUITES[suite](*sizes)]
+    outcomes = [_checks(block) for block in _build(suite, *sizes)]
     assert result.checked == sum(checked for checked, _ in outcomes) > 0
     assert result.violations == tuple(v for _, bad in outcomes for v in bad)
 
@@ -187,7 +223,7 @@ def test_multiset_budget_check_is_the_binomial(budget):
     ],
 )
 def test_budgets_admit_the_sweeps_in_use(suite, n_max, m_max, budget):
-    assert _SUITES[suite](n_max, m_max, budget, 0)
+    assert _build(suite, n_max, m_max, budget, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +368,7 @@ def test_hypergeom_suite_catches_off_by_one_pmf_and_cdf(monkeypatch):
     assert any(message.endswith("!= enumerated cumulative") for message in result.violations)
     # The counting block's messages come after the enumeration's, past the
     # ones a suite keeps, so its block runs alone.
-    checked, bad = _dispatch((verify._hyp_counting_block, (0, 5, 4)))
+    checked, bad = _checks(verify._hyp_counting_block(0, 5, 4))
     assert checked and bad
     pattern = re.compile(
         r"m=(\d+) k=(\d+) t=(\d+) \|A\|=(\d+): (\d+) committees reach the "
@@ -363,7 +399,7 @@ def test_hypergeom_reports_one_check_per_probe_with_both_its_failures(monkeypatc
         if failures:
             expected.append("; ".join(failures))
     assert any("; " in message for message in expected)
-    assert _dispatch((verify._hyp_enum_block, (2,))) == (len(probes), expected)
+    assert _checks(verify._hyp_enum_block(2)) == (len(probes), expected)
 
 
 def test_hypergeom_sum_block_catches_an_asymmetric_pmf(monkeypatch):
@@ -381,23 +417,29 @@ def test_hypergeom_sum_block_catches_an_asymmetric_pmf(monkeypatch):
         if asymmetric(HypParams(3, s, d), t) != asymmetric(HypParams(3, d, s), t)
     ]
     assert expected
-    assert _dispatch((verify._hyp_sum_block, (3,))) == (4 * 4 * 5, expected)
+    assert _checks(verify._hyp_sum_block(3)) == (4 * 4 * 5, expected)
     assert "symmetry broken at (3,3,1;0)" in expected  # pmf(3,3,1;0) reads pmf(3,3,1;1) = 1
 
 
-def test_dispatch_counts_every_check_and_keeps_the_first_violations():
-    def block(count):
-        for i in range(count):
-            yield i % 2 and f"check {i}"
+def test_run_suite_counts_every_check_and_keeps_the_first_violations(monkeypatch):
+    # Two blocks of 4 * MAX_VIOLATIONS_KEPT checks, every other one a violation.
+    def block(label):
+        for i in range(4 * MAX_VIOLATIONS_KEPT):
+            yield i % 2 and f"block {label} check {i}"
 
-    checked, bad = _dispatch((block, (4 * MAX_VIOLATIONS_KEPT,)))
-    assert checked == 4 * MAX_VIOLATIONS_KEPT
-    assert bad == [f"check {i}" for i in range(1, 2 * MAX_VIOLATIONS_KEPT, 2)]
-    assert _dispatch((block, (0,))) == (0, [])
+    def build(n_max, m_max, budget, seed):
+        return [block(1), block(2)]
+
+    monkeypatch.setitem(_SUITES, "opt", (build, None, None, None, None))
+    result = run_suite("opt")
+    assert result.checked == 8 * MAX_VIOLATIONS_KEPT
+    assert result.violations == tuple(f"block 1 check {i}" for i in range(1, 2 * MAX_VIOLATIONS_KEPT, 2))
+    monkeypatch.setitem(_SUITES, "opt", (lambda *sizes: [], None, None, None, None))
+    assert run_suite("opt") == verify.VerifyResult("opt", 0, ())
 
 
 def test_every_block_is_a_generator_that_returns_nothing():
-    # A block yields its checks; _dispatch alone counts them and keeps the violations.
+    # A block yields its checks; run_suite alone counts them and keeps the violations.
     tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
     blocks = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.endswith("_block")]
     assert blocks
@@ -477,7 +519,7 @@ def test_separations_suite_catches_a_jr_test_that_refuses_every_committee(monkey
 def test_jr_clash_fails_at_m_4_and_at_k_m_minus_1():
     # Why the JR pairs start at m = 5 and stop at k = m - 2.
     for m, k in [(4, 2), *((m, m - 1) for m in range(3, 9))]:
-        checked, bad = _dispatch((_jr_clash_block, (m, k)))
+        checked, bad = _checks(_jr_clash_block(m, k))
         assert checked == 2 and len(bad) == 1 and JR_CLASH.fullmatch(bad[0]), (m, k)
 
 
