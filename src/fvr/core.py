@@ -54,6 +54,7 @@ __all__ = [
     "Table",
     "WeightFn",
     "as_family",
+    "of_type",
     "parse_family",
     "eval_weight",
     "Committee",
@@ -520,7 +521,7 @@ class RankedProfile:
 
 def flexibility(inst: Instance, i: int) -> Frac:
     """The share of all candidates voter ``i`` approves, in lowest terms."""
-    return Frac(inst.masks[index_in(i, inst.n, "voter")].bit_count(), inst.m)
+    return Frac(of_type(inst, Instance, "instance").masks[index_in(i, inst.n, "voter")].bit_count(), inst.m)
 
 
 def flexible_size(s: Frac, m: int) -> int:
@@ -681,6 +682,14 @@ def as_family(w: object) -> WeightFn:
     if not isinstance(w, WeightFn):
         raise ValidationError(f"not a weight function: {shown(w)}")
     return w
+
+
+def of_type(x: object, cls: type[_T], what: str) -> _T:
+    """``x``, checked to be a ``cls`` (a record such as :class:`Instance`); ``what`` names it."""
+    if not isinstance(x, cls):
+        name = cls.__name__
+        raise ValidationError(f"{what} must be {'an' if name[0] in 'AEIOU' else 'a'} {name}, got {shown(x)}")
+    return x
 
 
 def parse_family(spec: str) -> WeightFn:

@@ -41,6 +41,7 @@ from .core import (
     ValidationError,
     encode_row,
     is_numeral,
+    of_type,
     select,
 )
 
@@ -185,6 +186,7 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
 
 def serialize_instance(inst: Instance, k: int | None = None, t: int | None = None) -> str:
     """Canonical serialization: sorted indices, single spaces, trailing newline."""
+    of_type(inst, Instance, "instance")
     if t is not None and k is None:
         raise ValidationError("cannot serialize t without k")
     parts = [INSTANCE_HEADER, f"m {inst.m}", f"n {inst.n}"]
@@ -222,6 +224,7 @@ def parse_ranked(text: str) -> RankedProfile:
 
 def serialize_ranked(profile: RankedProfile) -> str:
     """Canonical serialization of a ranked profile."""
+    of_type(profile, RankedProfile, "profile")
     parts = [RANKED_HEADER, f"m {profile.m}", f"n {profile.n}"]
     numeral = [str(a) for a in range(profile.m)].__getitem__
     parts.extend(" ".join(map(numeral, ranking)) for ranking in profile.rankings)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .core import Frac, MultiParams, ValidationError, flexible_size, int_at_least, open_unit, record, shown
+from .core import Frac, MultiParams, ValidationError, flexible_size, int_at_least, of_type, open_unit, record, shown
 
 __all__ = ["HypParams", "hyp_pmf", "hyp_cdf", "miss_prob", "multiwinner_bound"]
 
@@ -65,7 +65,7 @@ def hyp_pmf(params: HypParams, t: int) -> Frac:
     """
     if type(t) is not int:
         int_at_least(t, "t", None)
-    p, s, d = params.population, params.successes, params.draws
+    p, s, d = of_type(params, HypParams, "params").population, params.successes, params.draws
     if t < 0 or t > d or t > s or d - t > p - s:
         return Fraction(0)
     return Fraction(comb(s, t) * comb(p - s, d - t), comb(p, d))
@@ -75,7 +75,7 @@ def hyp_cdf(params: HypParams, t: int) -> Frac:
     """Probability of drawing at most ``t`` successes (0 for t < 0, 1 at full support); any int ``t``."""
     if type(t) is not int:
         int_at_least(t, "t", None)
-    return miss_prob(params.population, params.successes, params.draws, t + 1)
+    return miss_prob(of_type(params, HypParams, "params").population, params.successes, params.draws, t + 1)
 
 
 def miss_prob(m: int, size: int, k: int, t: int) -> Frac:

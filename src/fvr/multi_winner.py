@@ -26,10 +26,10 @@ from .core import (
     encode_row,
     flexible_size,
     index_in,
+    of_type,
     open_unit,
     record,
     select,
-    shown,
 )
 from .hypergeom import miss_prob
 from .single_winner import argmax, common_units, group_audit, group_audit_curve, weighted_counts
@@ -53,12 +53,12 @@ __all__ = [
 
 
 def _check_committee(inst: Instance, committee: Committee, t: int) -> tuple[int, ...]:
-    """The committee's members, once it is a nonempty :class:`Committee`, its
-    largest member is a candidate of ``inst`` and 1 <= t <= its size;
+    """The committee's members, once ``inst`` is an :class:`Instance`, the committee a
+    nonempty :class:`Committee` whose largest member is a candidate of ``inst``, and
+    1 <= t <= its size;
     :class:`Committee` keeps them sorted, distinct and nonnegative."""
-    if not isinstance(committee, Committee):
-        raise ValidationError(f"committee must be a Committee, got {shown(committee)}")
-    members = committee.members
+    of_type(inst, Instance, "instance")
+    members = of_type(committee, Committee, "committee").members
     if not members:
         raise ValidationError("committee is empty")
     index_in(members[-1], inst.m, "committee member")
@@ -68,10 +68,10 @@ def _check_committee(inst: Instance, committee: Committee, t: int) -> tuple[int,
 
 
 def _check_params(inst: Instance, params: MultiParams) -> MultiParams:
-    """``params``, once it is a :class:`MultiParams` with k below ``inst.m``."""
-    if not isinstance(params, MultiParams):
-        raise ValidationError(f"params must be a MultiParams, got {shown(params)}")
-    return params.below(inst.m)
+    """``params``, once ``inst`` is an :class:`Instance` and ``params`` a :class:`MultiParams`
+    with k below ``inst.m``."""
+    of_type(inst, Instance, "instance")
+    return of_type(params, MultiParams, "params").below(inst.m)
 
 
 def t_approves(inst: Instance, i: int, committee: Committee, t: int) -> bool:
@@ -251,8 +251,8 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     :func:`_penalty`, so C(r-1, x) * C(m-j-r, k-j-x) * unit is an int weight
     with the same argmax.
     """
-    m, k, t = inst.m, _check_params(inst, params).k, params.t
-    columns = inst.columns
+    k, t = _check_params(inst, params).k, params.t
+    m, columns = inst.m, inst.columns
     table, _ = _penalty(inst, k, t)
     at_least = [-1] + [0] * t
     chosen: list[int] = []

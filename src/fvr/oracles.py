@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, cycle, islice, product
+from itertools import chain, combinations, combinations_with_replacement, cycle, islice, product
 from math import ceil, comb, floor, gcd, lcm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     CANDIDATE_LIMIT,
@@ -32,6 +32,7 @@ from .core import (
     eval_weight,
     index_in,
     int_at_least,
+    of_type,
     open_unit,
     shown,
 )
@@ -78,8 +79,8 @@ DEFAULT_SEED = 2718
 
 ENUMERATION_BUDGET = 10**6
 
-# Cap on the approvals (the sum of |A| over voters) that a generator may
-# build; time, memory and the size of the file ``fvr gen`` writes grow with it.
+# Cap on the approvals, the sum of |A| over all voters (candidate 0's too in a gap construction),
+# that a generator may build; time, memory and the size of the file ``fvr gen`` writes grow with it.
 APPROVAL_LIMIT = 10**6
 
 
@@ -102,12 +103,8 @@ def gen_spread(n: int, m: int, per_voter: int) -> Instance:
     masks repeat every m/gcd(m, per_voter) voters.
     """
     int_at_least(n, "n", 1)
-    int_at_least(m, "m", 1)
-    if int_at_least(per_voter, "per-voter approvals") > m:
-        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
-    _check_budget(n, m, n * per_voter)
-    check_views(n, m)
-    return Instance.from_masks(m, _spread_masks(n, m, per_voter))
+    _per_voter(per_voter, int_at_least(m, "m", 1))
+    return _built(m, n, n * per_voter, lambda: _spread_masks(n, m, per_voter))
 
 
 def _spread_masks(n: int, m: int, per_voter: int) -> Iterator[int]:
@@ -123,13 +120,13 @@ def _gap_instance(
 ) -> tuple[Instance, int]:
     """A gap construction and its special candidate 0: ``bloc`` voters spread
     ``per_bloc`` approvals over candidates 1..m-1 as :func:`gen_spread` does, then
-    ``rest`` voters each approve 0 plus ``per_rest`` others, spread the same way."""
-    for voters, per_voter in ((bloc, per_bloc), (rest, per_rest)):
-        _check_budget(voters, approvals=voters * per_voter)
-    check_views(bloc + rest, m)
-    masks = [mask << 1 for mask in _spread_masks(bloc, m - 1, per_bloc)]
-    masks += [mask << 1 | 1 for mask in _spread_masks(rest, m - 1, per_rest)]
-    return Instance.from_masks(m, masks), 0
+    ``rest`` voters each approve 0 plus ``per_rest`` others, spread the same way.
+    The budgets count bloc + rest voters and bloc*per_bloc + rest*(per_rest + 1) approvals."""
+    def masks() -> Iterator[int]:
+        yield from (mask << 1 for mask in _spread_masks(bloc, m - 1, per_bloc))
+        yield from (mask << 1 | 1 for mask in _spread_masks(rest, m - 1, per_rest))
+
+    return _built(m, bloc + rest, bloc * per_bloc + rest * (per_rest + 1), masks), 0
 
 
 def _family_gap(
@@ -146,18 +143,17 @@ def _family_gap(
     """
     int_at_least(n, "n", 2)
     int_at_least(m, "m", 2)
-    _check_budget(n, m)
     sv, rv = open_unit(s), as_frac(r)
     if not 0 < rv < family.guarantee(sv):
         raise ValidationError(f"need 0 < r < the {family} guarantee at s={shown(sv, str)}, got r={shown(rv, str)}")
     bloc = ceil(rv * n)
     if not 1 <= bloc < n:
-        raise ValidationError(f"flexible bloc of size {bloc} must satisfy 1 <= size < n={n}")
+        raise ValidationError(f"flexible bloc of size {shown(bloc)} must satisfy 1 <= size < n={shown(n)}")
     per_bloc, rest = ceil(sv * m), per_rest(m)
     if per_bloc > m - 1 or not 0 <= rest <= m - 1:
         raise ValidationError(
-            f"infeasible spreads: bloc approves {per_bloc}, others approve {rest}, "
-            f"of {m - 1} non-special candidates"
+            f"infeasible spreads: bloc approves {shown(per_bloc)}, others approve {shown(rest)}, "
+            f"of {shown(m - 1)} non-special candidates"
         )
     return _gap_instance(m, bloc, per_bloc, n - bloc, rest)
 
@@ -187,10 +183,9 @@ def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Inst
     at threshold f' is the bloc share, which approaches g from below.
     Returns the instance and the special candidate (index 0).
     """
-    int_at_least(n, "n", 1)
+    _check_voters(int_at_least(n, "n", 1))
     fv, fpv = as_frac(f), as_frac(fprime)
     m = lcm(fv.denominator, fpv.denominator)
-    _check_budget(n)
     if m > CANDIDATE_LIMIT:
         raise SizeLimitError(
             f"m must be at most {CANDIDATE_LIMIT}, got the lcm of {shown(fv.denominator)} "
@@ -216,16 +211,11 @@ def gen_symmetric(m: int, per_voter: int) -> Instance:
     Fully symmetric, so every committee of a given size is t-disapproved by
     exactly the same number of voters.
     """
-    int_at_least(m, "m", 1)
-    if int_at_least(per_voter, "per-voter approvals") > m:
-        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
-    _check_budget(0, m)  # before C(m, per_voter), which is slow for a huge m
+    _per_voter(per_voter, int_at_least(m, "m", 1, CANDIDATE_LIMIT))  # m before the slow C(m, per_voter)
     if comb_over(m, per_voter, COMMITTEE_LIMIT):  # C(m, m/2) may be too long to print
         raise SizeLimitError(f"C({m}, {per_voter}) voters exceed the limit {COMMITTEE_LIMIT}")
     voters = comb(m, per_voter)
-    _check_budget(voters, approvals=voters * per_voter)
-    check_views(voters, m)
-    return Instance.from_masks(m, _subset_masks(m, per_voter))
+    return _built(m, voters, voters * per_voter, lambda: _subset_masks(m, per_voter))
 
 
 def _subset_masks(m: int, k: int) -> Iterator[int]:
@@ -233,19 +223,29 @@ def _subset_masks(m: int, k: int) -> Iterator[int]:
     return map(sum, combinations([1 << a for a in range(m)], k))
 
 
-def _check_budget(voters: int, m: int = 0, approvals: int = 0) -> None:
-    """Reject a generator's sizes before it builds any mask.
+def _per_voter(per_voter: object, m: int) -> None:
+    """Refuse approvals per generated voter that are not an int in 0..m."""
+    if int_at_least(per_voter, "per-voter approvals") > m:
+        raise ValidationError(f"per-voter approvals must be in 0..{m}, got {shown(per_voter)}")
 
-    In this order: at most ``COMMITTEE_LIMIT`` voters, ``CANDIDATE_LIMIT``
-    candidates and ``APPROVAL_LIMIT`` approvals in all.  A generator that can
-    reach ``core.VIEW_LIMIT`` then calls :func:`check_views` on its final n and m.
-    """
-    if voters > COMMITTEE_LIMIT:
-        raise SizeLimitError(f"{shown(voters)} voters exceed the limit {COMMITTEE_LIMIT}")
-    if m:
-        int_at_least(m, "m", 1, CANDIDATE_LIMIT)
+
+def _check_voters(n: int) -> None:
+    """Refuse more than ``COMMITTEE_LIMIT`` generated voters; n is an int already checked."""
+    if n > COMMITTEE_LIMIT:
+        raise SizeLimitError(f"{shown(n)} voters exceed the limit {COMMITTEE_LIMIT}")
+
+
+def _built(m: int, n: int, approvals: int, masks: Callable[[], Iterable[int]]) -> Instance:
+    """``Instance.from_masks(m, masks())`` once the sizes pass; every generator returns through
+    here.  In this order: at most ``COMMITTEE_LIMIT`` voters, m in 1..``CANDIDATE_LIMIT``, at most
+    ``APPROVAL_LIMIT`` approvals, then :func:`check_views` on the n*(m+3)-character row string of
+    the views.  ``masks`` is called only then, so a refused size builds no mask."""
+    _check_voters(n)
+    int_at_least(m, "m", 1, CANDIDATE_LIMIT)
     if approvals > APPROVAL_LIMIT:
         raise SizeLimitError(f"{shown(approvals)} approvals exceed the limit {APPROVAL_LIMIT}")
+    check_views(n, m)
+    return Instance.from_masks(m, masks())
 
 
 def gen_party_split(k: int, reps: int = 1) -> Instance:
@@ -259,9 +259,7 @@ def gen_party_split(k: int, reps: int = 1) -> Instance:
     int_at_least(k, "slate size k", 2)
     if int_at_least(reps, "replication factor", 1) > COMMITTEE_LIMIT:
         raise SizeLimitError(f"replication factor {shown(reps)} would build more than {COMMITTEE_LIMIT} voters")
-    _check_budget(2 * reps, 2 * k, 2 * reps * k)
-    first = (1 << k) - 1
-    return Instance.from_masks(2 * k, [first, first << k] * reps)
+    return _built(2 * k, 2 * reps, 2 * reps * k, lambda: [(1 << k) - 1, (1 << 2 * k) - (1 << k)] * reps)
 
 
 def gen_jr_hard(m: int, k: int) -> Instance:
@@ -275,16 +273,15 @@ def gen_jr_hard(m: int, k: int) -> Instance:
     pool seat that some highly flexible pool voter disapproves.
     """
     int_at_least(k, "k", 2)
-    if int_at_least(m, "m") <= k:
+    # m is bounded first, so its message precedes the voter count's (pinned by test_cli).
+    if int_at_least(m, "m", 0, CANDIDATE_LIMIT) <= k:
         raise ValidationError(f"need m > k, got m={shown(m)}, k={shown(k)}")
     group = m - k + 1
-    # k-1 party groups bullet-vote; group pool voters approve group-1 each.
-    _check_budget(0, m)  # m first, so its message precedes the voter count's (pinned by test_cli)
-    _check_budget(k * group, m, group * (m - 1))
-    check_views(k * group, m)
+    # k-1 party groups bullet-vote; group pool voters approve group-1 each; built only within budget.
     pool = (1 << m) - (1 << (k - 1))  # candidates k-1..m-1
-    party = [mask for j in range(k - 1) for mask in [1 << j] * group]  # one int per party
-    return Instance.from_masks(m, party + [pool ^ (1 << skip) for skip in range(k - 1, m)])
+    party = (mask for j in range(k - 1) for mask in [1 << j] * group)  # one int per party
+    rows = (pool ^ (1 << skip) for skip in range(k - 1, m))
+    return _built(m, k * group, group * (m - 1), lambda: chain(party, rows))
 
 
 def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
@@ -296,10 +293,9 @@ def gen_random_instance(n: int, m: int, seed: int = DEFAULT_SEED) -> Instance:
     int_at_least(n, "n", 1)
     int_at_least(m, "m", 1)
     int_at_least(seed, "seed", None)
-    _check_budget(n, m, n * m)
     rng = random.Random(seed)
     # Bit 2**c of a voter's mask is set when she approves candidate c.
-    return Instance.from_masks(m, [rng.getrandbits(m) for _ in range(n)])
+    return _built(m, n, n * m, lambda: [rng.getrandbits(m) for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +466,7 @@ def reference_committee_score(inst: Instance, committee: Committee, t: int) -> F
 
 def reference_sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     """:func:`fvr.multi_winner.sequential_picks`, weighing every voter at every pick."""
-    m, k, t, n = inst.m, _check_params(inst, params).k, params.t, inst.n
+    k, t, m, n = _check_params(inst, params).k, params.t, inst.m, inst.n
     miss_prob = [hyp_cdf(HypParams(m, len(A), k), t - 1) for A in inst.approvals]
     chosen: list[int] = []
     chosen_set: set[int] = set()
@@ -530,7 +526,7 @@ def strong_pvc(profile: RankedProfile) -> frozenset[int]:
     of every voter keeps each count in an int, so the cost is O(n*m).  May
     be empty.
     """
-    m, n = profile.m, profile.n
+    m, n = of_type(profile, RankedProfile, "profile").m, profile.n
     inside = [0] * m  # voters ranking a within their top d
     kept = set(range(m))
     for d, choices in zip(range(1, m), zip(*profile.rankings)):

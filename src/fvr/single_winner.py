@@ -28,6 +28,7 @@ from .core import (
     flexible_size,
     index_in,
     int_at_least,
+    of_type,
     open_unit,
 )
 
@@ -122,7 +123,7 @@ def score_all(inst: Instance, w: WeightFn) -> ScoreVector:
     as an int unit over one common denominator (:func:`common_units`), and
     candidate a scores the sum over sizes of unit * |approvers of a of that size|.
     """
-    m, groups, ratio = inst.m, inst.size_masks, as_family(w).ratio
+    m, groups, ratio = of_type(inst, Instance, "instance").m, inst.size_masks, as_family(w).ratio
     sizes = [size for size in groups if 0 < size < m]
     units, scale = common_units([ratio(size, m) for size in sizes])
     counts = weighted_counts(inst.columns, zip(units, map(groups.__getitem__, sizes)))
@@ -140,8 +141,9 @@ def ropt_winner(inst: Instance) -> int:
 
 
 def _disapprovers(inst: Instance, a: int) -> int:
-    """The voters disapproving candidate ``a`` (as for :func:`group_audit`), once ``a`` is valid."""
-    return ~inst.columns[index_in(a, inst.m, "candidate")]
+    """The voters disapproving candidate ``a`` (as for :func:`group_audit`), once ``inst``
+    and ``a`` are valid."""
+    return ~of_type(inst, Instance, "instance").columns[index_in(a, inst.m, "candidate")]
 
 
 def empirical_fvr_point(inst: Instance, a: int, s: object) -> Frac:

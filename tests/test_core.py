@@ -41,6 +41,7 @@ from fvr.core import (
     parse_family,
     shown,
 )
+from fvr.formats import serialize_instance, serialize_ranked
 from fvr.hypergeom import HypParams, hyp_cdf, hyp_pmf, multiwinner_bound
 from fvr.multi_winner import (
     MultiParams,
@@ -49,6 +50,7 @@ from fvr.multi_winner import (
     expand_instance,
     expanded_rule,
     jr_check,
+    sequential_picks,
     sequential_rule,
     t_approves,
 )
@@ -65,6 +67,7 @@ from fvr.oracles import (
     gen_symmetric,
     gen_weight_gap,
     run_generator,
+    strong_pvc,
 )
 from fvr.single_winner import (
     closed_form_fvr,
@@ -72,6 +75,7 @@ from fvr.single_winner import (
     empirical_fvr_point,
     grid_theoretical_fvr,
     score_all,
+    winner,
 )
 from fvr.verify import run_suite
 
@@ -468,6 +472,37 @@ def test_collection_inputs_of_the_wrong_shape_raise_a_validation_error(site):
     call, message = SHAPE_SITES[site]
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+# Every public entry point given a plain tuple where a record belongs, with the
+# record it names; (1, 2) has none of the attributes the entry points read.
+RECORD_SITES = {
+    "hyp_pmf": (lambda x: hyp_pmf(x, 1), "params must be a HypParams"),
+    "hyp_cdf": (lambda x: hyp_cdf(x, 1), "params must be a HypParams"),
+    "score_all": (lambda x: score_all(x, Constant()), "instance must be an Instance"),
+    "winner": (lambda x: winner(x, Constant()), "instance must be an Instance"),
+    "empirical_fvr_point": (lambda x: empirical_fvr_point(x, 0, "1/2"), "instance must be an Instance"),
+    "empirical_fvr_curve": (lambda x: empirical_fvr_curve(x, 0), "instance must be an Instance"),
+    "sequential_picks": (lambda x: sequential_picks(x, MultiParams(2, 1)), "instance must be an Instance"),
+    "expanded_rule": (lambda x: expanded_rule(x, MultiParams(2, 1)), "instance must be an Instance"),
+    "committee_score": (lambda x: committee_score(x, Committee((0, 1)), 1), "instance must be an Instance"),
+    "jr_check": (lambda x: jr_check(x, Committee((0, 1))), "instance must be an Instance"),
+    "empirical_fvr_committee": (
+        lambda x: empirical_fvr_committee(x, Committee((0, 1)), "1/2", 1),
+        "instance must be an Instance",
+    ),
+    "strong_pvc": (strong_pvc, "profile must be a RankedProfile"),
+    "flexibility": (lambda x: flexibility(x, 0), "instance must be an Instance"),
+    "serialize_instance": (serialize_instance, "instance must be an Instance"),
+    "serialize_ranked": (serialize_ranked, "profile must be a RankedProfile"),
+}
+
+
+@pytest.mark.parametrize("site", RECORD_SITES)
+def test_a_non_record_argument_raises_a_validation_error(site):
+    call, message = RECORD_SITES[site]
+    with pytest.raises(ValidationError, match=rf"^{message}, got \(1, 2\)$"):
+        call((1, 2))
 
 
 def test_audit_curve_stores_its_breakpoints_as_a_tuple():

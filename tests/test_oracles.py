@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import fvr
 from fvr.core import (
     CANDIDATE_LIMIT,
+    VIEW_LIMIT,
     Committee,
     Constant,
     Optimal,
@@ -33,7 +35,7 @@ from fvr.hypergeom import multiwinner_bound
 from fvr.multi_winner import COMMITTEE_LIMIT, MultiParams, empirical_fvr_committee
 from fvr.oracles import (
     APPROVAL_LIMIT,
-    _check_budget,
+    _built,
     _gap_instance,
     enumerate_instances,
     enumerate_voter_multisets,
@@ -281,8 +283,14 @@ def test_generators_reject_voter_counts_over_the_limit():
         gen_random_instance(COMMITTEE_LIMIT + 2, 3)
 
 
-def test_generator_budgets_admit_their_limits():
-    _check_budget(COMMITTEE_LIMIT, CANDIDATE_LIMIT, APPROVAL_LIMIT)
+def test_generator_budgets_admit_their_limits(monkeypatch):
+    # One call per limit, each at its limit and the other sizes small.
+    assert _built(1, COMMITTEE_LIMIT, 0, lambda: [0] * COMMITTEE_LIMIT).n == COMMITTEE_LIMIT
+    assert _built(CANDIDATE_LIMIT, 1, 0, lambda: [0]).m == CANDIDATE_LIMIT
+    assert _built(2, 1, APPROVAL_LIMIT, lambda: [1]).n == 1
+    # 4 voters over 2 candidates: views of 4 * (2 + 3) = 20 characters.
+    monkeypatch.setattr(fvr.core, "VIEW_LIMIT", 20)
+    assert _built(2, 4, 0, lambda: [0] * 4).n == 4
 
 
 @pytest.mark.parametrize(
@@ -355,6 +363,134 @@ def test_gen_jr_hard_refuses_over_budget_views_before_its_masks():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def voters_over(n):
+    return f"{n} voters exceed the limit {COMMITTEE_LIMIT}"
+
+
+def m_over(m):
+    return f"m must be at most {CANDIDATE_LIMIT}, got {m}"
+
+
+def approvals_over(total):
+    return f"{total} approvals exceed the limit {APPROVAL_LIMIT}"
+
+
+def views_over(n, m):
+    return f"{n} voters over {m} candidates need views of {n * (m + 3)} characters, over the limit {VIEW_LIMIT}"
+
+
+N_OVER, M_OVER = COMMITTEE_LIMIT + 1, CANDIDATE_LIMIT + 1
+# Wide and shallow: COMMITTEE_LIMIT voters over 500 candidates need 100,600,000 characters.
+WIDE = views_over(COMMITTEE_LIMIT, 500)
+# For each registered generator, one over-budget call per budget it can reach, at
+# the real limits: (budget, parameters, the whole message).  Each gap generator's
+# approvals count both spreads and candidate 0's: the approval_gap, power_gap and
+# weight_gap approval cases keep each spread within the limit on its own.
+OVER_BUDGET = {
+    "spread": [
+        ("voters", {"n": N_OVER, "m": 1, "L": 0}, voters_over(N_OVER)),
+        ("m", {"n": 1, "m": M_OVER, "L": 0}, m_over(M_OVER)),
+        ("approvals", {"n": 1001, "m": 1000, "L": 1000}, approvals_over(1_001_000)),
+        ("views", {"n": COMMITTEE_LIMIT, "m": 500, "L": 0}, WIDE),
+    ],
+    "approval_gap": [
+        ("voters", {"n": N_OVER, "m": 2, "s": HALF, "r": HALF}, voters_over(N_OVER)),
+        ("m", {"n": 10, "m": M_OVER, "s": HALF, "r": HALF}, m_over(M_OVER)),
+        # 2000 * 500 bloc approvals, at the limit, and 2000 bullet votes for candidate 0.
+        ("approvals", {"n": 4000, "m": 1000, "s": HALF, "r": HALF}, approvals_over(1_002_000)),
+        # One bloc voter of 1 approval and 199,999 bullet votes.
+        ("views", {"n": COMMITTEE_LIMIT, "m": 500, "s": Fraction(1, 500), "r": Fraction(1, COMMITTEE_LIMIT)}, WIDE),
+    ],
+    "power_gap": [
+        ("voters", {"n": N_OVER, "m": 2, "s": HALF, "r": Fraction(1, 10), "p": 1}, voters_over(N_OVER)),
+        ("m", {"n": 10, "m": M_OVER, "s": HALF, "r": Fraction(1, 10), "p": 2}, m_over(M_OVER)),
+        # 980 * 550 + 1020 * 550, and 998 * 999 + 1002 * 999.
+        ("approvals", {"n": 2000, "m": 1100, "s": HALF, "r": Fraction(49, 100), "p": 1}, approvals_over(1_100_000)),
+        ("approvals", {"n": 2000, "m": 1998, "s": HALF, "r": Fraction(499, 1000), "p": 1}, approvals_over(1_998_000)),
+        # A bloc of 199,996 voters of 1 approval and 4 voters of 250.
+        ("views", {"n": COMMITTEE_LIMIT, "m": 500, "s": Fraction(1, 500), "r": Fraction(49999, 50000), "p": 1}, WIDE),
+    ],
+    "weight_gap": [
+        ("voters", {"w": Constant(), "f": HALF, "fprime": HALF, "n": N_OVER}, voters_over(N_OVER)),
+        (
+            "m",
+            {"w": Constant(), "f": Fraction(1, 101), "fprime": Fraction(1, 103), "n": 1000},
+            f"m must be at most {CANDIDATE_LIMIT}, got the lcm of 101 and 103",
+        ),
+        # 10400 * 51 + 10600 * 49 over m = 100.
+        (
+            "approvals",
+            {"w": Constant(), "f": Fraction(49, 100), "fprime": Fraction(51, 100), "n": 21000},
+            approvals_over(1_049_800),
+        ),
+        ("views", {"w": Constant(), "f": Fraction(1, 500), "fprime": Fraction(1, 500), "n": COMMITTEE_LIMIT}, WIDE),
+    ],
+    "symmetric": [
+        ("voters", {"m": 22, "L": 11}, f"C(22, 11) voters exceed the limit {COMMITTEE_LIMIT}"),
+        ("m", {"m": M_OVER, "L": 0}, m_over(M_OVER)),
+        ("approvals", {"m": 22, "L": 7}, approvals_over(1_193_808)),
+        ("views", {"m": CANDIDATE_LIMIT, "L": 1}, views_over(CANDIDATE_LIMIT, CANDIDATE_LIMIT)),
+    ],
+    "party_split": [
+        ("voters", {"k": 2, "reps": COMMITTEE_LIMIT // 2 + 1}, voters_over(COMMITTEE_LIMIT + 2)),
+        ("m", {"k": CANDIDATE_LIMIT // 2 + 1}, m_over(CANDIDATE_LIMIT + 2)),
+        ("approvals", {"k": 10, "reps": 50_001}, approvals_over(1_000_020)),
+    ],
+    "jr_hard": [
+        # 9000 groups of 31 voters.
+        ("voters", {"m": 9030, "k": 9000}, voters_over(279_000)),
+        ("m", {"m": M_OVER, "k": 2}, m_over(M_OVER)),
+        ("approvals", {"m": 1002, "k": 2}, approvals_over(1_002_001)),
+        ("views", {"m": CANDIDATE_LIMIT, "k": 9981}, views_over(199_620, CANDIDATE_LIMIT)),
+    ],
+    "random": [
+        ("voters", {"n": N_OVER, "m": 1}, voters_over(N_OVER)),
+        ("m", {"n": 1, "m": M_OVER}, m_over(M_OVER)),
+        ("approvals", {"n": 1001, "m": 1000}, approvals_over(1_001_000)),
+    ],
+}
+# Views of n*(m+3) characters stay under VIEW_LIMIT once voters and approvals pass:
+# for party_split n*(m+3) = approvals*2 + 3n, and for random n*m + 3n.
+UNREACHABLE = {"party_split": {"views"}, "random": {"views"}}
+
+
+@pytest.mark.parametrize("name", generator_names())
+def test_every_generator_refuses_each_budget_it_can_reach_before_any_mask(monkeypatch, name):
+    assert name in OVER_BUDGET, f"give generator {name} an over-budget case per budget"
+    cases = OVER_BUDGET[name]
+    assert {budget for budget, _, _ in cases} | UNREACHABLE.get(name, set()) == {"voters", "m", "approvals", "views"}
+
+    def unreachable(cls, m, masks):
+        raise AssertionError("masks built over a budget")
+
+    monkeypatch.setattr(fvr.core.Instance, "from_masks", classmethod(unreachable))
+    for budget, params, message in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+                run_generator(name, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, (budget, params)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # ceil(r*n) = n for an n of 5,001 digits, with r just under the guarantee at a tiny s.
+        lambda: gen_approval_gap(10**5000, 10, Fraction(1, 10**6000), 1 - Fraction(1, 10**5500)),
+        # ceil(s*m) = m for an m of 5,001 digits.
+        lambda: gen_approval_gap(10, 10**5000, 1 - Fraction(1, 10**6000), HALF),
+    ],
+    ids=["bloc", "spreads"],
+)
+def test_gap_checks_before_the_budgets_word_a_long_size(build):
+    # The gate sees n and m only after these checks, whose messages print them.
+    with pytest.raises(ValidationError, match="an integer of 16610 bits"):
+        build()
 
 
 @pytest.mark.parametrize("build", [lambda: gen_spread(2, 4, 10**6), lambda: gen_symmetric(4, 10**6)])
