@@ -39,7 +39,6 @@ from .core import (
     Instance,
     RankedProfile,
     ValidationError,
-    encode_row,
     is_numeral,
     of_type,
     select,
@@ -119,20 +118,22 @@ def _parse_index_line(line: str, line_no: int, m: int, *, strictly_increasing: b
 
 
 class _BitOf(dict):
-    """Canonical numeral ``"a"`` of an index a < m -> its bit ``1 << a``, each
-    built the first time the token is looked up, so the map holds only the
-    tokens a file uses.  Any other token ("", "07", "m", an index >= m)
-    raises ``KeyError``."""
+    """The numeral of an index a < m, leading zeros allowed (``"7"``, ``"07"``)
+    -> its bit ``1 << a``.  Each canonical numeral ``str(a)`` is stored the
+    first time it is looked up, so the map holds only the indices a file uses;
+    another spelling is looked up through it and not stored.  Any other token
+    ("", "m", an index >= m) raises ``KeyError``."""
 
     def __init__(self, m: int):
         self.m = m
 
     def __missing__(self, token: str) -> int:
         a = int(token) if is_numeral(token) else self.m
-        if a >= self.m or str(a) != token:
+        if a >= self.m:
             raise KeyError(token)
-        bit = self[token] = 1 << a
-        return bit
+        if token == str(a):
+            self[token] = 1 << a
+        return self[str(a)]
 
 
 def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
@@ -145,19 +146,17 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
     n = _parse_count(lines, 2, "n")
     if len(lines) < 3 + n:
         raise ParseError(len(lines) + 1, f"expected {n} voter lines, found {len(lines) - 3}")
-    # Fast path: each token is looked up among the canonical numerals
-    # "0".."m-1" (``_BitOf``), so a found token is an index in range, and its
-    # bit is summed into the voter's mask; the line is valid when the bits are
-    # distinct (as many set bits as tokens) and increase.  Any other line (a
-    # missing key, such as "", "07" or "m"; a repeat; a descent) gets the
-    # per-token check, which accepts "07" and words every error.
+    # Each token is looked up among the index numerals (``_BitOf``), and its bit
+    # is summed into the voter's mask; the line is valid when the bits are
+    # distinct (as many set bits as tokens) and increase, and "" is the empty
+    # ballot.  Any other line (a token not in the map, such as "m" or the "" of
+    # a stray space; a repeat; a descent) gets the per-token check's error.
     bit_of = _BitOf(m).__getitem__
     masks = []
     for i in range(n):
         line = lines[3 + i]
-        tokens = line.split(" ")
         try:
-            bits = list(map(bit_of, tokens))
+            bits = list(map(bit_of, line.split(" "))) if line else []
         except KeyError:
             pass
         else:
@@ -165,8 +164,8 @@ def parse_instance(text: str) -> tuple[Instance, int | None, int | None]:
             if mask.bit_count() == len(bits) and sorted(bits) == bits:
                 masks.append(mask)
                 continue
-        indices = _parse_index_line(line, 4 + i, m, strictly_increasing=True)
-        masks.append(encode_row(indices, m))
+        _parse_index_line(line, 4 + i, m, strictly_increasing=True)
+        raise ParseError(4 + i, "not a voter line")
     k: int | None = None
     t: int | None = None
     extra = 3 + n

@@ -45,7 +45,7 @@ from .multi_winner import (
     committee_score,
     expand_instance,
 )
-from .single_winner import ScoreVector, ropt_winner
+from .single_winner import ScoreVector, grid_theoretical_fvr, ropt_winner, winner
 
 __all__ = [
     "DEFAULT_SEED",
@@ -137,9 +137,11 @@ def _family_gap(
 
     A flexible bloc of ceil(r*n) voters spreads ceil(s*m) approvals evenly
     over all candidates except a special one; everyone else approves it plus
-    ``per_rest(m)`` others.  When the sizes work out, the special candidate
-    wins while the whole bloc is s-flexible and disapproves it.  Returns the
-    instance and the special candidate (index 0).
+    ``per_rest(m)`` others.  The special candidate wins while the whole bloc
+    is s-flexible and disapproves it; a bloc it does not win against is refused,
+    and the refusal names floor(B*n), the largest bloc that B, the family's
+    guarantee over m candidates (:func:`grid_theoretical_fvr`), allows.  Returns
+    the instance and the special candidate (index 0).
     """
     int_at_least(n, "n", 2)
     int_at_least(m, "m", 2)
@@ -155,7 +157,14 @@ def _family_gap(
             f"infeasible spreads: bloc approves {shown(per_bloc)}, others approve {shown(rest)}, "
             f"of {shown(m - 1)} non-special candidates"
         )
-    return _gap_instance(m, bloc, per_bloc, n - bloc, rest)
+    inst, special = _gap_instance(m, bloc, per_bloc, n - bloc, rest)
+    if winner(inst, family) != special:
+        most = floor(grid_theoretical_fvr(family, sv, m) * n)
+        raise ValidationError(
+            f"the special candidate does not win with a flexible bloc of {shown(bloc)}; the {family} "
+            f"bound over m={shown(m)} candidates allows a bloc of at most {shown(most)} of n={shown(n)}"
+        )
+    return inst, special
 
 
 def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, int]:
@@ -434,7 +443,7 @@ def conditional_expected_score(inst: Instance, params: MultiParams, partial: obj
 
 def reference_score_all(inst: Instance, w: WeightFn) -> ScoreVector:
     """:func:`fvr.single_winner.score_all`, adding each voter's weight one approval at a time."""
-    scores = [Fraction(0)] * inst.m
+    scores = [Fraction(0)] * of_type(inst, Instance, "instance").m
     weight_by_size: dict[int, Frac] = {}
     for approved in inst.approvals:
         size = len(approved)

@@ -67,6 +67,7 @@ from .core import (
     flexibility_grid,
     flexible_size,
     int_at_least,
+    of_type,
     parse_family,
     record,
     shown,
@@ -140,7 +141,7 @@ def strong_pvc_by_subsets(profile: RankedProfile) -> frozenset[int]:
     """Veto-core membership by trying every voter group explicitly, each once: a
     group of g voters vetoes the AND of its members' bitmasks of the candidates
     ranked at or past the cutoff m - ceil(m*g/n) + 1."""
-    m, n = profile.m, profile.n
+    m, n = of_type(profile, RankedProfile, "profile").m, profile.n
     bits = [[1 << a for a in ranking] for ranking in profile.rankings]
     vetoed = 0
     for size in range(1, n + 1):
@@ -160,6 +161,7 @@ def _short_flexible(approvals: Iterable[frozenset[int]], members: frozenset[int]
 def jr_by_sets(inst: Instance, members: frozenset[int]) -> JrResult:
     """Justified representation over the approval sets: the lowest candidate
     approved by at least n/k voters who approve no member, with those voters."""
+    of_type(inst, Instance, "instance")
     unrepresented = [i for i in range(inst.n) if not inst.approvals[i] & members]
     for c in range(inst.m):
         group = tuple(i for i in unrepresented if c in inst.approvals[i])

@@ -77,7 +77,7 @@ def test_from_masks_is_build_instance_of_the_decoded_sets(case):
 
 
 # Shapes are n voters x m candidates: the corners 1x1, 1x64 and 64x1 and the
-# 64-cell shapes README "Views" times, next to larger profiles.
+# 64-cell shapes 8x8, 4x16 and 16x4, next to larger profiles.
 @given(masked_profiles())
 @example((1, [1]))  # 1x1
 @example((64, [2**63 | 2**31 | 1]))  # 1x64

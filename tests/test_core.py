@@ -66,6 +66,7 @@ from fvr.oracles import (
     gen_spread,
     gen_symmetric,
     gen_weight_gap,
+    reference_score_all,
     run_generator,
     strong_pvc,
 )
@@ -77,7 +78,7 @@ from fvr.single_winner import (
     score_all,
     winner,
 )
-from fvr.verify import run_suite
+from fvr.verify import jr_by_sets, run_suite, strong_pvc_by_subsets
 
 INTRO = build_instance(4, [{1, 2}, {1, 3}, {2, 3}])
 
@@ -495,6 +496,9 @@ RECORD_SITES = {
     "flexibility": (lambda x: flexibility(x, 0), "instance must be an Instance"),
     "serialize_instance": (serialize_instance, "instance must be an Instance"),
     "serialize_ranked": (serialize_ranked, "profile must be a RankedProfile"),
+    "reference_score_all": (lambda x: reference_score_all(x, Constant()), "instance must be an Instance"),
+    "strong_pvc_by_subsets": (strong_pvc_by_subsets, "profile must be a RankedProfile"),
+    "jr_by_sets": (lambda x: jr_by_sets(x, frozenset({0})), "instance must be an Instance"),
 }
 
 

@@ -185,6 +185,35 @@ def test_token_map_holds_only_the_tokens_a_file_uses():
     assert peak < 1_000_000
 
 
+
+def test_only_the_token_map_accepts_voter_lines(monkeypatch):
+    """Leading zeros and the empty line are read by the map alone; the
+    per-token check is reached only to word an invalid line's error."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-token check was asked to accept a line")
+
+    monkeypatch.setattr("fvr.formats._parse_index_line", refuse)
+    inst, _, _ = parse_instance("fvr 1\nm 9\nn 3\n07\n007 8\n\n")
+    assert inst == build_instance(9, [{7}, {7, 8}, set()])
+
+
+def test_leading_zero_spellings_add_no_bits_to_the_token_map():
+    # 300 spellings of the top index, each with its own 1.3 kB bit, peak at
+    # 0.59 MB; looked up through the one canonical bit, at 0.12 MB (CPython 3.11.7).
+    top = CANDIDATE_LIMIT - 1
+    line = " ".join("0" * zeros + str(top) for zeros in range(1, 301))
+    text = f"fvr 1\nm {CANDIDATE_LIMIT}\nn 1\n{line}\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as excinfo:
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert error_position(excinfo.value) == (4, 7, f"duplicate index {top}")
+    assert peak < 300_000
+
 @given(st.data())
 def test_instance_round_trip(data):
     m = data.draw(st.sampled_from((1, 2, 6, 9, 10, 11, 99, 100, 101, 300)) | st.integers(1, 300))

@@ -267,6 +267,35 @@ def test_each_gap_generator_is_its_bloc_spread_then_its_rest_spread():
     assert built > 300
 
 
+def test_each_gap_generator_returns_a_special_candidate_that_wins():
+    returned = 0
+    for n, m in product(range(2, 10), range(2, 8)):
+        for s, r in product(GAP_SHARES[:4], GAP_SHARES):
+            cases = [(Constant(), lambda: gen_approval_gap(n, m, s, r))] + [
+                (Power(p), lambda p=p: gen_power_gap(n, m, s, r, p)) for p in (1, 2, 3)
+            ]
+            for family, build in cases:
+                try:
+                    inst, special = build()
+                except ValidationError:
+                    continue
+                returned += 1
+                assert winner(inst, family) == special == 0
+    assert returned > 1000
+
+
+def test_a_gap_whose_special_candidate_loses_is_refused():
+    # B = grid_theoretical_fvr(Constant(), 1/2, 200) = 199/299, so a bloc of at
+    # most floor(B * 1200) = 798 voters; r = 329/494 puts 800 in it.
+    with pytest.raises(ValidationError) as excinfo:
+        gen_approval_gap(1200, 200, HALF, Fraction(329, 494))
+    assert str(excinfo.value) == (
+        "the special candidate does not win with a flexible bloc of 800; the Constant() "
+        "bound over m=200 candidates allows a bloc of at most 798 of n=1200"
+    )
+    inst, special = gen_approval_gap(1200, 200, HALF, Fraction(798, 1200))
+    assert winner(inst, Constant()) == special
+
 def test_generators_build_at_the_voter_limit():
     for build in (lambda: gen_spread(COMMITTEE_LIMIT, 1, 0), lambda: gen_party_split(2, COMMITTEE_LIMIT // 2)):
         start = time.perf_counter()
