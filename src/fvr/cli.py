@@ -17,11 +17,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .core import (
     CANDIDATE_LIMIT,
+    Committee,
     Frac,
+    Instance,
     MultiParams,
     SizeLimitError,
     Table,
@@ -61,10 +63,10 @@ def _render(x: Frac) -> str:
     return f"{frac_str(x)} = {dec_str(x)}"
 
 
-def _parse_rule(text: str) -> tuple[str, object]:
-    if text in ("seq", "expanded"):
-        return "multi", text
-    return "single", parse_family(text)
+def _committee_rule(text: str) -> Callable[[Instance, MultiParams], Committee] | None:
+    """The committee rule named ``text``, or None for a weight family.  The dict is built
+    per call, so a rebound module attribute is the rule returned."""
+    return {"seq": sequential_rule, "expanded": expanded_rule}.get(text)
 
 
 def _write_out(path: str | None, payload: str) -> None:
@@ -89,10 +91,10 @@ def _read_text(path: str) -> str:
 
 def _cmd_solve(args: SimpleNamespace) -> int:
     inst, k_file, t_file = parse_instance(_read_text(args.file))
-    kind, payload = _parse_rule(args.rule)
+    rule = _committee_rule(args.rule)
     lines = [f"rule: {args.rule}", f"m: {inst.m}", f"n: {inst.n}"]
-    if kind == "single":
-        scores = score_all(inst, payload)
+    if rule is None:
+        scores = score_all(inst, parse_family(args.rule))
         chosen = argmax(scores)
         audit = empirical_fvr_curve(inst, chosen)
         lines.append(f"winner: {chosen}")
@@ -105,9 +107,7 @@ def _cmd_solve(args: SimpleNamespace) -> int:
         t = args.t if args.t is not None else t_file
         if k is None or t is None:
             raise ValidationError(f"rule {args.rule!r} needs k and t (from flags or the file)")
-        params = MultiParams(k, t)
-        rule = sequential_rule if payload == "seq" else expanded_rule
-        committee = rule(inst, params)
+        committee = rule(inst, MultiParams(k, t))
         audit = empirical_fvr_committee_curve(inst, committee, t)
         lines.append(f"k: {k}")
         lines.append(f"t: {t}")
@@ -127,10 +127,9 @@ def _cmd_curve(args: SimpleNamespace) -> int:
         raise ValidationError("no rules given")
     families: list[tuple[str, WeightFn]] = []
     for name in names:
-        kind, payload = _parse_rule(name)
-        if kind != "single":
+        if _committee_rule(name) is not None:
             raise ValidationError(f"rule {name!r} has no closed-form guarantee curve")
-        families.append((name, payload))
+        families.append((name, parse_family(name)))
     # The 2g-1 rows are built before any is written, so g has a budget.
     if args.s_grid < 1:
         raise ValidationError(f"--s-grid must be at least 1, got {args.s_grid}")

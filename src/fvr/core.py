@@ -800,9 +800,9 @@ class AuditCurve:
     def value_at(self, s: object) -> Frac:
         """Evaluate the step function at any s in (0, 1)."""
         sv = open_unit(s)
-        keys = [bp_s for bp_s, _ in self.breakpoints]
-        idx = bisect_left(keys, sv)
-        if idx == len(keys):
+        # (sv,) sorts before every breakpoint (sv, value) and after those of a smaller s.
+        idx = bisect_left(self.breakpoints, (sv,))
+        if idx == len(self.breakpoints):
             return Fraction(0)
         return self.breakpoints[idx][1]
 

@@ -129,19 +129,32 @@ def _gap_instance(
     return _built(m, bloc + rest, bloc * per_bloc + rest * (per_rest + 1), masks), 0
 
 
-def _family_gap(
-    family: WeightFn, per_rest: Callable[[int], int], n: int, m: int, s: object, r: object
-) -> tuple[Instance, int]:
+def _approver_size(w: WeightFn, m: int) -> int:
+    """The largest k in 1..m-1 maximizing (m-k)*w(k/m): the ballot size whose flexibility
+    f = k/m maximizes (1-f)*w(f), the rho of the guarantee rho/(rho+phi) over m candidates.
+    Compared exactly by cross-multiplying ``w.ratio``; O(m) calls of it."""
+    best, top, bottom = 1, 0, 1
+    for k in range(1, m):
+        num, den = w.ratio(k, m)
+        if (m - k) * num * bottom >= top * den:
+            best, top, bottom = k, (m - k) * num, den
+    return best
+
+
+def _family_gap(family: WeightFn, n: int, m: int, s: object, r: object) -> tuple[Instance, int]:
     """Instance pushing the audit at threshold s of the rule weighted by ``family``
     toward r, below the family's guarantee at s.
 
     A flexible bloc of ceil(r*n) voters spreads ceil(s*m) approvals evenly
     over all candidates except a special one; everyone else approves it plus
-    ``per_rest(m)`` others.  The special candidate wins while the whole bloc
-    is s-flexible and disapproves it; a bloc it does not win against is refused,
-    and the refusal names floor(B*n), the largest bloc that B, the family's
-    guarantee over m candidates (:func:`grid_theoretical_fvr`), allows.  Returns
-    the instance and the special candidate (index 0).
+    k-1 others, spread the same way, where k is the ballot size maximizing
+    (m-k)*w(k/m) (:func:`_approver_size`), the flexibility behind the family's
+    guarantee.  The special candidate wins while the whole bloc is s-flexible
+    and disapproves it.  A bloc it does not win against is refused: when the
+    bloc is over floor(B*n), with B the family's guarantee over m candidates
+    (:func:`grid_theoretical_fvr`), the refusal names that largest bloc;
+    otherwise it names the spreads' rounding at this n and m.  Returns the
+    instance and the special candidate (index 0).
     """
     int_at_least(n, "n", 2)
     int_at_least(m, "m", 2)
@@ -151,33 +164,36 @@ def _family_gap(
     bloc = ceil(rv * n)
     if not 1 <= bloc < n:
         raise ValidationError(f"flexible bloc of size {shown(bloc)} must satisfy 1 <= size < n={shown(n)}")
-    per_bloc, rest = ceil(sv * m), per_rest(m)
-    if per_bloc > m - 1 or not 0 <= rest <= m - 1:
+    per_bloc = ceil(sv * m)
+    if per_bloc > m - 1:
         raise ValidationError(
-            f"infeasible spreads: bloc approves {shown(per_bloc)}, others approve {shown(rest)}, "
-            f"of {shown(m - 1)} non-special candidates"
+            f"infeasible spread: bloc approves {shown(per_bloc)} of {shown(m - 1)} non-special candidates"
         )
-    inst, special = _gap_instance(m, bloc, per_bloc, n - bloc, rest)
+    int_at_least(m, "m", 2, CANDIDATE_LIMIT)  # before the O(m) argmax
+    inst, special = _gap_instance(m, bloc, per_bloc, n - bloc, _approver_size(family, m) - 1)
     if winner(inst, family) != special:
         most = floor(grid_theoretical_fvr(family, sv, m) * n)
-        raise ValidationError(
-            f"the special candidate does not win with a flexible bloc of {shown(bloc)}; the {family} "
-            f"bound over m={shown(m)} candidates allows a bloc of at most {shown(most)} of n={shown(n)}"
+        why = (
+            f"the {family} bound over m={m} candidates allows a bloc of at most {most} of n={n}"
+            if bloc > most
+            else f"the bloc is within the {family} bound over m={m} candidates, so the loss is the "
+            f"spreads' rounding at n={n} and m={m}"
         )
+        raise ValidationError(f"the special candidate does not win with a flexible bloc of {bloc}; {why}")
     return inst, special
 
 
 def gen_approval_gap(n: int, m: int, s: object, r: object) -> tuple[Instance, int]:
-    """:func:`_family_gap` for the approval rule: everyone outside the bloc
-    bullet-votes the special candidate."""
-    return _family_gap(Constant(), lambda m: 0, n, m, s, r)
+    """:func:`_family_gap` for the approval rule: (m-k)*1 is largest at k = 1, so
+    everyone outside the bloc bullet-votes the special candidate."""
+    return _family_gap(Constant(), n, m, s, r)
 
 
 def gen_power_gap(n: int, m: int, s: object, r: object, p: int) -> tuple[Instance, int]:
     """:func:`_family_gap` for the p-power rule: everyone outside the bloc approves
-    ceil(p*m/(1+p)) candidates, the special one included, putting their
-    flexibility at the point maximizing f^p*(1-f)."""
-    return _family_gap(Power(p), lambda m: ceil(Fraction(p, p + 1) * m) - 1, n, m, s, r)
+    k candidates, the special one included, with k in 1..m-1 maximizing (m-k)*k^p:
+    the floor or the ceiling of p*m/(p+1), where (1-f)*f^p peaks, and m-1 when m <= p."""
+    return _family_gap(Power(p), n, m, s, r)
 
 
 def gen_weight_gap(w: WeightFn, f: object, fprime: object, n: int) -> tuple[Instance, int]:

@@ -645,7 +645,7 @@ GAP_DIGESTS = [
     ),
     (
         ("power_gap", "n=40", "m=20", "s=1/2", "r=9/20", "p=2"),
-        "71c2faf90b2845bade0c197be255443af85498bf7696e3e6da8c191f3481d4b3",
+        "1b742cd87f20318c5ab4b97816e65ad0f9e0a8e184cf5a89807248ed8155dcac",
     ),
     (
         ("weight_gap", "w=1/4:1,1/2:1", "f=1/4", "fprime=1/2", "n=200"),

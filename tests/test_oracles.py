@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import fvr
 from fvr.core import (
     CANDIDATE_LIMIT,
+    POWER_LIMIT,
     VIEW_LIMIT,
     Committee,
     Constant,
@@ -243,7 +244,9 @@ def test_each_gap_generator_is_its_bloc_spread_then_its_rest_spread():
         for s, r in product(GAP_SHARES[:4], GAP_SHARES):
             bloc = ceil(r * n)
             cases = [(gen_approval_gap, (n, m, s, r), 0)] + [
-                (gen_power_gap, (n, m, s, r, p), ceil(Fraction(p, p + 1) * m) - 1) for p in (1, 2, 3)
+                # The rest approve the largest k in 1..m-1 maximizing (m-k)*k^p, found by brute force.
+                (gen_power_gap, (n, m, s, r, p), max(range(1, m), key=lambda k: ((m - k) * k**p, k)) - 1)
+                for p in (1, 2, 3)
             ]
             for generator, args, per_rest in cases:
                 try:
@@ -281,7 +284,16 @@ def test_each_gap_generator_returns_a_special_candidate_that_wins():
                     continue
                 returned += 1
                 assert winner(inst, family) == special == 0
-    assert returned > 1000
+    # 604 approval, 335 power:1, 327 power:2 and 305 power:3 instances.
+    assert returned >= 1571
+
+
+def test_gen_power_gap_builds_when_m_is_at_most_p():
+    # The rest approve m-1 candidates, the special one included, not all m.
+    for m, p in ((2, 2), (2, 3), (3, 3)):
+        inst, special = gen_power_gap(9, m, HALF, Fraction(1, 4), p)
+        assert winner(inst, Power(p)) == special == 0
+        assert {len(A) for A in inst.approvals if 0 in A} == {m - 1}
 
 
 def test_a_gap_whose_special_candidate_loses_is_refused():
@@ -295,6 +307,19 @@ def test_a_gap_whose_special_candidate_loses_is_refused():
     )
     inst, special = gen_approval_gap(1200, 200, HALF, Fraction(798, 1200))
     assert winner(inst, Constant()) == special
+
+
+def test_a_gap_lost_within_the_bound_is_worded_as_the_spreads_rounding():
+    # B = grid_theoretical_fvr(Power(1), 1/4, 3) = 2/3 allows a bloc of floor(2/3 * 2) = 1,
+    # but the rest voter's second approval lands on the bloc voter's candidate 1, which
+    # scores 1/3 + 2/3 against candidate 0's 2/3.
+    with pytest.raises(ValidationError) as excinfo:
+        gen_power_gap(2, 3, Fraction(1, 4), Fraction(1, 4), 1)
+    assert str(excinfo.value) == (
+        "the special candidate does not win with a flexible bloc of 1; the bloc is within the "
+        "Power(p=1) bound over m=3 candidates, so the loss is the spreads' rounding at n=2 and m=3"
+    )
+
 
 def test_generators_build_at_the_voter_limit():
     for build in (lambda: gen_spread(COMMITTEE_LIMIT, 1, 0), lambda: gen_party_split(2, COMMITTEE_LIMIT // 2)):
@@ -438,6 +463,13 @@ OVER_BUDGET = {
         # 980 * 550 + 1020 * 550, and 998 * 999 + 1002 * 999.
         ("approvals", {"n": 2000, "m": 1100, "s": HALF, "r": Fraction(49, 100), "p": 1}, approvals_over(1_100_000)),
         ("approvals", {"n": 2000, "m": 1998, "s": HALF, "r": Fraction(499, 1000), "p": 1}, approvals_over(1_998_000)),
+        # 20 * 5000 bloc approvals and 180 * 9901: the rest's ballot size maximizing
+        # (m-k)*k^100 is 9901, found by an argmax over every size.
+        (
+            "approvals",
+            {"n": 200, "m": CANDIDATE_LIMIT, "s": HALF, "r": Fraction(1, 10), "p": POWER_LIMIT},
+            approvals_over(1_882_180),
+        ),
         # A bloc of 199,996 voters of 1 approval and 4 voters of 250.
         ("views", {"n": COMMITTEE_LIMIT, "m": 500, "s": Fraction(1, 500), "r": Fraction(49999, 50000), "p": 1}, WIDE),
     ],
