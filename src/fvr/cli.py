@@ -189,7 +189,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    print(f"suite {result.suite}: {result.checked} checks, {len(result.violations)} violations")
+    print(f"suite {result.suite}: {result.checked} checks, {result.failed} violations")
     for violation in result.violations[:10]:
         print(f"  {violation}")
     print("PASS" if result.passed else "FAIL")

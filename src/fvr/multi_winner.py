@@ -23,7 +23,6 @@ from .core import (
     SizeLimitError,
     ValidationError,
     comb_over,
-    encode_row,
     flexible_size,
     index_in,
     of_type,
@@ -75,10 +74,10 @@ def _check_params(inst: Instance, params: MultiParams) -> MultiParams:
 
 
 def t_approves(inst: Instance, i: int, committee: Committee, t: int) -> bool:
-    """Whether voter ``i`` approves at least ``t`` members of the committee."""
+    """Whether voter ``i`` approves at least ``t`` members of the committee: her bit
+    in :func:`_reaching`'s counter, as every committee rule reads it."""
     members = _check_committee(inst, committee, t)
-    approved = inst.masks[index_in(i, inst.n, "voter")]
-    return (approved & encode_row(members, inst.m)).bit_count() >= t
+    return bool(_reaching(inst.columns, members, t) >> index_in(i, inst.n, "voter") & 1)
 
 
 @record
@@ -147,40 +146,33 @@ def _reaching(columns: Sequence[int], members: Collection[int], t: int) -> int:
     return at_least[t]
 
 
-def _penalty(inst: Instance, k: int, t: int) -> tuple[list[tuple[int, int, int]], int]:
+def _penalty(inst: Instance, k: int, t: int) -> tuple[list[int], list[tuple[int, int]], int]:
     """The committee penalty for (k, t) as int units over one scale.
 
     A voter approving ``size`` candidates who is left below t on a
     k-committee costs 1/miss_prob(m, size, k, t), the reciprocal of the
     probability that a uniformly random k-committee leaves her below t, so
     a random committee costs n in expectation.  For each approval size
-    present whose miss probability p/q is positive, the table holds
-    ``(size, voters, unit)``: the voters of that size as a bitset, and
-    unit = q*(scale/p), so each of them costs exactly unit/scale.  Voters
-    with miss probability 0 reach t on every committee: their cost is
-    undefined, and no committee leaves them short.
+    present whose miss probability p/q is positive, ``sizes`` holds the size
+    and ``classes`` the pair ``(unit, voters)``, as :func:`weighted_counts`
+    reads it: the voters of that size as a bitset, and unit = q*(scale/p),
+    so each of them costs exactly unit/scale.  Voters with miss probability
+    0 reach t on every committee: their cost is undefined, and no committee
+    leaves them short.
     """
-    classes, ratios = [], []
-    for size, voters in inst.size_masks.items():
+    sizes, ratios = [], []
+    for size in inst.size_masks:
         miss = miss_prob(inst.m, size, k, t)
         if miss:
-            classes.append((size, voters))
+            sizes.append(size)
             ratios.append((miss.denominator, miss.numerator))
     units, scale = common_units(ratios)
-    return [(size, voters, unit) for (size, voters), unit in zip(classes, units)], scale
-
-
-def _charge(table: list[tuple[int, int, int]], short: int) -> int:
-    """The penalty times the table's scale of a committee leaving ``short`` below t.
-
-    ``short`` is a voter bitset, or the complement ``~reached`` of the
-    voters reaching t, as it is only ANDed with each size's voters.
-    """
-    return sum(unit * (short & voters).bit_count() for _, voters, unit in table)
+    return sizes, list(zip(units, map(inst.size_masks.__getitem__, sizes))), scale
 
 
 def _short_voters(inst: Instance, committee: Committee, t: int) -> tuple[int, int]:
-    """The committee's size k and its voters below t (as for :func:`_charge`), once it is valid."""
+    """The committee's size k and its voters below t, as the complement ``~reached``
+    of the voters reaching t (a voter set for :func:`weighted_counts`), once it is valid."""
     members = _check_committee(inst, committee, t)
     return len(members), ~_reaching(inst.columns, members, t)
 
@@ -199,18 +191,18 @@ def expanded_rule(inst: Instance, params: MultiParams) -> Committee:
 
     The expansion is never built.  Per committee, the bit-sliced counter
     :func:`_reaching` finds the voters approving at least t members among
-    the instance's voter bitsets, and :func:`_charge` sums the int
-    penalty of the rest.  Cost: O(C(m,k) * (k*t + sizes)) big-int
-    operations on n-bit ints.
+    the instance's voter bitsets, and :func:`weighted_counts` sums the int
+    penalty of the rest over :func:`_penalty`'s classes.  Cost:
+    O(C(m,k) * (k*t + sizes)) big-int operations on n-bit ints.
     """
     _check_expansion(inst, params)
     k, t = params.k, params.t
-    table, _ = _penalty(inst, k, t)
+    _, classes, _ = _penalty(inst, k, t)
     columns = inst.columns
     return Committee(
         min(
             combinations(range(inst.m), k),
-            key=lambda members: _charge(table, ~_reaching(columns, members, t)),
+            key=lambda members: weighted_counts((~_reaching(columns, members, t),), classes)[0],
         )
     )
 
@@ -223,8 +215,8 @@ def committee_score(inst: Instance, committee: Committee, t: int) -> Frac:
     most n meets the hypergeometric guarantee.
     """
     k, short = _short_voters(inst, committee, t)
-    table, scale = _penalty(inst, k, t)
-    return Fraction(_charge(table, short), scale)
+    _, classes, scale = _penalty(inst, k, t)
+    return Fraction(weighted_counts((short,), classes)[0], scale)
 
 
 def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
@@ -253,12 +245,12 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
     """
     k, t = _check_params(inst, params).k, params.t
     m, columns = inst.m, inst.columns
-    table, _ = _penalty(inst, k, t)
+    sizes, classes, _ = _penalty(inst, k, t)
     at_least = [-1] + [0] * t
     chosen: list[int] = []
     for j in range(1, k + 1):
         weighted = []
-        for size, voters, unit in table:
+        for size, (unit, voters) in zip(sizes, classes):
             # Voters at the target, or with no approved candidate left, weigh 0.
             for overlap in range(min(t, size, j)):
                 remaining = size - overlap
@@ -269,10 +261,10 @@ def sequential_picks(inst: Instance, params: MultiParams) -> tuple[int, ...]:
                     continue
                 if needed > k - j:
                     continue  # too few seats left to reach the target: weight 0
+                # Defined by construction: 1 <= remaining <= m - j, 0 <= needed <= k - j.
+                weight = comb(remaining - 1, needed) * comb(m - j - remaining, k - j - needed)
                 group = voters & at_least[overlap] & ~at_least[overlap + 1]
-                if group:
-                    # Defined by construction: 1 <= remaining <= m - j, 0 <= needed <= k - j.
-                    weight = comb(remaining - 1, needed) * comb(m - j - remaining, k - j - needed)
+                if weight and group:
                     weighted.append((weight * unit, group))
         best = argmax(weighted_counts(columns, weighted), skip=chosen)
         chosen.append(best)
@@ -322,10 +314,9 @@ def jr_check(inst: Instance, committee: Committee) -> JrResult:
     members = _check_committee(inst, committee, 1)
     k, n = len(members), inst.n
     unrepresented = ~_reaching(inst.columns, members, 1)
-    for c, approvers in enumerate(inst.columns):
-        group = approvers & unrepresented
-        if group.bit_count() * k >= n:
-            voters = tuple(select(range(n), group))
+    for c, count in enumerate(weighted_counts(inst.columns, [(1, unrepresented)])):
+        if count * k >= n:
+            voters = tuple(select(range(n), inst.columns[c] & unrepresented))
             return JrResult(satisfied=False, blocking_candidate=c, blocking_voters=voters)
     return JrResult(satisfied=True)
 
@@ -341,10 +332,10 @@ def brute_best_committee(inst: Instance, params: MultiParams, s: object) -> Comm
     need = flexible_size(sv, inst.m)
     # The size masks are disjoint, so their sum is their union.
     flexible = sum(voters for size, voters in inst.size_masks.items() if size >= need)
-    columns, t = inst.columns, params.t
+    columns, t, classes = inst.columns, params.t, [(1, flexible)]
     return Committee(
         max(
             combinations(range(inst.m), params.k),
-            key=lambda members: (_reaching(columns, members, t) & flexible).bit_count(),
+            key=lambda members: weighted_counts((_reaching(columns, members, t),), classes)[0],
         )
     )

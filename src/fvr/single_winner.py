@@ -59,21 +59,22 @@ def common_units(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     return [num * (scale // den) for num, den in ratios], scale
 
 
-def weighted_counts(columns: Sequence[int], classes: Iterable[tuple[int, int]]) -> list[int]:
-    """Per-candidate sums of int weights over classes of voters.
+def weighted_counts(sets: Iterable[int], classes: list[tuple[int, int]]) -> list[int]:
+    """The one voter count of the kernels: for each voter set S in ``sets``, the
+    sum over ``classes`` of unit * popcount(S & voters).
 
-    ``classes`` yields ``(unit, voters)`` pairs, ``voters`` a voter bitset;
-    each of those voters adds ``unit`` to every candidate she approves, so
-    ``counts[a]`` is the sum of unit * popcount(columns[a] & voters).
-    Zero units are skipped.  Cost: one AND and one popcount of n-bit ints
-    per (candidate, class).
+    ``sets`` holds voter bitsets, or complements ``~bitset``, as each is only
+    ANDed with the classes' voters: a candidate's approvers, a size's voters,
+    a committee's short voters.  ``classes`` is a list of ``(unit, voters)``
+    pairs, ``voters`` a voter bitset and ``unit`` an int weight per voter; it
+    is read as given, once per set, so callers drop zero units.  Cost: one
+    AND and one popcount of n-bit ints per (set, class).
     """
-    classes = [(unit, voters) for unit, voters in classes if unit]
     counts = []
-    for column in columns:
+    for voter_set in sets:
         total = 0
         for unit, voters in classes:
-            total += unit * (column & voters).bit_count()
+            total += unit * (voter_set & voters).bit_count()
         counts.append(total)
     return counts
 
@@ -81,11 +82,11 @@ def weighted_counts(columns: Sequence[int], classes: Iterable[tuple[int, int]]) 
 def flexible_counts(inst: Instance, voters: int) -> list[int]:
     """How many voters in ``voters`` approve at least ``need`` candidates, at index
     need = 0..m+1.  ``voters`` is a voter bitset, or the complement ``~bitset`` of a
-    group, as it is only ANDed with each size's voters.  Cost: one AND and one
-    popcount per approval size present, then a suffix sum."""
+    group.  Cost: one :func:`weighted_counts` call over the approval sizes present,
+    with the single class ``(1, voters)``, then a suffix sum."""
     hits = [0] * (inst.m + 2)  # hits[size]: the voters approving exactly ``size``
-    for size, group in inst.size_masks.items():
-        hits[size] = (voters & group).bit_count()
+    for size, count in zip(inst.size_masks, weighted_counts(inst.size_masks.values(), [(1, voters)])):
+        hits[size] = count
     return list(accumulate(reversed(hits)))[::-1]
 
 
@@ -126,7 +127,7 @@ def score_all(inst: Instance, w: WeightFn) -> ScoreVector:
     m, groups, ratio = of_type(inst, Instance, "instance").m, inst.size_masks, as_family(w).ratio
     sizes = [size for size in groups if 0 < size < m]
     units, scale = common_units([ratio(size, m) for size in sizes])
-    counts = weighted_counts(inst.columns, zip(units, map(groups.__getitem__, sizes)))
+    counts = weighted_counts(inst.columns, [(unit, groups[size]) for unit, size in zip(units, sizes) if unit])
     return tuple(Fraction(c, scale) for c in counts)
 
 

@@ -7,9 +7,9 @@ order, in one process.
 
 Each block is a generator that yields one item per check: a false value
 when the check passes, or its violation message when it fails, built only
-then (``failed and f"..."``).  ``run_suite`` alone counts the checks and
-keeps the first ``MAX_VIOLATIONS_KEPT`` messages, so no block holds a counter
-or a list of violations.
+then (``failed and f"..."``).  ``run_suite`` alone counts the checks and the
+failing ones and keeps the first ``MAX_VIOLATIONS_KEPT`` messages, so no block
+holds a counter or a list of violations.
 
 Suite parameters (all optional; ``_SUITES`` holds each suite's defaults):
 
@@ -106,15 +106,17 @@ MAX_VIOLATIONS_KEPT = 50
 
 @record
 class VerifyResult:
-    """A suite's check count and its first ``MAX_VIOLATIONS_KEPT`` violation messages."""
+    """A suite's count of checks, its count of failing checks, and the messages of
+    the first ``MAX_VIOLATIONS_KEPT`` failures."""
 
     suite: str
     checked: int
+    failed: int
     violations: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.failed
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +532,10 @@ def run_suite(
     # and a seed any int.
     given = zip(("n_max", "m_max", "budget", "seed"), (n_max, m_max, budget, seed), (1, 1, 1, None), defaults)
     args = [default if value is None else int_at_least(value, key, low) for key, value, low, default in given]
-    checked, violations = 0, []
+    checked, failed, violations = 0, 0, []
     for checked, failure in enumerate(chain.from_iterable(builder(*args)), 1):
-        if failure and len(violations) < MAX_VIOLATIONS_KEPT:
-            violations.append(failure)
-    return VerifyResult(name, checked, tuple(violations))
+        if failure:
+            failed += 1
+            if failed <= MAX_VIOLATIONS_KEPT:
+                violations.append(failure)
+    return VerifyResult(name, checked, failed, tuple(violations))

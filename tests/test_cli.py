@@ -406,7 +406,7 @@ def test_verify_exits_1_on_violations(capsys, monkeypatch):
     from fvr.verify import VerifyResult
 
     def fake_run_suite(name, **_):
-        return VerifyResult(name, 3, ("fabricated counterexample",))
+        return VerifyResult(name, 3, 1, ("fabricated counterexample",))
 
     monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
     code, out, _ = run(capsys, "verify", "opt")
@@ -414,6 +414,24 @@ def test_verify_exits_1_on_violations(capsys, monkeypatch):
     assert "1 violations" in out
     assert "fabricated counterexample" in out
     assert out.rstrip().endswith("FAIL")
+
+
+def test_verify_prints_every_failure_counted_and_the_first_ten_messages(capsys, monkeypatch):
+    # run_suite keeps only MAX_VIOLATIONS_KEPT messages; the count line still
+    # reports every failing check.
+    import fvr.cli as cli_module
+    from fvr.verify import MAX_VIOLATIONS_KEPT, VerifyResult
+
+    kept = tuple(f"counterexample {i}" for i in range(MAX_VIOLATIONS_KEPT))
+
+    def fake_run_suite(name, **_):
+        return VerifyResult(name, 362, 59, kept)
+
+    monkeypatch.setattr(cli_module, "run_suite", fake_run_suite)
+    code, out, _ = run(capsys, "verify", "opt")
+    assert code == 1
+    shown = "".join(f"  counterexample {i}\n" for i in range(10))
+    assert out == f"suite opt: 362 checks, 59 violations\n{shown}FAIL\n"
 
 
 def test_pvc_empty_core(capsys, tmp_path):

@@ -85,3 +85,25 @@ def test_every_private_module_level_name_is_used_in_the_package():
     assert defined
     unused = [f"{file}:{line}: {name}" for name, line, file in defined if name not in used]
     assert not unused, "private but unused in the package: " + ", ".join(unused)
+
+
+def test_voters_are_counted_only_in_weighted_counts():
+    # One exact kernel counts voters: every popcount of the rule kernels is a
+    # weighted_counts call, so a weighted ballot count changes one loop.
+    outside, kernels = [], 0
+    for name in ("single_winner.py", "multi_winner.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+        kernel = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == "weighted_counts"
+            for node in ast.walk(top)
+        }
+        kernels += bool(kernel)
+        outside += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "bit_count" in (getattr(node, "attr", None), getattr(node, "id", None)) and id(node) not in kernel
+        ]
+    assert kernels == 1
+    assert not outside, "voters counted outside weighted_counts: " + ", ".join(outside)

@@ -52,6 +52,7 @@ from fvr.single_winner import (
     flexible_counts,
     group_audit_curve,
     score_all,
+    weighted_counts,
     winner,
 )
 from fvr.verify import strong_pvc_by_subsets
@@ -253,6 +254,30 @@ def test_flexible_counts_match_a_count_over_the_approval_sets(case):
     members = [A for i, A in enumerate(inst.approvals) if voters >> i & 1]
     expected = [sum(1 for A in members if len(A) >= need) for need in range(inst.m + 2)]
     assert flexible_counts(inst, voters) == expected
+
+
+VOTERS = 10
+voter_sets = st.frozensets(st.integers(0, VOTERS - 1))
+
+
+def as_bitset(voters):
+    return sum(1 << i for i in voters)
+
+
+@given(
+    sets=st.lists(st.tuples(voter_sets, st.booleans()), max_size=6),
+    classes=st.lists(st.tuples(st.integers(1, 2**70), voter_sets), max_size=5),
+)
+@example(sets=[(frozenset(), True), (frozenset({0, 3}), False)], classes=[])
+def test_weighted_counts_sums_unit_times_overlap_over_python_sets(sets, classes):
+    # A set drawn with True is passed as the complement ~bitset of its voters.
+    everyone = frozenset(range(VOTERS))
+    passed = [~as_bitset(voters) if complement else as_bitset(voters) for voters, complement in sets]
+    expected = [
+        sum(unit * len((everyone - voters if complement else voters) & group) for unit, group in classes)
+        for voters, complement in sets
+    ]
+    assert weighted_counts(passed, [(unit, as_bitset(group)) for unit, group in classes]) == expected
 
 
 def suffix_loop_curve(inst, voters):

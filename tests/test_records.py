@@ -42,7 +42,7 @@ CASES = [
     (MultiParams, (3, 2)),
     (ExpandedInstance, (BASE, MultiParams(2, 1), EXPANSION.committees, EXPANSION.expanded)),
     (JrResult, (False, 1, (0, 2))),
-    (VerifyResult, ("opt", 3, ("a violation",))),
+    (VerifyResult, ("opt", 3, 1, ("a violation",))),
 ]
 IDS = [cls.__name__ for cls, _ in CASES]
 

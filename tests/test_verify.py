@@ -433,9 +433,11 @@ def test_run_suite_counts_every_check_and_keeps_the_first_violations(monkeypatch
     monkeypatch.setitem(_SUITES, "opt", (build, None, None, None, None))
     result = run_suite("opt")
     assert result.checked == 8 * MAX_VIOLATIONS_KEPT
+    assert result.failed == 4 * MAX_VIOLATIONS_KEPT
     assert result.violations == tuple(f"block 1 check {i}" for i in range(1, 2 * MAX_VIOLATIONS_KEPT, 2))
+    assert not result.passed
     monkeypatch.setitem(_SUITES, "opt", (lambda *sizes: [], None, None, None, None))
-    assert run_suite("opt") == verify.VerifyResult("opt", 0, ())
+    assert run_suite("opt") == verify.VerifyResult("opt", 0, 0, ())
 
 
 def test_every_block_is_a_generator_that_returns_nothing():
